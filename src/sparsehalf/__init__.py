@@ -65,7 +65,6 @@ from .realizations import (
 )
 from .learners import (
     LearnerConfig,
-    PartitionReport,
     learn_h2,
     learn_h3,
     make_learner,

@@ -76,7 +76,7 @@ def _print_force_estimate(n: int, m: int) -> None:
 
 def _learner_config(args: argparse.Namespace, seed: int) -> LearnerConfig:
     kwargs = {"seed": seed}
-    for name in ("epsilon", "beta", "eta", "epochs"):
+    for name in ("beta", "eta", "epochs"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -84,7 +84,6 @@ def _learner_config(args: argparse.Namespace, seed: int) -> LearnerConfig:
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=None, help="target excess error")
     p.add_argument("--beta", type=float, default=None, help="decomposability budget for the matrix learner")
     p.add_argument("--eta", type=float, default=None, help="matrix learner step size")
     p.add_argument("--epochs", type=int, default=None, help="matrix learner passes over the data")

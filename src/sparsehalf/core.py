@@ -270,10 +270,6 @@ def count_sparse_vectors(n: int, k: int) -> int:
     return sum(comb(n, j) * 2**j for j in range(k + 1))
 
 
-def count_exact_sparse(n: int, k: int) -> int:
-    return comb(n, k) * 2**k
-
-
 def iter_sparse_vectors(n: int, k: int) -> Iterator[SparseVector]:
     """All at-most-k-sparse vectors, in a fixed deterministic order."""
     for size in range(k + 1):
@@ -318,7 +314,8 @@ def serialize_instance_line(x: SparseVector, y: Label) -> str:
     return " ".join(parts)
 
 
-def parse_entries(tokens: Sequence[str], n: int, where: str) -> tuple[tuple[int, int], ...]:
+def parse_instance(tokens: Sequence[str], n: int, where: str) -> SparseVector:
+    """The validated instance written as ``idx:val`` tokens; FormatError otherwise."""
     entries = []
     for tok in tokens:
         if ":" not in tok:
@@ -330,10 +327,9 @@ def parse_entries(tokens: Sequence[str], n: int, where: str) -> tuple[tuple[int,
             raise FormatError(f"{where}: bad entry token {tok!r}") from exc
         entries.append((idx, val))
     try:
-        vec = SparseVector(n, tuple(entries))
+        return SparseVector(n, tuple(entries))
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-    return vec.entries
 
 
 def parse_sample(text: str) -> Sample:
@@ -364,8 +360,8 @@ def parse_sample(text: str) -> Sample:
             raise FormatError(f"line {offset}: bad label {tokens[0]!r}") from exc
         if label not in (-1, 1):
             raise FormatError(f"line {offset}: label must be +-1, got {label}")
-        entries = parse_entries(tokens[1:], n, f"line {offset}")
-        if len(entries) > k:
+        x = parse_instance(tokens[1:], n, f"line {offset}")
+        if x.nnz > k:
             raise FormatError(f"line {offset}: more than k={k} nonzeros")
-        items.append(Example(SparseVector(n, entries), label))
+        items.append(Example(x, label))
     return Sample(k=k, n=n, items=tuple(items))

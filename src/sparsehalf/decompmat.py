@@ -12,7 +12,7 @@ diagonal entry of both at most beta.  This module provides:
   reconstruction set, the two PSD cones, and the diagonal cap.
 
 The certified value is an upper bound on the true minimal beta up to the
-configured tolerances; it is never exact.  Dense float64 matrices only, with
+configured tolerances.  Dense float64 matrices only, with
 a 256-dimension guard on the certifier.
 """
 
@@ -80,19 +80,15 @@ class CertifierConfig:
 
     tolerance: float = 1e-7
     max_iterations: int = 2000
-    beta_lo: float = 0.0
     beta_hi: float | None = None
     beta_resolution: float = 1e-3
-    check_every: int = 20
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.beta_lo < 0:
-            raise ValueError("beta_lo must be nonnegative")
-        if self.beta_hi is not None and self.beta_hi <= self.beta_lo:
-            raise ValueError("need beta_lo < beta_hi")
-        if self.max_iterations < 1 or self.check_every < 1:
+        if self.beta_hi is not None and self.beta_hi <= 0:
+            raise ValueError("beta_hi must be positive")
+        if self.max_iterations < 1:
             raise ValueError("iteration counts must be positive")
 
 
@@ -302,6 +298,10 @@ def diagonal_decomposition(D: np.ndarray) -> Decomposition:
 # ---------------------------------------------------------------------------
 # Numeric minimal-beta certifier (Dykstra cyclic projection + bisection)
 
+#: Dykstra iterations between feasibility checks
+_CHECK_EVERY = 20
+
+
 def _project_affine(P: np.ndarray, N: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual = S - (P - N)
     return P + residual / 2.0, N - residual / 2.0
@@ -373,7 +373,7 @@ def _dykstra_feasible(
         N = _project_diag_cap(vN, beta)
         inc_cap_P, inc_cap_N = vP - P, vN - N
 
-        if iteration % cfg.check_every == 0 or iteration == cfg.max_iterations:
+        if iteration % _CHECK_EVERY == 0 or iteration == cfg.max_iterations:
             gap = _violations(P, N, S, beta)
             if gap <= cfg.tolerance:
                 return True, (P, N)
@@ -415,8 +415,11 @@ def certify_min_beta(
 ) -> tuple[float, Decomposition]:
     """Bisect on beta for the smallest value Dykstra can certify feasible.
 
-    Returns the certified beta (an upper bound on the true minimum, never
-    exact) and a repaired decomposition that passes ``verify_decomposition``
+    The bisection starts from the nuclear-norm lower bound ||sym(W)||_* / (2d),
+    so a spectral split already at that bound (as for the triangular
+    matrices) needs no Dykstra run at all.
+
+    Returns the certified beta (an upper bound on the true minimum) and a repaired decomposition that passes ``verify_decomposition``
     at its default tolerances.  Raises :class:`NumericError` when no feasible
     beta is found at or below the configured upper bound.
     """
@@ -438,9 +441,11 @@ def certify_min_beta(
             raise NumericError(f"no feasible beta found at or below beta_hi={hi}")
         best_point = point
 
-    lo = float(cfg.beta_lo)
-    if lo >= hi:
-        lo = 0.0
+    # tr P + tr N >= ||S||_* for every decomposition, and the trace sum is at
+    # most 2 d beta, so no beta below ||S||_* / (2d) is feasible; the spectral
+    # split meets the nuclear norm with equality.
+    bound = (np.trace(spectral.P) + np.trace(spectral.N)) / (2.0 * spectral.d)
+    lo = min(max(float(bound), 0.0), hi)
     while hi - lo > cfg.beta_resolution:
         mid = (hi + lo) / 2.0
         feasible, point = _dykstra_feasible(S, mid, best_point, cfg)

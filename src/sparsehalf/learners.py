@@ -5,9 +5,10 @@ with unseen instances defaulting to +1.  ``matrix_mw_learn`` learns +-1 cell
 labels of an n x m matrix through a trace-capped positive semidefinite pair,
 updated by matrix exponentiated gradient on the hinge loss and converted
 online-to-batch by averaging the per-iterate margins.  ``partition_learn``
-splits a sample along a router's parts, trains one sub-learner per part, and
-routes predictions.  ``learn_h2``/``learn_h3`` compose these into the
-efficient learners for at-most-2-sparse and at-most-3-sparse instances.
+splits a sample along the parts of a named partition, trains one sub-learner
+per part, and routes predictions.  ``learn_h2``/``learn_h3`` compose these
+into the efficient learners for at-most-2-sparse and at-most-3-sparse
+instances.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Example, Label, Sample, empirical_error, erm_binary_halfspace
+from .core import Example, Label, Sample, erm_binary_halfspace
 from .errors import NumericError
 from .predictors import (
     BinaryHalfspacePredictor,
@@ -29,7 +29,7 @@ from .predictors import (
     MatrixPredictor,
     TrainedPredictor,
 )
-from .realizations import C2_ROUTER, C3_ROUTER, C2Part, PartId, Router, part_sort_key, realize_c2
+from .realizations import CHILD_K, C2Part, PartId, part_index, part_sort_key, realize_c2, route
 from .rng import derive_seed, generator
 
 Cell = tuple[int, int]
@@ -37,48 +37,24 @@ Cell = tuple[int, int]
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Target accuracy, seed, and score-matrix learner hyperparameters.
+    """Seed and score-matrix learner hyperparameters.
 
-    ``beta`` is the decomposability budget; when unset the threshold parts
-    use ``beta_log_coeff * log2(n)``.  The trace cap defaults to
-    ``2 * beta * (rows + cols)``.  ``diag_route`` picks how the singleton
-    (diagonal) parts are learned: exact per-cell majority, or the matrix
-    machinery for comparison.
+    ``beta`` is the decomposability budget; when unset the matrix parts use
+    ``4 * log2(n)``.  The trace cap is ``2 * beta * (rows + cols)``.
     """
 
-    epsilon: float = 0.1
-    delta: float = 0.1
     seed: int = 0
     beta: float | None = None
-    beta_log_coeff: float = 4.0
     eta: float = 0.5
     epochs: int = 10
-    tau: float | None = None
-    diag_route: str = "majority"
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         if self.beta is not None and self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.diag_route not in ("majority", "matrix"):
-            raise ValueError("diag_route must be 'majority' or 'matrix'")
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Per-part example counts, empirical masses, and training errors."""
-
-    counts: dict[PartId, int]
-    masses: dict[PartId, Fraction]
-    train_errors: dict[PartId, Fraction]
-    total: int
 
 
 def table_majority_learn(sample: Sample) -> MajorityTable:
@@ -88,12 +64,6 @@ def table_majority_learn(sample: Sample) -> MajorityTable:
         votes[ex.x.entries] += ex.y
     table = {key: (1 if total >= 0 else -1) for key, total in votes.items()}
     return MajorityTable(sample.n, sample.k, table)
-
-
-def _resolve_beta(cfg: LearnerConfig, dims: tuple[int, int]) -> float:
-    if cfg.beta is not None:
-        return cfg.beta
-    return cfg.beta_log_coeff * math.log2(max(2, max(dims)))
 
 
 def _eg_margins(C: np.ndarray, tau: float, d: int) -> tuple[np.ndarray, float]:
@@ -144,11 +114,9 @@ def matrix_mw_learn(
         if label not in (-1, 1):
             raise ValueError(f"cell label must be +-1: got {label}")
 
-    beta = _resolve_beta(cfg, dims)
+    beta = cfg.beta if cfg.beta is not None else 4.0 * math.log2(max(2, max(dims)))
     d = n_rows + n_cols
-    tau = cfg.tau if cfg.tau is not None else 2.0 * beta * d
-    if tau <= 0:
-        raise ValueError("trace cap must be positive")
+    tau = 2.0 * beta * d
 
     C = np.zeros((n_rows, n_cols))
     margin_sum = np.zeros((n_rows, n_cols))
@@ -181,35 +149,24 @@ def matrix_mw_learn(
 
 def partition_learn(
     sample: Sample,
-    router: Router,
-    factory: Callable[[PartId], Callable[[Sample], TrainedPredictor]],
-) -> tuple[CompositePredictor, PartitionReport]:
-    """Split a sample along the router's parts and train one learner per part.
+    kind: str,
+    train: Callable[[PartId, Sample], TrainedPredictor],
+) -> CompositePredictor:
+    """Split a sample along the ``kind`` partition and train one learner per part.
 
-    Slices keep their original order and are transformed by the router before
-    training; parts with no examples predict the +1 default.  The report
-    carries per-part counts, empirical masses, and training errors.
+    Slices keep their original order and hold the routed (transformed)
+    instances; parts are trained in ``part_sort_key`` order, and parts with
+    no examples predict the +1 default.
     """
     slices: dict[PartId, list[Example]] = defaultdict(list)
     for ex in sample.items:
-        part = router.part_of(ex.x)
-        slices[part].append(Example(router.transform(ex.x, part), ex.y))
-
-    children: dict[PartId, TrainedPredictor] = {}
-    counts: dict[PartId, int] = {}
-    masses: dict[PartId, Fraction] = {}
-    errors: dict[PartId, Fraction] = {}
-    total = len(sample)
-    for part in sorted(slices, key=part_sort_key):
-        part_sample = Sample(router.child_k(part), sample.n, tuple(slices[part]))
-        child = factory(part)(part_sample)
-        children[part] = child
-        counts[part] = len(part_sample)
-        masses[part] = Fraction(len(part_sample), total)
-        errors[part] = empirical_error(child, part_sample)
-
-    composite = CompositePredictor(router.name, sample.n, children, router_obj=router)
-    return composite, PartitionReport(counts, masses, errors, total)
+        part, child_x = route(kind, ex.x)
+        slices[part].append(Example(child_x, ex.y))
+    children = {
+        part: train(part, Sample(CHILD_K, sample.n, tuple(slices[part])))
+        for part in sorted(slices, key=part_sort_key)
+    }
+    return CompositePredictor(kind, sample.n, children)
 
 
 def _check_sparsity(sample: Sample, k: int, what: str) -> None:
@@ -230,26 +187,20 @@ def learn_h2(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredi
     _check_sparsity(sample, 2, "learn_h2")
     n = sample.n
 
-    def factory(part: PartId) -> Callable[[Sample], TrainedPredictor]:
+    def train(part: PartId, part_sample: Sample) -> TrainedPredictor:
         assert isinstance(part, C2Part)
-        child_seed = derive_seed(cfg.seed, 2, C2_ROUTER.part_index(part))
-        child_cfg = replace(cfg, seed=child_seed)
-        if abs(part.r) == 1 and cfg.diag_route == "majority":
-            return table_majority_learn
+        if abs(part.r) == 1:
+            return table_majority_learn(part_sample)
+        cells: list[tuple[Cell, Label]] = []
+        for ex in part_sample.items:
+            cell = realize_c2(ex.x)
+            cells.append(((cell.row, cell.col), ex.y))
+            if abs(part.r) == 2:
+                cells.append(((cell.col, cell.row), ex.y))
+        child_cfg = replace(cfg, seed=derive_seed(cfg.seed, 2, part_index(part)))
+        return matrix_mw_learn(cells, (n, n), child_cfg, realization=part.r)
 
-        def train(part_sample: Sample) -> TrainedPredictor:
-            cells: list[tuple[Cell, Label]] = []
-            for ex in part_sample.items:
-                cell = realize_c2(ex.x)
-                cells.append(((cell.row, cell.col), ex.y))
-                if abs(part.r) == 2:
-                    cells.append(((cell.col, cell.row), ex.y))
-            return matrix_mw_learn(cells, (n, n), child_cfg, realization=part.r)
-
-        return train
-
-    composite, _ = partition_learn(sample, C2_ROUTER, factory)
-    return composite
+    return partition_learn(sample, "c2", train)
 
 
 def learn_h3(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredictor:
@@ -263,13 +214,10 @@ def learn_h3(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredi
     cfg = cfg or LearnerConfig()
     _check_sparsity(sample, 3, "learn_h3")
 
-    def factory(part: PartId) -> Callable[[Sample], TrainedPredictor]:
-        child_seed = derive_seed(cfg.seed, 3, C3_ROUTER.part_index(part))
-        child_cfg = replace(cfg, seed=child_seed)
-        return lambda part_sample: learn_h2(part_sample, child_cfg)
+    def train(part: PartId, part_sample: Sample) -> TrainedPredictor:
+        return learn_h2(part_sample, replace(cfg, seed=derive_seed(cfg.seed, 3, part_index(part))))
 
-    composite, _ = partition_learn(sample, C3_ROUTER, factory)
-    return composite
+    return partition_learn(sample, "c3", train)
 
 
 LEARNER_NAMES = ("table", "h2", "h3", "erm-binary")

@@ -18,18 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryAssignment, Label, SparseVector, parse_entries, sign_pm
+from .core import BinaryAssignment, Label, SparseVector, parse_instance, sign_pm
 from .errors import FormatError
 from .realizations import (
     C2Part,
     C3Part,
     C3Residual,
+    PARTITIONS,
     PartId,
-    Router,
-    get_router,
     part_of_c2,
     part_sort_key,
     realize_c2,
+    route,
 )
 
 
@@ -110,27 +110,20 @@ class BinaryHalfspacePredictor(TrainedPredictor):
 class CompositePredictor(TrainedPredictor):
     """Routes an instance to the child trained on its part; empty parts say +1.
 
-    ``router_obj`` keeps the in-process router the composite was trained
-    with; deserialized composites fall back to the named-router registry.
+    ``router_name`` names the partition, ``"c2"`` or ``"c3"`` (see ``route``).
     """
 
     router_name: str
     n: int
     children: dict[PartId, TrainedPredictor] = field(default_factory=dict)
     default: Label = 1
-    router_obj: Router | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def router(self) -> Router:
-        return self.router_obj if self.router_obj is not None else get_router(self.router_name)
 
     def predict(self, x: SparseVector) -> Label:
-        router = self.router
-        part = router.part_of(x)
+        part, child_x = route(self.router_name, x)
         child = self.children.get(part)
         if child is None:
             return self.default
-        return child.predict(router.transform(x, part))
+        return child.predict(child_x)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +224,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
             label = int(right)
             if label not in (-1, 1):
                 raise FormatError(f"table row label must be +-1: {line!r}")
-            entries = parse_entries(left.split(), n, "table row")
-            table[entries] = label
+            table[parse_instance(left.split(), n, "table row").entries] = label
         return MajorityTable(n, k, table)
 
     if tag == "matrix":
@@ -253,10 +245,8 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         if len(header) != 4:
             raise FormatError("composite header is 'composite <router> <n> <children>'")
         router_name, n, count = header[1], int(header[2]), int(header[3])
-        try:
-            get_router(router_name)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        if router_name not in PARTITIONS:
+            raise FormatError(f"unknown router {router_name!r}")
         children: dict[PartId, TrainedPredictor] = {}
         for _ in range(count):
             part_line = reader.next().split()

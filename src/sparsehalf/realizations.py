@@ -10,7 +10,7 @@ turns each part into a two-sparse problem with a shifted bias.  Instances
 whose first nonzero sits at n-1 or n, and the zero vector, form one residual
 part that is already two-sparse.
 
-Routers bundle a partition with its per-part instance transform so the
+``route`` pairs a partition with its per-part instance transform so the
 learners can split samples, train per part, and route predictions.
 """
 
@@ -155,69 +155,33 @@ def part_of_c3(x: SparseVector) -> PartId:
     return C3Residual()
 
 
-class Router:
-    """A named partition of instances with a per-part training-time transform."""
+#: names of the two partitions, as stored in composite model files
+PARTITIONS = ("c2", "c3")
 
-    name: str
-
-    def part_of(self, x: SparseVector) -> PartId:
-        raise NotImplementedError
-
-    def transform(self, x: SparseVector, part: PartId) -> SparseVector:
-        return x
-
-    def child_k(self, part: PartId) -> int:
-        raise NotImplementedError
-
-    def part_index(self, part: PartId) -> int:
-        """Small stable integer per part, used to derive per-part seeds."""
-        raise NotImplementedError
+#: sparsity of every part's transformed instances, for both partitions
+CHILD_K = 2
 
 
-class _C2Router(Router):
-    name = "c2"
+def route(kind: str, x: SparseVector) -> tuple[PartId, SparseVector]:
+    """(part, transformed instance) of x under the ``"c2"`` or ``"c3"`` partition.
 
-    def part_of(self, x: SparseVector) -> PartId:
-        return part_of_c2(x)
-
-    def child_k(self, part: PartId) -> int:
-        return 2
-
-    def part_index(self, part: PartId) -> int:
-        assert isinstance(part, C2Part)
-        return part.r + 2
-
-
-class _C3Router(Router):
-    name = "c3"
-
-    def part_of(self, x: SparseVector) -> PartId:
-        return part_of_c3(x)
-
-    def transform(self, x: SparseVector, part: PartId) -> SparseVector:
+    ``c2`` leaves instances unchanged; ``c3`` zeroes the first nonzero of
+    instances in a (position, value) part and leaves the residual unchanged.
+    """
+    if kind == "c2":
+        return part_of_c2(x), x
+    if kind == "c3":
+        part = part_of_c3(x)
         if isinstance(part, C3Part):
-            _, _, stripped = strip_first_nonzero(x)
-            return stripped
-        return x
+            return part, strip_first_nonzero(x)[2]
+        return part, x
+    raise ValueError(f"unknown router {kind!r}")
 
-    def child_k(self, part: PartId) -> int:
-        return 2
 
-    def part_index(self, part: PartId) -> int:
-        if isinstance(part, C3Residual):
-            return 0
-        assert isinstance(part, C3Part)
+def part_index(part: PartId) -> int:
+    """Small stable integer per part, used to derive per-part seeds."""
+    if isinstance(part, C2Part):
+        return part.r + 2
+    if isinstance(part, C3Part):
         return 2 * part.i + (0 if part.b > 0 else 1)
-
-
-C2_ROUTER = _C2Router()
-C3_ROUTER = _C3Router()
-
-ROUTERS: dict[str, Router] = {"c2": C2_ROUTER, "c3": C3_ROUTER}
-
-
-def get_router(name: str) -> Router:
-    try:
-        return ROUTERS[name]
-    except KeyError as exc:
-        raise ValueError(f"unknown router {name!r}") from exc
+    return 0

@@ -128,12 +128,15 @@ def refute(phi: Formula, cfg: RefuterConfig) -> Verdict:
     Soundness on uniform formulas depends on the clause density Δ = m/n.
     The subsample covers about s = 1 - e^{-fraction} of the distinct
     clauses; the trained hypothesis never saw the rest, so on a uniform
-    formula it errs on about half of them.  For ERM over
-    binary halfspaces, Hoeffding plus a union bound over the 2^n assignments
-    guarantees a "typical" verdict only when
+    formula it errs on about half of them.  For ERM over binary halfspaces,
+    Hoeffding plus a union bound over the 2^n assignments keeps the fit to
+    the seen clauses from pulling the error under the threshold only when
     Δ > (1 - e^{-fraction}) * ln 2 / (2 * (1/2 - threshold)^2),
-    about 8.7 at fraction 1/2 and threshold 3/8.  Below that, fitting the
-    seen clauses can pull the full-sample error under the threshold.
+    about 8.7 at fraction 1/2 and threshold 3/8.  That is a density
+    heuristic, not a probability bound: it takes the error on the unseen
+    clauses as exactly 1/2 and leaves out its binomial spread, so uniform
+    formulas above it still get an occasional "exceptional" verdict (the
+    comparison is ``<=``, so an error of exactly the threshold counts).
     """
     if phi.kind is not FormulaKind.MAJ:
         raise ValueError("the refuter runs on majority formulas")

@@ -54,7 +54,7 @@ from sparsehalf.formulas import (
     sample_formula,
 )
 from sparsehalf.learners import LearnerConfig, learn_h2, partition_learn, table_majority_learn
-from sparsehalf.realizations import C2Part, C3_ROUTER, hypothesis_matrix, iter_part_c2, part_of_c2, realize_c2
+from sparsehalf.realizations import C2Part, hypothesis_matrix, iter_part_c2, part_of_c2, realize_c2, route
 from sparsehalf.refutation import GameConfig, RefuterConfig, refutation_game
 
 
@@ -115,11 +115,13 @@ def test_criterion_03_label_balance():
 
 def test_criterion_04_refutation_game():
     start = time.perf_counter()
-    # A uniform formula gets a wrong "exceptional" verdict with probability at
-    # most 2^n exp(-2 delta n (1/2 - theta)^2 / s), s = 1 - e^{-f} the seen
-    # clause share (Hoeffding plus a union bound; see refute).  That is below
-    # 1 only for delta > s ln2 / (2 (1/2 - theta)^2) ~= 8.7 here, whatever n:
-    # ~2.5 (vacuous) at delta = 8, ~1e-4 at delta = 16.
+    # Density heuristic, not a probability bound (see refute): treating the
+    # error on the unseen clauses as exactly 1/2, Hoeffding plus a union bound
+    # over the 2^n assignments keeps the seen clauses from pulling the error
+    # under theta only for delta > s ln2 / (2 (1/2 - theta)^2) ~= 8.7 here,
+    # s = 1 - e^{-f} the seen clause share.  Delta = 16 is well above it and
+    # delta = 8 below; the unseen clauses' binomial spread still gives a
+    # wrong "exceptional" verdict in about 1-2 rounds per 100.
     game = GameConfig(n=16, delta=16, mu=0.0, trials=100, base_seed=0)
     refuter = RefuterConfig(fraction=0.5, threshold=0.375, learner="erm-binary")
     stats = refutation_game(game, refuter)
@@ -244,9 +246,17 @@ def test_criterion_09_partition_identity():
         n = int(rng.integers(6, 12))
         xs = sample_exact_sparse(n, 3, int(rng.integers(20, 120)), seed)
         sample = Sample(3, n, tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs))
-        composite, rep = partition_learn(sample, C3_ROUTER, lambda part: table_majority_learn)
+        composite = partition_learn(sample, "c3", lambda part, sub: table_majority_learn(sub))
         total = empirical_error(composite, sample)
-        recombined = sum((rep.masses[p] * rep.train_errors[p] for p in rep.counts), Fraction(0))
+        slices = defaultdict(list)
+        for ex in sample.items:
+            part, child_x = route("c3", ex.x)
+            slices[part].append(Example(child_x, ex.y))
+        recombined = sum(
+            (Fraction(len(items), len(sample)) * empirical_error(composite.children[part], Sample(2, n, tuple(items)))
+             for part, items in slices.items()),
+            Fraction(0),
+        )
         if total != recombined:
             mismatches += 1
     elapsed = time.perf_counter() - start

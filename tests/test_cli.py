@@ -225,3 +225,11 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "sparsehalf" in proc.stdout
+
+    def test_package_invocation(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparsehalf", "--version"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "sparsehalf" in proc.stdout

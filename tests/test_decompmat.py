@@ -251,6 +251,25 @@ class TestCertifier:
         wider, _ = certify_min_beta(W, CertifierConfig(beta_hi=2 * spectral + 1.0))
         assert wider <= base + CertifierConfig().beta_resolution + 1e-6
 
+    def test_triangular_needs_no_dykstra_run(self, monkeypatch):
+        # the spectral split of sym(T_n) meets the nuclear-norm lower bound,
+        # so the bisection has nothing to search
+        import sparsehalf.decompmat as decompmat
+
+        calls = []
+        original = decompmat._dykstra_feasible
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decompmat, "_dykstra_feasible", counted)
+        W = triangular_matrix(16)
+        beta, dec = certify_min_beta(W)
+        assert calls == []
+        assert beta == pytest.approx(spectral_split(symmetrize(W)).beta)
+        assert verify_decomposition(W, dec).ok
+
     def test_infeasible_beta_hi_raises(self):
         with pytest.raises(NumericError):
             certify_min_beta(np.ones((3, 3)), CertifierConfig(beta_hi=1e-4, max_iterations=200))

@@ -1,5 +1,9 @@
 """Training procedures: majority table, matrix learner, partition glue, H2/H3."""
 
+from collections import defaultdict
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -25,8 +29,9 @@ from sparsehalf.learners import (
     partition_learn,
     table_majority_learn,
 )
-from sparsehalf.predictors import BinaryHalfspacePredictor
-from sparsehalf.realizations import C2_ROUTER, C2Part, C3_ROUTER, iter_part_c2
+from sparsehalf.predictors import BinaryHalfspacePredictor, serialize_predictor
+from sparsehalf.realizations import C2Part, iter_part_c2, part_index, part_sort_key, route
+from sparsehalf.rng import derive_seed
 
 
 def sv(n, *pairs):
@@ -116,38 +121,49 @@ class TestMatrixMwLearn:
             matrix_mw_learn([((3, 1), 1)], (2, 2), LearnerConfig())
 
 
+def routed_slices(sample, kind):
+    """Per-part routed examples, in sample order, computed apart from the learner."""
+    slices = defaultdict(list)
+    for ex in sample.items:
+        part, child_x = route(kind, ex.x)
+        slices[part].append(Example(child_x, ex.y))
+    return slices
+
+
+def majority_per_part(part, sub):
+    return table_majority_learn(sub)
+
+
 class TestPartitionLearn:
-    def test_single_part_router_matches_sub_learner(self):
-        class Whole:
-            name = "c2"
-
-            def part_of(self, x):
-                return C2Part(0)
-
-            def transform(self, x, part):
-                return x
-
-            def child_k(self, part):
-                return 3
-
-            def part_index(self, part):
-                return 0
-
-        xs = sample_exact_sparse(6, 3, 40, 1)
-        rng = np.random.default_rng(4)
-        s = labeled(6, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
-        composite, report = partition_learn(s, Whole(), lambda part: table_majority_learn)
-        alone = table_majority_learn(s)
-        assert all(composite.predict(ex.x) == alone.predict(ex.x) for ex in s.items)
-        assert report.counts[C2Part(0)] == len(s)
-
     def test_report_sums(self):
+        # every example lands in exactly one trained part
         xs = [x for x in iter_sparse_vectors(7, 2)]
         rng = np.random.default_rng(5)
         s = labeled(7, 2, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
-        _, report = partition_learn(s, C2_ROUTER, lambda part: table_majority_learn)
-        assert sum(report.counts.values()) == len(s)
-        assert sum(report.masses.values()) == 1
+        sizes = {}
+
+        def train(part, sub):
+            sizes[part] = len(sub)
+            return table_majority_learn(sub)
+
+        composite = partition_learn(s, "c2", train)
+        assert sum(sizes.values()) == len(s)
+        assert set(composite.children) == set(sizes) == {C2Part(r) for r in (-2, -1, 0, 1, 2)}
+
+    def test_parts_trained_in_sort_order_on_ordered_slices(self):
+        xs = sample_exact_sparse(8, 3, 60, 3)
+        rng = np.random.default_rng(3)
+        s = labeled(8, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
+        calls = []
+
+        def train(part, sub):
+            calls.append((part, sub.items))
+            return table_majority_learn(sub)
+
+        partition_learn(s, "c3", train)
+        expected = routed_slices(s, "c3")
+        assert [part for part, _ in calls] == sorted(expected, key=part_sort_key)
+        assert all(items == tuple(expected[part]) for part, items in calls)
 
     def test_error_decomposition_identity(self):
         # composite training error equals the mass-weighted per-part errors
@@ -155,17 +171,24 @@ class TestPartitionLearn:
         for seed in range(10):
             xs = sample_exact_sparse(8, 3, 60, seed)
             s = labeled(8, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
-            composite, report = partition_learn(
-                s, C3_ROUTER, lambda part: (lambda sub: learn_h2(sub, LearnerConfig(seed=seed, epochs=2)))
+            composite = partition_learn(
+                s, "c3", lambda part, sub: learn_h2(sub, LearnerConfig(seed=seed, epochs=2))
             )
             total = empirical_error(composite, s)
-            recombined = sum(report.masses[p] * report.train_errors[p] for p in report.counts)
+            recombined = sum(
+                Fraction(len(items), len(s)) * empirical_error(composite.children[part], Sample(2, 8, tuple(items)))
+                for part, items in routed_slices(s, "c3").items()
+            )
             assert total == recombined
 
     def test_empty_sample(self):
-        composite, report = partition_learn(Sample(2, 5, ()), C2_ROUTER, lambda part: table_majority_learn)
-        assert report.total == 0 and not report.counts
+        composite = partition_learn(Sample(2, 5, ()), "c2", majority_per_part)
+        assert not composite.children
         assert composite.predict(sv(5, (1, 1))) == 1
+
+    def test_unknown_partition(self):
+        with pytest.raises(ValueError):
+            partition_learn(Sample(2, 5, (Example(sv(5, (1, 1)), 1),)), "c9", majority_per_part)
 
 
 class TestLearnH2:
@@ -207,12 +230,6 @@ class TestLearnH2:
         with pytest.raises(ValueError):
             learn_h2(s)
 
-    def test_matrix_diag_route(self):
-        n = 6
-        items = tuple(Example(sv(n, (i, 1)), 1 if i % 2 else -1) for i in range(1, n + 1))
-        pred = learn_h2(Sample(2, n, items), LearnerConfig(seed=1, diag_route="matrix"))
-        assert all(pred.predict(ex.x) == ex.y for ex in items)
-
 
 class TestLearnH3:
     def test_empty_sample_is_constant_plus_one(self):
@@ -230,9 +247,19 @@ class TestLearnH3:
         pred = learn_h3(train, LearnerConfig(seed=13))
         assert float(empirical_error(pred, test)) <= 0.1
 
-    def test_deterministic_given_config(self):
-        from sparsehalf.predictors import serialize_predictor
+    def test_children_are_learn_h2_on_stripped_parts_with_derived_seeds(self):
+        xs = sample_exact_sparse(7, 3, 120, 5)
+        rng = np.random.default_rng(11)
+        s = labeled(7, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
+        cfg = LearnerConfig(seed=17, epochs=2)
+        composite = learn_h3(s, cfg)
+        slices = routed_slices(s, "c3")
+        assert set(composite.children) == set(slices)
+        for part, items in slices.items():
+            alone = learn_h2(Sample(2, 7, tuple(items)), replace(cfg, seed=derive_seed(17, 3, part_index(part))))
+            assert serialize_predictor(composite.children[part]) == serialize_predictor(alone)
 
+    def test_deterministic_given_config(self):
         xs = sample_exact_sparse(7, 3, 80, 2)
         rng = np.random.default_rng(9)
         s = labeled(7, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
