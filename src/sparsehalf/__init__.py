@@ -29,7 +29,6 @@ from .formulas import (
     FormulaKind,
     FormulaSourceConfig,
     Literal,
-    assignment_to_hypothesis,
     clause_to_example,
     eval_clause,
     formula_to_sample,

@@ -19,6 +19,7 @@ lines and additional ``#`` comments are ignored.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,17 +209,37 @@ def assignment_from_index(index: int, n: int) -> tuple[int, ...]:
     return tuple(1 if ((index >> (n - 1 - j)) & 1) == 0 else -1 for j in range(n))
 
 
-def sign_pattern_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the 2^n x n matrix of all +-1 patterns, int8."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    shifts = (n - 1 - np.arange(n, dtype=np.int64))[None, :]
-    bits = (idx[:, None] >> shifts) & 1
-    return (1 - 2 * bits).astype(np.int8)
+def best_pattern(rows: np.ndarray, above: np.ndarray) -> tuple[int, int]:
+    """(count, index): the most rows with <row, w> > above[row] over all +-1 patterns w.
 
-
-def _sign_block_rows(n: int, m: int) -> int:
-    # keep the margin buffer around ~32M float32 entries
-    return max(1, min(1 << 16, (1 << 25) // max(m, 1)))
+    ``rows`` is an int8 m x n matrix and ``above`` an m-vector of thresholds.
+    Patterns are numbered as in :func:`assignment_from_index`; ``index`` is
+    the first maximizer, the lexicographically first under +1 < -1.  The
+    margins of the trailing ``low`` coordinates minus ``above`` are tabulated
+    once (2^low x m int16, at most 2^24 entries); each pattern of the leading
+    coordinates is then one comparison of that table against its negated
+    margins.
+    """
+    m, n = rows.shape
+    low = min(n, 16, max(0, 24 - m.bit_length()))
+    high = n - low
+    margins = np.empty((1 << low, m), dtype=np.int16)
+    margins[0] = -above
+    for bit in range(low):  # double the table: coordinate n - bit is +1 in the first half
+        size = 1 << bit
+        col = rows[:, n - 1 - bit]
+        np.subtract(margins[:size], col, out=margins[size:2 * size])
+        margins[:size] += col
+    high_rows = rows[:, :high].astype(np.int16)
+    passed = np.empty(margins.shape, dtype=bool)
+    best_count, best_index = -1, 0
+    for prefix in range(1 << high):
+        negated = high_rows @ -np.array(assignment_from_index(prefix, high), dtype=np.int16)
+        counts = np.count_nonzero(np.greater(margins, negated, out=passed), axis=1)
+        local = int(counts.argmax())
+        if counts[local] > best_count:
+            best_count, best_index = int(counts[local]), (prefix << low) | local
+    return best_count, best_index
 
 
 def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[BinaryAssignment, Fraction]:
@@ -230,6 +251,9 @@ def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[Binary
     result is reproducible (an empty sample ties everything and yields the
     all-(+1) weights with error 0).  Guarded at n <= 24 unless ``force`` is
     set.
+
+    Example (x, y) is right iff <w, y x> > -1 for y = +1 (sign(0) = +1) and
+    > 0 for y = -1, which is one :func:`best_pattern` row.
     """
     m = len(sample)
     n = sample.n
@@ -238,28 +262,15 @@ def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[Binary
     if n > EXHAUSTIVE_N_LIMIT and not force:
         raise GuardError(f"ERM enumerates 2^{n} patterns; the guard stops n > {EXHAUSTIVE_N_LIMIT} unless forced")
 
-    data = np.zeros((m, n), dtype=np.float32)
-    labels = np.empty(m, dtype=bool)
+    rows = np.zeros((m, n), dtype=np.int8)
+    above = np.zeros(m, dtype=np.int16)
     for row, ex in enumerate(sample.items):
         for idx, val in ex.x.entries:
-            data[row, idx - 1] = val
-        labels[row] = ex.y > 0
-    data_t = data.T
-
-    total = 1 << n
-    chunk = _sign_block_rows(n, m)
-    best_err = m + 1
-    best_index = -1
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        weights = sign_pattern_block(n, start, stop).astype(np.float32)
-        margins = weights @ data_t
-        errs = ((margins >= 0) != labels[None, :]).sum(axis=1)
-        local = int(errs.argmin())
-        if int(errs[local]) < best_err:
-            best_err = int(errs[local])
-            best_index = start + local
-    return BinaryAssignment(assignment_from_index(best_index, n)), Fraction(best_err, m)
+            rows[row, idx - 1] = ex.y * val
+        if ex.y > 0:
+            above[row] = -1
+    count, index = best_pattern(rows, above)
+    return BinaryAssignment(assignment_from_index(index, n)), Fraction(m - count, m)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +359,28 @@ def parse_sample(text: str) -> Sample:
         raise FormatError("empty sample file: missing header")
     n, k = int(header.group(1)), int(header.group(2))
 
-    items = []
-    for offset, line in enumerate(lines[body_start:], start=body_start + 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        try:
-            label = int(tokens[0])
-        except ValueError as exc:
-            raise FormatError(f"line {offset}: bad label {tokens[0]!r}") from exc
-        if label not in (-1, 1):
-            raise FormatError(f"line {offset}: label must be +-1, got {label}")
-        x = parse_instance(tokens[1:], n, f"line {offset}")
-        if x.nnz > k:
-            raise FormatError(f"line {offset}: more than k={k} nonzeros")
-        items.append(Example(x, label))
+    # the loop only allocates acyclic objects, so cyclic collection passes
+    # over them are pure cost (about half the parse time with GC on)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        items = []
+        for offset, line in enumerate(lines[body_start:], start=body_start + 1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = stripped.split()
+            try:
+                label = int(tokens[0])
+            except ValueError as exc:
+                raise FormatError(f"line {offset}: bad label {tokens[0]!r}") from exc
+            if label not in (-1, 1):
+                raise FormatError(f"line {offset}: label must be +-1, got {label}")
+            x = parse_instance(tokens[1:], n, f"line {offset}")
+            if x.nnz > k:
+                raise FormatError(f"line {offset}: more than k={k} nonzeros")
+            items.append(Example(x, label))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return Sample(k=k, n=n, items=tuple(items))

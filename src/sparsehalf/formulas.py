@@ -5,7 +5,9 @@ conjunction of clauses over n +-1-valued variables.  OR clauses need one
 agreeing literal, majority clauses need two.  ``formula_value`` is the exact
 brute-force optimum over all 2^n assignments.  Each majority clause converts
 to a labeled 3-sparse example, which is the bridge between formulas and
-halfspace learning used by :mod:`sparsehalf.refutation`.
+halfspace learning used by :mod:`sparsehalf.refutation`.  ``formula_value``
+and ERM (:func:`sparsehalf.core.erm_binary_halfspace`) share one enumeration
+kernel, :func:`sparsehalf.core.best_pattern`.
 
 File format: DIMACS-style.  Header ``p cnf <n> <m>`` or ``p maj3 <n> <m>``,
 then clauses as whitespace-separated signed variable indices terminated by 0,
@@ -27,11 +29,10 @@ from .core import (
     EXHAUSTIVE_N_LIMIT,
     BinaryAssignment,
     Example,
-    Halfspace,
     Sample,
     SparseVector,
     assignment_from_index,
-    sign_pattern_block,
+    best_pattern,
 )
 from .errors import FormatError, GuardError
 from .rng import generator
@@ -133,47 +134,25 @@ def eval_clause(clause: Clause3, psi: BinaryAssignment) -> bool:
     return agree >= 1 if clause.kind is FormulaKind.CNF else agree >= 2
 
 
-def _clause_arrays(phi: Formula) -> tuple[np.ndarray, np.ndarray]:
-    variables = np.array([[lit.var - 1 for lit in cl.lits] for cl in phi.clauses], dtype=np.int64)
-    signs = np.array([[lit.sign for lit in cl.lits] for cl in phi.clauses], dtype=np.int8)
-    return variables, signs
-
-
-def satisfied_counts(phi: Formula, assignments: np.ndarray) -> np.ndarray:
-    """Number of satisfied clauses for each row of a (rows, n) +-1 matrix."""
-    variables, signs = _clause_arrays(phi)
-    lit_vals = assignments[:, variables] * signs[None, :, :]
-    if phi.kind is FormulaKind.CNF:
-        sat = (lit_vals == 1).any(axis=2)
-    else:
-        sat = lit_vals.sum(axis=2, dtype=np.int16) > 0
-    return sat.sum(axis=1, dtype=np.int64)
-
-
 def formula_value(phi: Formula, *, force: bool = False) -> tuple[Fraction, BinaryAssignment]:
     """Exact best satisfied-clause fraction over all 2^n assignments, with a witness.
 
     The witness is the first maximizer in lexicographic order (+1 < -1).
-    Guarded at n <= 24 unless ``force`` is set.
+    Guarded at n <= 24 unless ``force`` is set.  A clause's row holds its
+    literal signs on its variables, so <row, psi> counts agreeing minus
+    disagreeing literals: majority needs > 0, OR needs > -3.
     """
     if phi.n > EXHAUSTIVE_N_LIMIT and not force:
         raise GuardError(f"formula value enumerates 2^{phi.n} assignments; the guard stops n > {EXHAUSTIVE_N_LIMIT} unless forced")
     if phi.m == 0:
         raise ValueError("formula has no clauses")
-    total = 1 << phi.n
-    chunk = max(1, min(1 << 16, (3 * 10**7) // (3 * phi.m)))
-    best_count = -1
-    best_index = -1
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        block = sign_pattern_block(phi.n, start, stop)
-        counts = satisfied_counts(phi, block)
-        local = int(counts.argmax())
-        if int(counts[local]) > best_count:
-            best_count = int(counts[local])
-            best_index = start + local
-    witness = BinaryAssignment(assignment_from_index(best_index, phi.n))
-    return Fraction(best_count, phi.m), witness
+    rows = np.zeros((phi.m, phi.n), dtype=np.int8)
+    for row, cl in enumerate(phi.clauses):
+        for lit in cl.lits:
+            rows[row, lit.var - 1] = lit.sign
+    above = np.full(phi.m, -3 if phi.kind is FormulaKind.CNF else 0)
+    count, index = best_pattern(rows, above)
+    return Fraction(count, phi.m), BinaryAssignment(assignment_from_index(index, phi.n))
 
 
 def _draw_clause(rng: np.random.Generator, n: int, kind: FormulaKind) -> Clause3:
@@ -225,11 +204,6 @@ def formula_to_sample(phi: Formula, seed: int) -> Sample:
     coins = generator(seed).integers(0, 2, size=phi.m) * 2 - 1
     items = tuple(clause_to_example(cl, int(b), phi.n) for cl, b in zip(phi.clauses, coins))
     return Sample(k=3, n=phi.n, items=items)
-
-
-def assignment_to_hypothesis(psi: BinaryAssignment) -> Halfspace:
-    """The homogeneous halfspace whose weights are the assignment itself."""
-    return Halfspace(np.array(psi.bits, dtype=float), 0.0)
 
 
 def iter_all_clauses(n: int, kind: FormulaKind) -> Iterator[Clause3]:

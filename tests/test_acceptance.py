@@ -45,7 +45,6 @@ from sparsehalf.decompmat import (
 from sparsehalf.formulas import (
     FormulaKind,
     FormulaSourceConfig,
-    assignment_to_hypothesis,
     clause_to_example,
     eval_clause,
     formula_to_sample,
@@ -54,6 +53,7 @@ from sparsehalf.formulas import (
     sample_formula,
 )
 from sparsehalf.learners import LearnerConfig, learn_h2, partition_learn, table_majority_learn
+from sparsehalf.predictors import BinaryHalfspacePredictor
 from sparsehalf.realizations import C2Part, hypothesis_matrix, iter_part_c2, part_of_c2, realize_c2, route
 from sparsehalf.refutation import GameConfig, RefuterConfig, refutation_game
 
@@ -70,12 +70,12 @@ def test_criterion_01_correspondence():
         for clause in iter_all_clauses(n, FormulaKind.MAJ):
             for index in range(2**n):
                 psi = BinaryAssignment(assignment_from_index(index, n))
-                hypothesis = assignment_to_hypothesis(psi)
+                hypothesis = BinaryHalfspacePredictor(psi)
                 satisfied = eval_clause(clause, psi)
                 for b in (1, -1):
                     ex = clause_to_example(clause, b, n)
                     checks += 1
-                    if (eval_halfspace(hypothesis, ex.x) == ex.y) != satisfied:
+                    if (hypothesis.predict(ex.x) == ex.y) != satisfied:
                         failures += 1
     elapsed = time.perf_counter() - start
     report(1, "correspondence", failures == 0 and elapsed < 10,

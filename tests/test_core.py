@@ -1,5 +1,6 @@
 """Vocabulary layer: instances, halfspaces, samples, exact error, binary ERM."""
 
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,109 @@ class TestErmBinaryHalfspace:
             _, err = erm_binary_halfspace(sample)
             assert err == 1 - val
 
+    # recorded on the enumeration code before best_pattern replaced it:
+    # (error, weights) for formula_to_sample(phi, seed) of the uniform MAJ
+    # formula with n=20, m=160 and this seed, then for generic samples
+    FROZEN_MAJ = {
+        0: (Fraction(5, 16), "+++----+---++---++-+"),
+        1: (Fraction(11, 32), "---+--+-------++++++"),
+        2: (Fraction(53, 160), "+++++-+++--++---+--+"),
+    }
+    FROZEN_GENERIC = {
+        0: (Fraction(7, 20), "++--++-++-++-+------"),
+        1: (Fraction(29, 80), "-++-+-+-++--+--+--++"),
+        2: (Fraction(7, 20), "+-+++-+--+-+++---+-+"),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_frozen_regression_n20(self, seed):
+        phi = sample_formula(FormulaSourceConfig(20, 160, seed=seed), FormulaKind.MAJ)
+        psi, err = erm_binary_halfspace(formula_to_sample(phi, seed))
+        assert (err, bit_string(psi)) == self.FROZEN_MAJ[seed]
+
+        rng = np.random.default_rng(seed)
+        items = []
+        for i, x in enumerate(sample_exact_sparse(20, 3, 160, seed)):
+            if i % 16 == 0:
+                x = SparseVector(20, ())
+            items.append(Example(x, int(rng.integers(0, 2)) * 2 - 1))
+        psi, err = erm_binary_halfspace(Sample(3, 20, tuple(items)))
+        assert (err, bit_string(psi)) == self.FROZEN_GENERIC[seed]
+
+
+def bit_string(psi):
+    return "".join("+" if b > 0 else "-" for b in psi.bits)
+
+
+#: above the 16 trailing coordinates best_pattern tabulates, so its loop over
+#: leading-coordinate patterns runs more than once
+SPLIT_N = 18
+
+
+def all_patterns(n):
+    """Dense 2^n x n matrix of every +-1 pattern in assignment_from_index order."""
+    index = np.arange(1 << n, dtype=np.uint32)[:, None]
+    return np.where((index >> (n - 1 - np.arange(n, dtype=np.uint32))) & 1, -1, 1).astype(np.int8)
+
+
+def dense_erm(sample):
+    """(error, first minimizer) by scoring every pattern on every example."""
+    patterns = all_patterns(sample.n)
+    wrong = np.zeros(len(patterns), dtype=np.int64)
+    for ex in sample.items:
+        margin = np.zeros(len(patterns), dtype=np.int64)
+        for idx, val in ex.x.entries:
+            margin += patterns[:, idx - 1] * val
+        wrong += np.where(margin >= 0, 1, -1) != ex.y
+    best = int(wrong.argmin())
+    return Fraction(int(wrong[best]), len(sample)), BinaryAssignment(tuple(int(v) for v in patterns[best]))
+
+
+def dense_value(phi):
+    """(value, first maximizer) by counting agreeing literals under every pattern."""
+    patterns = all_patterns(phi.n)
+    needed = 1 if phi.kind is FormulaKind.CNF else 2
+    satisfied = np.zeros(len(patterns), dtype=np.int64)
+    for clause in phi.clauses:
+        agree = sum((patterns[:, lit.var - 1] == lit.sign).astype(np.int64) for lit in clause.lits)
+        satisfied += agree >= needed
+    best = int(satisfied.argmax())
+    return Fraction(int(satisfied[best]), phi.m), BinaryAssignment(tuple(int(v) for v in patterns[best]))
+
+
+class TestEnumerationSplit:
+    @pytest.mark.parametrize("kind", [FormulaKind.MAJ, FormulaKind.CNF])
+    def test_formula_value(self, kind):
+        for seed in (0, 1):
+            phi = sample_formula(FormulaSourceConfig(SPLIT_N, 60, seed=seed), kind)
+            assert formula_value(phi) == dense_value(phi)
+
+    def test_erm_with_empty_vectors_of_both_labels(self):
+        rng = np.random.default_rng(5)
+        xs = sample_exact_sparse(SPLIT_N, 3, 50, 6) + [SparseVector(SPLIT_N, ())] * 6
+        items = tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs)
+        assert {ex.y for ex in items if ex.x.nnz == 0} == {-1, 1}
+        sample = Sample(3, SPLIT_N, items)
+        psi, err = erm_binary_halfspace(sample)
+        assert (err, psi) == dense_erm(sample)
+
+    def test_first_index_wins_ties(self):
+        n = SPLIT_N
+        # w1 = -1, w2 = +1, wn = -1 are forced and one of the two x3 examples
+        # is always wrong: 2^15 optimal patterns, all behind leading pattern 2
+        forced = Sample(1, n, (
+            Example(sv(n, (1, 1)), -1), Example(sv(n, (2, -1)), -1), Example(sv(n, (n, 1)), -1),
+            Example(sv(n, (3, 1)), 1), Example(sv(n, (3, 1)), -1),
+        ))
+        psi, err = erm_binary_halfspace(forced)
+        assert (err, psi) == dense_erm(forced)
+        assert (err, psi) == (Fraction(1, 5), BinaryAssignment(assignment_from_index((1 << (n - 1)) | 1, n)))
+        # only trailing coordinates matter: every leading pattern ties and the first wins
+        trailing = Sample(1, n, (Example(sv(n, (n, 1)), -1), Example(sv(n, (n - 1, -1)), 1)))
+        psi, err = erm_binary_halfspace(trailing)
+        assert (err, psi) == (Fraction(0), BinaryAssignment(assignment_from_index(3, n)))
+        assert (err, psi) == dense_erm(trailing)
+
 
 class TestInstanceSpace:
     def test_counts(self):
@@ -240,3 +344,16 @@ class TestSampleFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_sample(text)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_gc_state_as_found(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            parse_sample("# sparse-sample n=4 k=2\n+1 2:+1\n")
+            assert gc.isenabled() is enabled
+            with pytest.raises(FormatError):
+                parse_sample("# sparse-sample n=4 k=2\n+1 2:+1\n+2 1:+1\n")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsehalf.core import BinaryAssignment, assignment_from_index, empirical_error, eval_halfspace
+from sparsehalf.core import BinaryAssignment, assignment_from_index, empirical_error
 from sparsehalf.errors import FormatError, GuardError
 from sparsehalf.formulas import (
     Clause3,
@@ -15,7 +15,6 @@ from sparsehalf.formulas import (
     FormulaKind,
     FormulaSourceConfig,
     Literal,
-    assignment_to_hypothesis,
     clause_to_example,
     eval_clause,
     formula_to_sample,
@@ -25,6 +24,7 @@ from sparsehalf.formulas import (
     sample_formula,
     serialize_formula,
 )
+from sparsehalf.predictors import BinaryHalfspacePredictor
 
 MAJ = FormulaKind.MAJ
 CNF = FormulaKind.CNF
@@ -81,6 +81,23 @@ class TestFormulaValue:
         val, witness = formula_value(phi)
         assert val == Fraction(13, 20)
         assert witness.bits == (1, 1, -1, -1, 1, -1, 1, 1, -1, -1)
+
+    # recorded on the enumeration code before best_pattern replaced it:
+    # (value, witness) of the uniform formula with n=20, m=160 and this seed
+    FROZEN_N20 = {
+        (MAJ, 0): (Fraction(11, 16), "+++----+---++---++-+"),
+        (MAJ, 1): (Fraction(21, 32), "---+--+-------++++++"),
+        (MAJ, 2): (Fraction(107, 160), "+++++-+++--++---+--+"),
+        (CNF, 0): (Fraction(159, 160), "+-+---++---++-+-++++"),
+        (CNF, 1): (Fraction(157, 160), "-+-++-+--+----+++-++"),
+        (CNF, 2): (Fraction(157, 160), "+++++-++--+-+++-+--+"),
+    }
+
+    @pytest.mark.parametrize("kind, seed", list(FROZEN_N20))
+    def test_frozen_regression_n20(self, kind, seed):
+        val, witness = formula_value(sample_formula(FormulaSourceConfig(20, 160, seed=seed), kind))
+        bits = "".join("+" if b > 0 else "-" for b in witness.bits)
+        assert (val, bits) == self.FROZEN_N20[kind, seed]
 
     def test_witness_attains_value(self):
         for seed in range(5):
@@ -181,10 +198,10 @@ class TestFormulaToSample:
         rng = np.random.default_rng(1)
         for _ in range(5):
             psi = BinaryAssignment(tuple(int(v) for v in rng.integers(0, 2, 9) * 2 - 1))
-            h = assignment_to_hypothesis(psi)
+            h = BinaryHalfspacePredictor(psi)
             unsat = Fraction(sum(not eval_clause(c, psi) for c in phi.clauses), phi.m)
             for seed in (0, 1, 99):
-                err = empirical_error(lambda x: eval_halfspace(h, x), formula_to_sample(phi, seed))
+                err = empirical_error(h, formula_to_sample(phi, seed))
                 assert err == unsat
 
     def test_per_position_label_means(self):
@@ -202,11 +219,11 @@ class TestCorrespondence:
             for c in iter_all_clauses(n, MAJ):
                 for i in range(2**n):
                     psi = BinaryAssignment(assignment_from_index(i, n))
-                    h = assignment_to_hypothesis(psi)
+                    h = BinaryHalfspacePredictor(psi)
                     sat = eval_clause(c, psi)
                     for b in (1, -1):
                         ex = clause_to_example(c, b, n)
-                        assert (eval_halfspace(h, ex.x) == ex.y) == sat
+                        assert (h.predict(ex.x) == ex.y) == sat
 
 
 class TestDimacs:
