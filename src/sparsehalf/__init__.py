@@ -13,13 +13,10 @@ __version__ = "0.1.0"
 
 from .core import (
     BinaryAssignment,
-    Example,
-    Halfspace,
     Sample,
     SparseVector,
     empirical_error,
     erm_binary_halfspace,
-    eval_halfspace,
     parse_sample,
     serialize_sample,
 )
@@ -51,17 +48,7 @@ from .decompmat import (
     triangular_matrix,
     verify_decomposition,
 )
-from .realizations import (
-    C2Part,
-    C3Part,
-    C3Residual,
-    CellRef,
-    hypothesis_matrix,
-    part_of_c2,
-    part_of_c3,
-    realize_c2,
-    strip_first_nonzero,
-)
+from .realizations import part_of_c2, part_of_c3, realize_c2, route_rows
 from .learners import (
     LearnerConfig,
     learn_h2,

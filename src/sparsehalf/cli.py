@@ -17,7 +17,6 @@ import time
 from . import __version__
 from .core import (
     EXHAUSTIVE_N_LIMIT,
-    Example,
     Sample,
     empirical_error,
     parse_sample,
@@ -234,10 +233,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
         target_bits = generator(args.seed, trial, 0).integers(0, 2, size=n) * 2 - 1
         target = BinaryHalfspacePredictor(BinaryAssignment(tuple(int(b) for b in target_bits)))
         test_xs = sample_exact_sparse(n, 3, args.test_size, derive_seed(args.seed, trial, 1))
-        test = Sample(3, n, tuple(Example(x, target.predict(x)) for x in test_xs))
+        test = Sample(3, n, test_xs, target.predict_many(test_xs, n))
         for size_idx, m in enumerate(sizes):
             train_xs = sample_exact_sparse(n, 3, m, derive_seed(args.seed, trial, 2, size_idx))
-            train = Sample(3, n, tuple(Example(x, target.predict(x)) for x in train_xs))
+            train = Sample(3, n, train_xs, target.predict_many(train_xs, n))
             for algo_idx, algo in enumerate(algos):
                 cfg = _learner_config(args, derive_seed(args.seed, trial, 3, algo_idx))
                 t0 = time.perf_counter()

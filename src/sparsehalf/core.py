@@ -1,10 +1,13 @@
-"""Sparse sign instances, halfspace hypotheses, labeled samples, exact error.
+"""Sparse sign instances, binary halfspace weights, labeled samples, exact error.
 
-Instances are vectors in {-1, 0, +1}^n with at most k nonzero coordinates,
-stored sparsely as ordered (index, value) pairs with 1-based indices.  Dense
-expansion is always an explicit conversion.  Empirical error is exact
-rational arithmetic (``fractions.Fraction``).  The sign convention is fixed
-package-wide: sign(0) = +1.
+Instances are vectors in {-1, 0, +1}^n with at most k nonzero coordinates.
+One instance on its own is a :class:`SparseVector` of ordered (index, value)
+pairs with 1-based indices.  A :class:`Sample` keeps its instances as one
+integer matrix with a row per instance: each nonzero is written as its
+signed index value * index, in ascending index order, and the row ends in
+zero padding.  Dense expansion is always an explicit conversion.  Empirical
+error is exact rational arithmetic (``fractions.Fraction``).  The sign
+convention is fixed package-wide: sign(0) = +1.
 
 Text format for labeled samples (shared with the CLI)::
 
@@ -19,13 +22,10 @@ lines and additional ``#`` comments are ignored.
 
 from __future__ import annotations
 
-import gc
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,26 +94,19 @@ class SparseVector:
         return SparseVector(self.n, tuple((i, -v) for i, v in self.entries))
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """x -> sign(<w, x> + b), evaluated over the nonzeros of x only."""
+def row_entries(row: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The (index, value) pairs of one signed-index row, padding dropped."""
+    return tuple((abs(v), 1 if v > 0 else -1) for v in row if v)
 
-    w: np.ndarray
-    b: float = 0.0
 
-    def __post_init__(self) -> None:
-        w = np.array(self.w, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)) or not np.isfinite(self.b):
-            raise ValueError("halfspace parameters must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", float(self.b))
-
-    @property
-    def n(self) -> int:
-        return int(self.w.size)
+def distinct_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows in no fixed order, each row's position among them) of an instance matrix."""
+    items = np.ascontiguousarray(items)
+    if not items.shape[1]:  # every row is the zero vector
+        return items[:1], np.zeros(len(items), dtype=np.intp)
+    keys = items.view(np.dtype((np.void, items.itemsize * items.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return items[first], inverse.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -138,66 +131,61 @@ class BinaryAssignment:
         return np.array(self.bits, dtype=np.int8)
 
 
-@dataclass(frozen=True)
-class Example:
-    x: SparseVector
-    y: Label
-
-    def __post_init__(self) -> None:
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be +-1: got {self.y}")
-        object.__setattr__(self, "y", int(self.y))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """Ordered labeled examples over n-dimensional, at-most-k-sparse instances."""
+    """m labeled instances over n coordinates, each with at most k nonzeros.
+
+    ``items`` is an int32 m x k matrix with one row per instance: the
+    nonzeros as signed indices value * index in ascending index order, then
+    zero padding.  ``y`` holds the m labels as int8 +-1.  Both are checked
+    once, here, and stored read-only.
+    """
 
     k: int
     n: int
-    items: tuple[Example, ...]
+    items: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.k < 0 or self.n < 1:
-            raise ValueError("need k >= 0 and n >= 1")
-        items = tuple(self.items)
-        for ex in items:
-            if ex.x.n != self.n:
-                raise ValueError(f"example dimension {ex.x.n} != sample dimension {self.n}")
-            if ex.x.nnz > self.k:
-                raise ValueError(f"example has {ex.x.nnz} nonzeros > sparsity bound {self.k}")
-        object.__setattr__(self, "items", items)
+        if self.k < 0 or not 1 <= self.n <= np.iinfo(np.int32).max:
+            raise ValueError("need k >= 0 and 1 <= n < 2^31, so that indices fit in int32")
+        items, y = np.asarray(self.items), np.asarray(self.y)
+        if items.ndim == 1 and not items.size:
+            items = items.reshape(0, self.k)
+        if items.shape[1:] != (self.k,) or y.shape != items.shape[:1]:
+            raise ValueError(f"need an m x {self.k} instance matrix and m labels: got {items.shape} and {y.shape}")
+        if any(array.size and array.dtype.kind not in "iu" for array in (items, y)):
+            raise ValueError("instances and labels must be integers")
+        if not np.isin(y, (-1, 1)).all():
+            raise ValueError("labels must be +-1")
+        index = np.abs(items)
+        if (index > self.n).any():
+            raise ValueError(f"indices must lie in [1, {self.n}]")
+        nonzero = items != 0
+        if (nonzero[:, 1:] & ~nonzero[:, :-1]).any():
+            raise ValueError("a nonzero follows the zero padding of its row")
+        if ((index[:, 1:] <= index[:, :-1]) & nonzero[:, 1:]).any():
+            raise ValueError("indices must be strictly increasing along a row")
+        for name, array in (("items", items.astype(np.int32)), ("y", y.astype(np.int8))):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.items)
 
-
-def eval_halfspace(h: Halfspace, x: SparseVector) -> Label:
-    """sign(<w, x> + b) over the nonzero coordinates of x; sign(0) = +1."""
-    if x.n != h.n:
-        raise ValueError(f"dimension mismatch: instance {x.n} vs halfspace {h.n}")
-    total = h.b
-    for idx, val in x.entries:
-        total += h.w[idx - 1] * val
-    return sign_pm(total)
-
-
-def _predict_fn(predictor) -> Callable[[SparseVector], Label]:
-    fn = getattr(predictor, "predict", None)
-    if fn is not None:
-        return fn
-    if callable(predictor):
-        return predictor
-    raise TypeError(f"not a predictor: {predictor!r}")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return ((self.k, self.n) == (other.k, other.n) and np.array_equal(self.items, other.items)
+                and np.array_equal(self.y, other.y))
 
 
 def empirical_error(predictor, sample: Sample) -> Fraction:
     """Exact fraction of examples the predictor labels incorrectly."""
-    if not sample.items:
+    if not len(sample):
         raise ValueError("empirical error of an empty sample is undefined")
-    predict = _predict_fn(predictor)
-    wrong = sum(1 for ex in sample.items if predict(ex.x) != ex.y)
-    return Fraction(wrong, len(sample.items))
+    wrong = np.count_nonzero(predictor.predict_many(sample.items, sample.n) != sample.y)
+    return Fraction(int(wrong), len(sample))
 
 
 def assignment_from_index(index: int, n: int) -> tuple[int, ...]:
@@ -252,7 +240,7 @@ def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[Binary
     all-(+1) weights with error 0).  Guarded at n <= 24 unless ``force`` is
     set.
 
-    Example (x, y) is right iff <w, y x> > -1 for y = +1 (sign(0) = +1) and
+    An example (x, y) is right iff <w, y x> > -1 for y = +1 (sign(0) = +1) and
     > 0 for y = -1, which is one :func:`best_pattern` row.
     """
     m = len(sample)
@@ -262,49 +250,25 @@ def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[Binary
     if n > EXHAUSTIVE_N_LIMIT and not force:
         raise GuardError(f"ERM enumerates 2^{n} patterns; the guard stops n > {EXHAUSTIVE_N_LIMIT} unless forced")
 
-    rows = np.zeros((m, n), dtype=np.int8)
-    above = np.zeros(m, dtype=np.int16)
-    for row, ex in enumerate(sample.items):
-        for idx, val in ex.x.entries:
-            rows[row, idx - 1] = ex.y * val
-        if ex.y > 0:
-            above[row] = -1
-    count, index = best_pattern(rows, above)
+    rows = np.zeros((m, n + 1), dtype=np.int8)  # column 0 takes the padding
+    np.put_along_axis(rows, np.abs(sample.items), np.sign(sample.items) * sample.y[:, None], axis=1)
+    above = np.where(sample.y > 0, -1, 0).astype(np.int16)
+    count, index = best_pattern(rows[:, 1:], above)
     return BinaryAssignment(assignment_from_index(index, n)), Fraction(m - count, m)
 
 
-# ---------------------------------------------------------------------------
-# Instance-space enumeration and sampling
-
-def count_sparse_vectors(n: int, k: int) -> int:
-    """|{x in {-1,0,1}^n : at most k nonzeros}|."""
-    return sum(comb(n, j) * 2**j for j in range(k + 1))
-
-
-def iter_sparse_vectors(n: int, k: int) -> Iterator[SparseVector]:
-    """All at-most-k-sparse vectors, in a fixed deterministic order."""
-    for size in range(k + 1):
-        for idxs in combinations(range(1, n + 1), size):
-            for signs in product((1, -1), repeat=size):
-                yield SparseVector(n, tuple(zip(idxs, signs)))
-
-
-def sample_exact_sparse(n: int, k: int, count: int, seed: int) -> list[SparseVector]:
-    """Uniform i.i.d. draws from the exactly-k-sparse vectors."""
+def sample_exact_sparse(n: int, k: int, count: int, seed: int) -> np.ndarray:
+    """Uniform i.i.d. draws from the exactly-k-sparse vectors, as signed-index rows."""
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n: got k={k}, n={n}")
     if count == 0:
-        return []
+        return np.zeros((0, k), dtype=np.int32)
     rng = generator(seed)
     scores = rng.random((count, n))
     chosen = np.argpartition(scores, k - 1, axis=1)[:, :k]
     chosen.sort(axis=1)
     signs = rng.integers(0, 2, size=(count, k), dtype=np.int8) * 2 - 1
-    out = []
-    for row in range(count):
-        entries = tuple((int(chosen[row, j]) + 1, int(signs[row, j])) for j in range(k))
-        out.append(SparseVector(n, entries))
-    return out
+    return ((chosen + 1) * signs).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +279,30 @@ _HEADER_RE = re.compile(r"#\s*sparse-sample\s+n=(\d+)\s+k=(\d+)\s*$")
 
 def serialize_sample(sample: Sample) -> str:
     lines = [f"# sparse-sample n={sample.n} k={sample.k}"]
-    for ex in sample.items:
-        lines.append(serialize_instance_line(ex.x, ex.y))
+    for label, row in zip(sample.y.tolist(), sample.items.tolist()):
+        lines.append(" ".join([f"{label:+d}"] + [f"{v}:+1" if v > 0 else f"{-v}:-1" for v in row if v]))
     return "\n".join(lines) + "\n"
 
 
-def serialize_instance_line(x: SparseVector, y: Label) -> str:
-    parts = [f"{y:+d}"] + [f"{i}:{v:+d}" for i, v in x.entries]
-    return " ".join(parts)
-
-
-def parse_instance(tokens: Sequence[str], n: int, where: str) -> SparseVector:
-    """The validated instance written as ``idx:val`` tokens; FormatError otherwise."""
-    entries = []
+def parse_instance(tokens: Sequence[str], n: int, where: str) -> list[int]:
+    """The instance written as ``idx:val`` tokens, as signed indices; FormatError if malformed."""
+    signed = []
+    last = 0
     for tok in tokens:
-        if ":" not in tok:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
             raise FormatError(f"{where}: expected idx:val token, got {tok!r}")
-        idx_s, val_s = tok.split(":", 1)
         try:
             idx, val = int(idx_s), int(val_s)
         except ValueError as exc:
             raise FormatError(f"{where}: bad entry token {tok!r}") from exc
-        entries.append((idx, val))
-    try:
-        return SparseVector(n, tuple(entries))
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+        if not last < idx <= n:
+            raise FormatError(f"{where}: indices must be strictly increasing in [1, {n}]")
+        if val not in (-1, 1):
+            raise FormatError(f"{where}: entry values must be +-1: got {val}")
+        signed.append(idx if val > 0 else -idx)
+        last = idx
+    return signed
 
 
 def parse_sample(text: str) -> Sample:
@@ -359,28 +321,22 @@ def parse_sample(text: str) -> Sample:
         raise FormatError("empty sample file: missing header")
     n, k = int(header.group(1)), int(header.group(2))
 
-    # the loop only allocates acyclic objects, so cyclic collection passes
-    # over them are pure cost (about half the parse time with GC on)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        items = []
-        for offset, line in enumerate(lines[body_start:], start=body_start + 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            try:
-                label = int(tokens[0])
-            except ValueError as exc:
-                raise FormatError(f"line {offset}: bad label {tokens[0]!r}") from exc
-            if label not in (-1, 1):
-                raise FormatError(f"line {offset}: label must be +-1, got {label}")
-            x = parse_instance(tokens[1:], n, f"line {offset}")
-            if x.nnz > k:
-                raise FormatError(f"line {offset}: more than k={k} nonzeros")
-            items.append(Example(x, label))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return Sample(k=k, n=n, items=tuple(items))
+    labels: list[int] = []
+    signed: list[int] = []  # the rows, zero-padded to k and laid end to end
+    for offset, line in enumerate(lines[body_start:], start=body_start + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        try:
+            label = int(tokens[0])
+        except ValueError as exc:
+            raise FormatError(f"line {offset}: bad label {tokens[0]!r}") from exc
+        if label not in (-1, 1):
+            raise FormatError(f"line {offset}: label must be +-1, got {label}")
+        row = parse_instance(tokens[1:], n, f"line {offset}")
+        if len(row) > k:
+            raise FormatError(f"line {offset}: more than k={k} nonzeros")
+        labels.append(label)
+        signed += row + [0] * (k - len(row))
+    return Sample(k, n, np.array(signed, dtype=np.int64).reshape(len(labels), k), labels)

@@ -20,15 +20,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterator
 
 import numpy as np
 
 from .core import (
     EXHAUSTIVE_N_LIMIT,
     BinaryAssignment,
-    Example,
+    Label,
     Sample,
     SparseVector,
     assignment_from_index,
@@ -183,8 +181,8 @@ def sample_formula(cfg: FormulaSourceConfig, kind: FormulaKind) -> Formula:
     return Formula(cfg.n, kind, tuple(clauses))
 
 
-def clause_to_example(clause: Clause3, b: int, n: int) -> Example:
-    """The labeled 3-sparse example a majority clause generates for coin b.
+def clause_to_example(clause: Clause3, b: int, n: int) -> tuple[SparseVector, Label]:
+    """The labeled 3-sparse example (x, y) a majority clause generates for coin b.
 
     The instance places b * sign on each of the clause's three variables and
     the label is b itself.
@@ -194,7 +192,7 @@ def clause_to_example(clause: Clause3, b: int, n: int) -> Example:
     if b not in (-1, 1):
         raise ValueError(f"b must be +-1: got {b}")
     pairs = [(lit.var, b * lit.sign) for lit in clause.lits]
-    return Example(SparseVector.from_pairs(n, pairs), b)
+    return SparseVector.from_pairs(n, pairs), b
 
 
 def formula_to_sample(phi: Formula, seed: int) -> Sample:
@@ -202,15 +200,9 @@ def formula_to_sample(phi: Formula, seed: int) -> Sample:
     if phi.kind is not FormulaKind.MAJ:
         raise ValueError("only majority formulas convert to samples")
     coins = generator(seed).integers(0, 2, size=phi.m) * 2 - 1
-    items = tuple(clause_to_example(cl, int(b), phi.n) for cl, b in zip(phi.clauses, coins))
-    return Sample(k=3, n=phi.n, items=items)
-
-
-def iter_all_clauses(n: int, kind: FormulaKind) -> Iterator[Clause3]:
-    """All clauses over n variables (unordered variable triples x sign patterns)."""
-    for triple in combinations(range(1, n + 1), 3):
-        for signs in product((1, -1), repeat=3):
-            yield Clause3(kind, tuple(Literal(v, s) for v, s in zip(triple, signs)))  # type: ignore[arg-type]
+    signed = [sorted((lit.sign * lit.var for lit in cl.lits), key=abs) for cl in phi.clauses]
+    items = np.array(signed, dtype=np.int32).reshape(phi.m, 3) * coins[:, None]
+    return Sample(3, phi.n, items, coins)
 
 
 # ---------------------------------------------------------------------------

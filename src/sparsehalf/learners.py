@@ -14,14 +14,13 @@ instances.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Example, Label, Sample, erm_binary_halfspace
-from .errors import NumericError
+from .core import Label, Sample, distinct_rows, erm_binary_halfspace, row_entries
+from .errors import GuardError, NumericError
 from .predictors import (
     BinaryHalfspacePredictor,
     CompositePredictor,
@@ -29,10 +28,17 @@ from .predictors import (
     MatrixPredictor,
     TrainedPredictor,
 )
-from .realizations import CHILD_K, C2Part, PartId, part_index, part_sort_key, realize_c2, route
+from .realizations import group_rows, part_order, realize_c2, route_rows
 from .rng import derive_seed, generator
 
 Cell = tuple[int, int]
+
+#: Bytes of score matrices an h2 or h3 model may hold unless forced.  An h2
+#: model holds three dense n x n float64 matrices (parts r = 0, +-2), an h3
+#: model one h2 model per first-nonzero part and the residual: 2n - 3 of them.
+MATRIX_BYTE_BUDGET = 1 << 28
+H2_N_LIMIT = math.isqrt(MATRIX_BYTE_BUDGET // (3 * 8))
+H3_N_LIMIT = max(n for n in range(2, H2_N_LIMIT) if (2 * n - 3) * 3 * 8 * n * n <= MATRIX_BYTE_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,9 @@ class LearnerConfig:
 
 def table_majority_learn(sample: Sample) -> MajorityTable:
     """Majority label per distinct instance; ties and unseen instances -> +1."""
-    votes: dict[tuple, int] = defaultdict(int)
-    for ex in sample.items:
-        votes[ex.x.entries] += ex.y
-    table = {key: (1 if total >= 0 else -1) for key, total in votes.items()}
+    distinct, inverse = distinct_rows(sample.items)
+    votes = np.bincount(inverse, weights=sample.y, minlength=len(distinct))
+    table = {row_entries(row): (1 if total >= 0 else -1) for row, total in zip(distinct.tolist(), votes.tolist())}
     return MajorityTable(sample.n, sample.k, table)
 
 
@@ -102,7 +107,7 @@ def matrix_mw_learn(
     at its cell, the accumulated negative gradient is exponentiated
     spectrally and rescaled to the cap when exceeded.  The returned predictor
     is the sign of the margins averaged over all iterates (0 -> +1).
-    Example order is reshuffled every epoch from the config seed, so the
+    The example order is reshuffled every epoch from the config seed, so the
     procedure is deterministic given (cells, cfg).
     """
     n_rows, n_cols = dims
@@ -150,72 +155,72 @@ def matrix_mw_learn(
 def partition_learn(
     sample: Sample,
     kind: str,
-    train: Callable[[PartId, Sample], TrainedPredictor],
+    train: Callable[[int, Sample], TrainedPredictor],
 ) -> CompositePredictor:
     """Split a sample along the ``kind`` partition and train one learner per part.
 
     Slices keep their original order and hold the routed (transformed)
-    instances; parts are trained in ``part_sort_key`` order, and parts with
-    no examples predict the +1 default.
+    instances; parts are trained in ``part_order``, and parts with no
+    examples predict the +1 default.
     """
-    slices: dict[PartId, list[Example]] = defaultdict(list)
-    for ex in sample.items:
-        part, child_x = route(kind, ex.x)
-        slices[part].append(Example(child_x, ex.y))
-    children = {
-        part: train(part, Sample(CHILD_K, sample.n, tuple(slices[part])))
-        for part in sorted(slices, key=part_sort_key)
-    }
+    parts, child = route_rows(kind, sample.items, sample.n)
+    groups = group_rows(parts)
+    children = {}
+    for part in part_order(kind, groups):
+        rows = groups[part]
+        children[part] = train(part, Sample(child.shape[1], sample.n, child[rows], sample.y[rows]))
     return CompositePredictor(kind, sample.n, children)
 
 
-def _check_sparsity(sample: Sample, k: int, what: str) -> None:
-    for ex in sample.items:
-        if ex.x.nnz > k:
-            raise ValueError(f"{what} needs at-most-{k}-sparse instances, found {ex.x.nnz} nonzeros")
+def _check_size(n: int, limit: int, what: str, force: bool) -> None:
+    if n > limit and not force:
+        raise GuardError(f"{what} holds dense n x n score matrices; the guard stops n > {limit} "
+                         f"({MATRIX_BYTE_BUDGET >> 20} MiB) unless forced")
 
 
-def learn_h2(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredictor:
+def learn_h2(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = False) -> CompositePredictor:
     """Learner for halfspaces over at-most-2-sparse instances.
 
     Partitions by coordinate sum.  The sum parts r in {0, +-2} are realized
     as matrix cells and trained with ``matrix_mw_learn`` (sum pairs also fill
     the mirrored cell); the singleton parts r = +-1 are plain per-cell
-    majority, which is exact empirical risk minimization there.
+    majority, which is exact empirical risk minimization there.  Guarded at
+    n <= ``H2_N_LIMIT`` unless ``force`` is set.
     """
     cfg = cfg or LearnerConfig()
-    _check_sparsity(sample, 2, "learn_h2")
+    _check_size(sample.n, H2_N_LIMIT, "learn_h2", force)
     n = sample.n
 
-    def train(part: PartId, part_sample: Sample) -> TrainedPredictor:
-        assert isinstance(part, C2Part)
-        if abs(part.r) == 1:
+    def train(part: int, part_sample: Sample) -> TrainedPredictor:
+        r = part - 2
+        if abs(r) == 1:
             return table_majority_learn(part_sample)
-        cells: list[tuple[Cell, Label]] = []
-        for ex in part_sample.items:
-            cell = realize_c2(ex.x)
-            cells.append(((cell.row, cell.col), ex.y))
-            if abs(part.r) == 2:
-                cells.append(((cell.col, cell.row), ex.y))
-        child_cfg = replace(cfg, seed=derive_seed(cfg.seed, 2, part_index(part)))
-        return matrix_mw_learn(cells, (n, n), child_cfg, realization=part.r)
+        rows, cols = realize_c2(part_sample.items)
+        labels = part_sample.y.tolist()
+        cells: list[tuple[Cell, Label]] = list(zip(zip(rows.tolist(), cols.tolist()), labels))
+        if abs(r) == 2:  # each sum-pair cell is followed by its mirror
+            mirrors = zip(zip(cols.tolist(), rows.tolist()), labels)
+            cells = [cell for pair in zip(cells, mirrors) for cell in pair]
+        child_cfg = replace(cfg, seed=derive_seed(cfg.seed, 2, part))
+        return matrix_mw_learn(cells, (n, n), child_cfg, realization=r)
 
     return partition_learn(sample, "c2", train)
 
 
-def learn_h3(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredictor:
+def learn_h3(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = False) -> CompositePredictor:
     """Learner for halfspaces over at-most-3-sparse instances.
 
     Partitions by first nonzero coordinate; each such part is reduced to an
     at-most-2-sparse problem by zeroing that coordinate and handed to
     ``learn_h2``.  The residual part (first nonzero beyond n-2, or the zero
-    vector) is already 2-sparse and learned directly.
+    vector) is already 2-sparse and learned directly.  Guarded at
+    n <= ``H3_N_LIMIT`` unless ``force`` is set.
     """
     cfg = cfg or LearnerConfig()
-    _check_sparsity(sample, 3, "learn_h3")
+    _check_size(sample.n, H3_N_LIMIT, "learn_h3", force)
 
-    def train(part: PartId, part_sample: Sample) -> TrainedPredictor:
-        return learn_h2(part_sample, replace(cfg, seed=derive_seed(cfg.seed, 3, part_index(part))))
+    def train(part: int, part_sample: Sample) -> TrainedPredictor:
+        return learn_h2(part_sample, replace(cfg, seed=derive_seed(cfg.seed, 3, part)), force=force)
 
     return partition_learn(sample, "c3", train)
 
@@ -228,9 +233,9 @@ def make_learner(name: str, cfg: LearnerConfig, *, force: bool = False) -> Calla
     if name == "table":
         return table_majority_learn
     if name == "h2":
-        return lambda sample: learn_h2(sample, cfg)
+        return lambda sample: learn_h2(sample, cfg, force=force)
     if name == "h3":
-        return lambda sample: learn_h3(sample, cfg)
+        return lambda sample: learn_h3(sample, cfg, force=force)
     if name == "erm-binary":
         def train(sample: Sample) -> TrainedPredictor:
             psi, _ = erm_binary_halfspace(sample, force=force)

@@ -7,6 +7,10 @@ Four node kinds, composed into trees by the composite router node:
 * ``binary``    -- homogeneous halfspace with +-1 weights;
 * ``composite`` -- routes an instance to a per-part child predictor.
 
+Every node labels a whole instance matrix at once (``predict_many``, rows in
+the signed-index form of ``core.Sample``); ``predict`` is that applied to a
+single instance.
+
 Serialization is line-based text: a tagged header per node followed by its
 payload (table rows in the sparse-sample instance syntax, matrices row
 major).  It round-trips byte-for-byte.
@@ -18,29 +22,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryAssignment, Label, SparseVector, parse_instance, sign_pm
+from .core import BinaryAssignment, Label, SparseVector, distinct_rows, parse_instance, row_entries, sign_pm
 from .errors import FormatError
-from .realizations import (
-    C2Part,
-    C3Part,
-    C3Residual,
-    PARTITIONS,
-    PartId,
-    part_of_c2,
-    part_sort_key,
-    realize_c2,
-    route,
-)
+from .realizations import PARTITIONS, group_rows, part_of_c2, part_order, realize_c2, route_rows
+
+
+def _check_n(node_n: int, n: int) -> None:
+    if n != node_n:
+        raise ValueError(f"dimension mismatch: instances have n={n}, predictor has n={node_n}")
 
 
 class TrainedPredictor:
-    """Base for anything that can label a sparse instance."""
+    """Base for anything that labels sparse instances."""
 
-    def predict(self, x: SparseVector) -> Label:
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """int8 +-1 labels of n-dimensional signed-index instance rows (see ``core.Sample``)."""
         raise NotImplementedError
 
-    def __call__(self, x: SparseVector) -> Label:
-        return self.predict(x)
+    def predict(self, x: SparseVector) -> Label:
+        return int(self.predict_many(np.array([[v * i for i, v in x.entries]], dtype=np.int32), x.n)[0])
 
 
 @dataclass
@@ -52,8 +52,11 @@ class MajorityTable(TrainedPredictor):
     table: dict[tuple[tuple[int, int], ...], Label]
     default: Label = 1
 
-    def predict(self, x: SparseVector) -> Label:
-        return self.table.get(x.entries, self.default)
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        _check_n(self.n, n)
+        distinct, inverse = distinct_rows(rows)
+        labels = [self.table.get(row_entries(row), self.default) for row in distinct.tolist()]
+        return np.array(labels, dtype=np.int8)[inverse]
 
 
 @dataclass
@@ -81,14 +84,17 @@ class MatrixPredictor(TrainedPredictor):
     def predict_cell(self, row: int, col: int) -> Label:
         return sign_pm(self.scores[row - 1, col - 1])
 
-    def predict(self, x: SparseVector) -> Label:
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
         if self.realization is None:
             raise ValueError("matrix predictor has no realization tag; use predict_cell")
-        part = part_of_c2(x)
-        if part.r != self.realization:
-            raise ValueError(f"instance belongs to part r={part.r}, predictor is for r={self.realization}")
-        cell = realize_c2(x)
-        return self.predict_cell(cell.row, cell.col)
+        if (n, n) != (self.n_rows, self.n_cols):
+            raise ValueError(f"dimension mismatch: instances have n={n}, matrix is {self.n_rows}x{self.n_cols}")
+        parts = part_of_c2(rows)
+        if (parts != self.realization).any():
+            other = parts[parts != self.realization][0]
+            raise ValueError(f"instance belongs to part r={other}, predictor is for r={self.realization}")
+        cell_rows, cell_cols = realize_c2(rows)
+        return np.where(self.scores[cell_rows - 1, cell_cols - 1] >= 0, 1, -1).astype(np.int8)
 
 
 @dataclass
@@ -97,57 +103,56 @@ class BinaryHalfspacePredictor(TrainedPredictor):
 
     psi: BinaryAssignment
 
-    def predict(self, x: SparseVector) -> Label:
-        if x.n != self.psi.n:
-            raise ValueError(f"dimension mismatch: instance {x.n} vs weights {self.psi.n}")
-        total = 0
-        for idx, val in x.entries:
-            total += self.psi.bits[idx - 1] * val
-        return sign_pm(total)
+    @property
+    def n(self) -> int:
+        return self.psi.n
+
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        _check_n(self.n, n)
+        weights = np.concatenate(([0], self.psi.bits))  # index 0 reads the padding
+        margins = (weights[np.abs(rows)] * np.sign(rows)).sum(axis=1)
+        return np.where(margins >= 0, 1, -1).astype(np.int8)
 
 
 @dataclass
 class CompositePredictor(TrainedPredictor):
-    """Routes an instance to the child trained on its part; empty parts say +1.
+    """Routes each instance to the child trained on its part; empty parts say +1.
 
-    ``router_name`` names the partition, ``"c2"`` or ``"c3"`` (see ``route``).
+    ``router_name`` names the partition, ``"c2"`` or ``"c3"``, and children
+    are keyed by part number (see :mod:`sparsehalf.realizations`).
     """
 
     router_name: str
     n: int
-    children: dict[PartId, TrainedPredictor] = field(default_factory=dict)
+    children: dict[int, TrainedPredictor] = field(default_factory=dict)
     default: Label = 1
 
-    def predict(self, x: SparseVector) -> Label:
-        part, child_x = route(self.router_name, x)
-        child = self.children.get(part)
-        if child is None:
-            return self.default
-        return child.predict(child_x)
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        _check_n(self.n, n)
+        parts, child_rows = route_rows(self.router_name, rows, n)
+        labels = np.full(len(rows), self.default, dtype=np.int8)
+        for part, where in group_rows(parts).items():
+            child = self.children.get(part)
+            if child is not None:
+                labels[where] = child.predict_many(child_rows[where], n)
+        return labels
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _part_key(part: PartId) -> str:
-    if isinstance(part, C2Part):
-        return f"r={part.r}"
-    if isinstance(part, C3Part):
-        return f"i={part.i},b={part.b:+d}"
-    return "residual"
+def _part_key(kind: str, part: int) -> str:
+    if kind == "c2":
+        return f"r={part - 2}"
+    if part == 0:
+        return "residual"
+    return f"i={part // 2},b={-1 if part % 2 else 1:+d}"
 
 
-def _parse_part_key(token: str) -> PartId:
-    if token == "residual":
-        return C3Residual()
-    if token.startswith("r="):
-        return C2Part(int(token[2:]))
-    if token.startswith("i="):
-        left, _, right = token.partition(",")
-        if not right.startswith("b="):
-            raise FormatError(f"bad part key {token!r}")
-        return C3Part(int(left[2:]), int(right[2:]))
-    raise FormatError(f"bad part key {token!r}")
+def _part_keys(kind: str, n: int) -> dict[str, int]:
+    """Part number by ``part`` line key, for every part of the ``kind`` partition at n."""
+    parts = range(5) if kind == "c2" else [0, *range(2, 2 * n - 2)]
+    return {_part_key(kind, part): part for part in parts}
 
 
 def _emit(node: TrainedPredictor, out: list[str]) -> None:
@@ -167,8 +172,8 @@ def _emit(node: TrainedPredictor, out: list[str]) -> None:
             out.append(" ".join(f"{v:.17g}" for v in row))
     elif isinstance(node, CompositePredictor):
         out.append(f"composite {node.router_name} {node.n} {len(node.children)}")
-        for part in sorted(node.children, key=part_sort_key):
-            out.append(f"part {_part_key(part)}")
+        for part in part_order(node.router_name, node.children):
+            out.append(f"part {_part_key(node.router_name, part)}")
             _emit(node.children[part], out)
     else:
         raise TypeError(f"cannot serialize predictor of type {type(node).__name__}")
@@ -224,7 +229,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
             label = int(right)
             if label not in (-1, 1):
                 raise FormatError(f"table row label must be +-1: {line!r}")
-            table[parse_instance(left.split(), n, "table row").entries] = label
+            table[row_entries(parse_instance(left.split(), n, "table row"))] = label
         return MajorityTable(n, k, table)
 
     if tag == "matrix":
@@ -247,13 +252,22 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         router_name, n, count = header[1], int(header[2]), int(header[3])
         if router_name not in PARTITIONS:
             raise FormatError(f"unknown router {router_name!r}")
-        children: dict[PartId, TrainedPredictor] = {}
+        keys = _part_keys(router_name, n)
+        children: dict[int, TrainedPredictor] = {}
         for _ in range(count):
             part_line = reader.next().split()
             if len(part_line) != 2 or part_line[0] != "part":
                 raise FormatError(f"expected 'part <key>' line, got {' '.join(part_line)!r}")
-            part = _parse_part_key(part_line[1])
-            children[part] = _read_node(reader)
+            part = keys.get(part_line[1])
+            if part is None:
+                raise FormatError(f"part key {part_line[1]!r} names no part of the {router_name} partition at n={n}")
+            if part in children:
+                raise FormatError(f"part {part_line[1]} appears twice")
+            child = _read_node(reader)
+            dims = (child.n_rows, child.n_cols) if isinstance(child, MatrixPredictor) else (child.n, child.n)
+            if dims != (n, n):
+                raise FormatError(f"part {part_line[1]}: child of dimension {dims[0]}x{dims[1]} under a composite with n={n}")
+            children[part] = child
         return CompositePredictor(router_name, n, children)
 
     raise FormatError(f"unknown predictor node tag {tag!r}")

@@ -10,178 +10,87 @@ turns each part into a two-sparse problem with a shifted bias.  Instances
 whose first nonzero sits at n-1 or n, and the zero vector, form one residual
 part that is already two-sparse.
 
-``route`` pairs a partition with its per-part instance transform so the
-learners can split samples, train per part, and route predictions.
+Every function here takes a whole instance matrix in the signed-index form
+of :class:`sparsehalf.core.Sample` and answers for all its rows at once.  A
+part is named by one small integer, which also derives its seed: r + 2 for
+coordinate-sum part r, 2i + (0 if b > 0 else 1) for first-nonzero part
+(i, b), and 0 for the residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .core import Halfspace, SparseVector, eval_halfspace
+#: names of the two partitions, as stored in composite model files
+PARTITIONS = ("c2", "c3")
 
 
-@dataclass(frozen=True)
-class C2Part:
-    """Two-sparse part keyed by coordinate sum r in {-2, ..., 2}."""
-
-    r: int
-
-    def __post_init__(self) -> None:
-        if not -2 <= self.r <= 2:
-            raise ValueError(f"coordinate sum must lie in [-2, 2]: got {self.r}")
+def fit_width(items: np.ndarray, width: int) -> np.ndarray:
+    """The instance rows zero-padded or cut to ``width`` columns; ValueError if that drops a nonzero."""
+    if items.shape[1] < width:
+        return np.pad(items, ((0, 0), (0, width - items.shape[1])))
+    if items[:, width:].any():
+        raise ValueError(f"instance has more than {width} nonzeros, expected at most {width}")
+    return items[:, :width]
 
 
-@dataclass(frozen=True)
-class C3Part:
-    """Three-sparse part: first nonzero at position i with value b."""
-
-    i: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError("first-nonzero position must be >= 1")
-        if self.b not in (-1, 1):
-            raise ValueError("first-nonzero value must be +-1")
+def part_of_c2(items: np.ndarray) -> np.ndarray:
+    """Coordinate sum r of each at-most-2-sparse row; the zero vector gets r = 0."""
+    return np.sign(fit_width(items, 2)).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class C3Residual:
-    """Leftover three-sparse part: first nonzero beyond n-2, or the zero vector."""
-
-
-PartId = C2Part | C3Part | C3Residual
-
-
-def part_sort_key(part: PartId) -> tuple:
-    if isinstance(part, C2Part):
-        return (0, part.r)
-    if isinstance(part, C3Part):
-        return (1, part.i, 0 if part.b > 0 else 1)
-    return (2,)
-
-
-@dataclass(frozen=True)
-class CellRef:
-    """1-based matrix cell owned by a two-sparse part."""
-
-    row: int
-    col: int
-    part: PartId
-
-
-def part_of_c2(x: SparseVector) -> C2Part:
-    """Coordinate-sum part of an at-most-2-sparse instance; the zero vector gets r=0."""
-    if x.nnz > 2:
-        raise ValueError(f"instance has {x.nnz} nonzeros, expected at most 2")
-    return C2Part(sum(v for _, v in x.entries))
-
-
-def realize_c2(x: SparseVector) -> CellRef:
-    """Matrix cell for an at-most-2-sparse instance.
+def realize_c2(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based matrix cells (rows, cols) of at-most-2-sparse instance rows.
 
     Difference pairs e_i - e_j map to (i, j) with the +1 coordinate as the
     row; sum pairs map to the canonical (i, j) with i < j (training mirrors
     the symmetric cell); singletons map to (i, i); the zero vector to (1, 1).
     """
-    part = part_of_c2(x)
-    if x.nnz == 0:
-        return CellRef(1, 1, part)
-    if x.nnz == 1:
-        idx, _ = x.entries[0]
-        return CellRef(idx, idx, part)
-    (i, vi), (j, _) = x.entries
-    if part.r == 0:
-        return CellRef(i, j, part) if vi > 0 else CellRef(j, i, part)
-    return CellRef(i, j, part)
+    first, second = fit_width(items, 2).T
+    i = np.abs(first)
+    j = np.where(second == 0, i, np.abs(second))
+    swap = (first < 0) & (second > 0)  # difference pair whose +1 coordinate comes second
+    return np.maximum(np.where(swap, j, i), 1), np.maximum(np.where(swap, i, j), 1)
 
 
-def hypothesis_matrix(h: Halfspace, part: C2Part, n: int) -> np.ndarray:
-    """The n x n sign matrix whose mapped cells carry h over the given part.
+def part_of_c3(items: np.ndarray, n: int) -> np.ndarray:
+    """First-nonzero part of each at-most-3-sparse row.
 
-    Unconstrained cells are filled with +1.  Test-support construction: it
-    realizes a single hypothesis, it does not learn anything.
+    First nonzero b at position i <= n-2 gives part 2i + (0 if b > 0 else 1);
+    anything later, and the zero vector, give the residual part 0.
     """
-    W = np.ones((n, n), dtype=np.int8)
-    for x in iter_part_c2(part, n):
-        cell = realize_c2(x)
-        W[cell.row - 1, cell.col - 1] = eval_halfspace(h, x)
-    return W
+    first = fit_width(items, 3)[:, 0]
+    i = np.abs(first)
+    return np.where((i >= 1) & (i <= n - 2), 2 * i + (first < 0), 0)
 
 
-def iter_part_c2(part: C2Part, n: int):
-    """All instances of one coordinate-sum part, in a fixed order."""
-    if part.r == 0:
-        yield SparseVector(n, ())
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    yield SparseVector.from_pairs(n, [(i, 1), (j, -1)])
-    elif part.r in (1, -1):
-        sign = part.r
-        for i in range(1, n + 1):
-            yield SparseVector(n, ((i, sign),))
-    else:
-        sign = 1 if part.r > 0 else -1
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                yield SparseVector(n, ((i, sign), (j, sign)))
-
-
-def strip_first_nonzero(x: SparseVector) -> tuple[int, int, SparseVector]:
-    """(position, value, instance with that coordinate zeroed); needs a nonzero."""
-    if x.nnz == 0:
-        raise ValueError("cannot strip the zero vector")
-    (i, b), rest = x.entries[0], x.entries[1:]
-    return i, b, SparseVector(x.n, rest)
-
-
-def part_of_c3(x: SparseVector) -> PartId:
-    """First-nonzero part of an at-most-3-sparse instance.
-
-    First nonzero at position i <= n-2 selects the (i, value) part; anything
-    later, and the zero vector, land in the residual.
-    """
-    if x.nnz > 3:
-        raise ValueError(f"instance has {x.nnz} nonzeros, expected at most 3")
-    if x.nnz == 0:
-        return C3Residual()
-    i, b = x.entries[0]
-    if i <= x.n - 2:
-        return C3Part(i, b)
-    return C3Residual()
-
-
-#: names of the two partitions, as stored in composite model files
-PARTITIONS = ("c2", "c3")
-
-#: sparsity of every part's transformed instances, for both partitions
-CHILD_K = 2
-
-
-def route(kind: str, x: SparseVector) -> tuple[PartId, SparseVector]:
-    """(part, transformed instance) of x under the ``"c2"`` or ``"c3"`` partition.
+def route_rows(kind: str, items: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(part per row, transformed rows) under the ``"c2"`` or ``"c3"`` partition.
 
     ``c2`` leaves instances unchanged; ``c3`` zeroes the first nonzero of
-    instances in a (position, value) part and leaves the residual unchanged.
+    rows in a (position, value) part, which leaves columns 1-2, and keeps
+    columns 0-1 of the already two-sparse residual.  The transformed rows
+    are two wide for both partitions.
     """
     if kind == "c2":
-        return part_of_c2(x), x
+        child = fit_width(items, 2)
+        return part_of_c2(child) + 2, child
     if kind == "c3":
-        part = part_of_c3(x)
-        if isinstance(part, C3Part):
-            return part, strip_first_nonzero(x)[2]
-        return part, x
+        items = fit_width(items, 3)
+        parts = part_of_c3(items, n)
+        return parts, np.where((parts > 0)[:, None], items[:, 1:], items[:, :2])
     raise ValueError(f"unknown router {kind!r}")
 
 
-def part_index(part: PartId) -> int:
-    """Small stable integer per part, used to derive per-part seeds."""
-    if isinstance(part, C2Part):
-        return part.r + 2
-    if isinstance(part, C3Part):
-        return 2 * part.i + (0 if part.b > 0 else 1)
-    return 0
+def group_rows(parts: np.ndarray) -> dict[int, np.ndarray]:
+    """Row indices of each part present, in sample order (by a stable argsort)."""
+    order = np.argsort(parts, kind="stable")
+    present, starts = np.unique(parts[order], return_index=True)
+    return dict(zip(present.tolist(), np.split(order, starts[1:])))
+
+
+def part_order(kind: str, parts: Iterable[int]) -> list[int]:
+    """Parts in training and model-file order: ascending, with the c3 residual last."""
+    return sorted(parts, key=lambda part: (kind == "c3" and part == 0, part))

@@ -145,7 +145,7 @@ def refute(phi: Formula, cfg: RefuterConfig) -> Verdict:
     full = formula_to_sample(phi, derive_seed(cfg.seed, 0))
     take = math.ceil(cfg.fraction * len(full))
     picks = generator(cfg.seed, 1).integers(0, len(full), size=take)
-    subsample = Sample(full.k, full.n, tuple(full.items[int(i)] for i in picks))
+    subsample = Sample(full.k, full.n, full.items[picks], full.y[picks])
     learner_cfg = replace(cfg.learner_config, seed=derive_seed(cfg.seed, 2))
     hypothesis = make_learner(cfg.learner, learner_cfg, force=cfg.force)(subsample)
     error = empirical_error(hypothesis, full)

@@ -1,0 +1,181 @@
+"""Reference implementations the tests compare the library against.
+
+Real-weight halfspaces, enumerations of instance and clause spaces, the
+hypothesis matrices of the realization suite, and the per-instance routing
+functions that the library's batch versions in ``sparsehalf.realizations``
+replaced.  Nothing here is used by the library.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations, product
+from math import comb
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
+
+from sparsehalf.core import Sample, SparseVector, row_entries, sign_pm
+from sparsehalf.formulas import Clause3, FormulaKind, Literal
+from sparsehalf.predictors import TrainedPredictor
+
+
+def sample_of(k: int, n: int, xs: Iterable[SparseVector], ys: Iterable[int]) -> Sample:
+    """The Sample holding instances ``xs`` with labels ``ys``, in order."""
+    xs, ys = list(xs), list(ys)
+    items = np.zeros((len(xs), k), dtype=np.int32)
+    for row, x in enumerate(xs):
+        items[row, :x.nnz] = [v * i for i, v in x.entries]
+    return Sample(k, n, items, np.array(ys, dtype=np.int8))
+
+
+def vectors(rows: np.ndarray, n: int) -> list[SparseVector]:
+    """The signed-index instance rows as SparseVectors, in order."""
+    return [SparseVector(n, row_entries(row)) for row in rows.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# Real-weight halfspaces
+
+@dataclass(frozen=True)
+class Halfspace:
+    """x -> sign(<w, x> + b), evaluated over the nonzeros of x only."""
+
+    w: np.ndarray
+    b: float = 0.0
+
+    def __post_init__(self) -> None:
+        w = np.array(self.w, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)) or not np.isfinite(self.b):
+            raise ValueError("halfspace parameters must be finite")
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "b", float(self.b))
+
+    @property
+    def n(self) -> int:
+        return int(self.w.size)
+
+
+def eval_halfspace(h: Halfspace, x: SparseVector) -> int:
+    """sign(<w, x> + b) over the nonzero coordinates of x; sign(0) = +1."""
+    if x.n != h.n:
+        raise ValueError(f"dimension mismatch: instance {x.n} vs halfspace {h.n}")
+    total = h.b
+    for idx, val in x.entries:
+        total += h.w[idx - 1] * val
+    return sign_pm(total)
+
+
+# ---------------------------------------------------------------------------
+# Instance and clause spaces
+
+def count_sparse_vectors(n: int, k: int) -> int:
+    """|{x in {-1,0,1}^n : at most k nonzeros}|."""
+    return sum(comb(n, j) * 2**j for j in range(k + 1))
+
+
+def iter_sparse_vectors(n: int, k: int) -> Iterator[SparseVector]:
+    """All at-most-k-sparse vectors, in a fixed deterministic order."""
+    for size in range(k + 1):
+        for idxs in combinations(range(1, n + 1), size):
+            for signs in product((1, -1), repeat=size):
+                yield SparseVector(n, tuple(zip(idxs, signs)))
+
+
+def iter_all_clauses(n: int, kind: FormulaKind) -> Iterator[Clause3]:
+    """All clauses over n variables (unordered variable triples x sign patterns)."""
+    for triple in combinations(range(1, n + 1), 3):
+        for signs in product((1, -1), repeat=3):
+            yield Clause3(kind, tuple(Literal(v, s) for v, s in zip(triple, signs)))  # type: ignore[arg-type]
+
+
+# ---------------------------------------------------------------------------
+# Per-instance routing, one SparseVector at a time
+
+def part_of_c2(x: SparseVector) -> int:
+    """Coordinate sum r of an at-most-2-sparse instance; the zero vector gets r=0."""
+    if x.nnz > 2:
+        raise ValueError(f"instance has {x.nnz} nonzeros, expected at most 2")
+    return sum(v for _, v in x.entries)
+
+
+def realize_c2(x: SparseVector) -> tuple[int, int]:
+    """1-based matrix cell (row, col) of an at-most-2-sparse instance."""
+    r = part_of_c2(x)
+    if x.nnz == 0:
+        return 1, 1
+    if x.nnz == 1:
+        idx, _ = x.entries[0]
+        return idx, idx
+    (i, vi), (j, _) = x.entries
+    if r == 0:
+        return (i, j) if vi > 0 else (j, i)
+    return i, j
+
+
+def strip_first_nonzero(x: SparseVector) -> tuple[int, int, SparseVector]:
+    """(position, value, instance with that coordinate zeroed); needs a nonzero."""
+    if x.nnz == 0:
+        raise ValueError("cannot strip the zero vector")
+    (i, b), rest = x.entries[0], x.entries[1:]
+    return i, b, SparseVector(x.n, rest)
+
+
+def part_of_c3(x: SparseVector) -> int:
+    """First-nonzero part number of an at-most-3-sparse instance (0: the residual)."""
+    if x.nnz > 3:
+        raise ValueError(f"instance has {x.nnz} nonzeros, expected at most 3")
+    if x.nnz == 0:
+        return 0
+    i, b = x.entries[0]
+    if i <= x.n - 2:
+        return 2 * i + (0 if b > 0 else 1)
+    return 0
+
+
+def route(kind: str, x: SparseVector) -> tuple[int, SparseVector]:
+    """(part number, transformed instance) of x under the ``"c2"`` or ``"c3"`` partition."""
+    if kind == "c2":
+        return part_of_c2(x) + 2, x
+    part = part_of_c3(x)
+    return part, (strip_first_nonzero(x)[2] if part else x)
+
+
+def iter_part_c2(r: int, n: int) -> Iterator[SparseVector]:
+    """All instances of coordinate-sum part r, in a fixed order."""
+    if r == 0:
+        yield SparseVector(n, ())
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    yield SparseVector.from_pairs(n, [(i, 1), (j, -1)])
+    elif r in (1, -1):
+        for i in range(1, n + 1):
+            yield SparseVector(n, ((i, r),))
+    else:
+        sign = 1 if r > 0 else -1
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                yield SparseVector(n, ((i, sign), (j, sign)))
+
+
+def hypothesis_matrix(h: Halfspace, r: int, n: int) -> np.ndarray:
+    """The n x n sign matrix whose cells carry h over part r; other cells are +1."""
+    W = np.ones((n, n), dtype=np.int8)
+    for x in iter_part_c2(r, n):
+        row, col = realize_c2(x)
+        W[row - 1, col - 1] = eval_halfspace(h, x)
+    return W
+
+
+class FunctionPredictor(TrainedPredictor):
+    """Labels each row by a function of its SparseVector, one instance at a time."""
+
+    def __init__(self, n: int, fn: Callable[[SparseVector], int]):
+        self.n, self.fn = n, fn
+
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        return np.array([self.fn(x) for x in vectors(rows, n)], dtype=np.int8)

@@ -15,18 +15,24 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
+from oracles import (
+    Halfspace,
+    count_sparse_vectors,
+    eval_halfspace,
+    hypothesis_matrix,
+    iter_all_clauses,
+    iter_part_c2,
+    sample_of,
+    vectors,
+)
 from sparsehalf.cli import main as cli_main
 from sparsehalf.core import (
     BinaryAssignment,
-    Example,
-    Halfspace,
     Sample,
     assignment_from_index,
-    count_sparse_vectors,
     empirical_error,
     erm_binary_halfspace,
-    eval_halfspace,
-    iter_sparse_vectors,
     sample_exact_sparse,
 )
 from sparsehalf.decompmat import (
@@ -49,12 +55,11 @@ from sparsehalf.formulas import (
     eval_clause,
     formula_to_sample,
     formula_value,
-    iter_all_clauses,
     sample_formula,
 )
 from sparsehalf.learners import LearnerConfig, learn_h2, partition_learn, table_majority_learn
 from sparsehalf.predictors import BinaryHalfspacePredictor
-from sparsehalf.realizations import C2Part, hypothesis_matrix, iter_part_c2, part_of_c2, realize_c2, route
+from sparsehalf.realizations import realize_c2
 from sparsehalf.refutation import GameConfig, RefuterConfig, refutation_game
 
 
@@ -73,9 +78,9 @@ def test_criterion_01_correspondence():
                 hypothesis = BinaryHalfspacePredictor(psi)
                 satisfied = eval_clause(clause, psi)
                 for b in (1, -1):
-                    ex = clause_to_example(clause, b, n)
+                    x, y = clause_to_example(clause, b, n)
                     checks += 1
-                    if (hypothesis.predict(ex.x) == ex.y) != satisfied:
+                    if (hypothesis.predict(x) == y) != satisfied:
                         failures += 1
     elapsed = time.perf_counter() - start
     report(1, "correspondence", failures == 0 and elapsed < 10,
@@ -105,7 +110,7 @@ def test_criterion_03_label_balance():
     plus_counts = np.zeros(phi.m, dtype=np.int64)
     for seed in range(draws):
         sample = formula_to_sample(phi, 1000 + seed)
-        plus_counts += np.fromiter((ex.y > 0 for ex in sample.items), dtype=np.int64, count=phi.m)
+        plus_counts += sample.y > 0
     statistic = float((((2 * plus_counts - draws) ** 2) / draws).sum())
     p_value = float(sps.chi2.sf(statistic, phi.m))
     elapsed = time.perf_counter() - start
@@ -227,11 +232,11 @@ def test_criterion_08_realization_suite():
     for _ in range(100):
         h = Halfspace(rng.standard_normal(n), float(rng.standard_normal()))
         for r in (-2, -1, 0, 1, 2):
-            part = C2Part(r)
-            W = hypothesis_matrix(h, part, n)
-            for x in iter_part_c2(part, n):
-                cell = realize_c2(x)
-                if W[cell.row - 1, cell.col - 1] != eval_halfspace(h, x):
+            W = hypothesis_matrix(h, r, n)
+            xs = list(iter_part_c2(r, n))
+            rows, cols = realize_c2(sample_of(2, n, xs, [1] * len(xs)).items)  # the library's cells
+            for row, col, x in zip(rows.tolist(), cols.tolist(), xs):
+                if W[row - 1, col - 1] != eval_halfspace(h, x):
                     failures += 1
     elapsed = time.perf_counter() - start
     report(8, "realization suite", failures == 0 and elapsed < 60,
@@ -245,16 +250,17 @@ def test_criterion_09_partition_identity():
     for seed in range(50):
         n = int(rng.integers(6, 12))
         xs = sample_exact_sparse(n, 3, int(rng.integers(20, 120)), seed)
-        sample = Sample(3, n, tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs))
+        sample = Sample(3, n, xs, [int(rng.integers(0, 2)) * 2 - 1 for _ in xs])
         composite = partition_learn(sample, "c3", lambda part, sub: table_majority_learn(sub))
         total = empirical_error(composite, sample)
-        slices = defaultdict(list)
-        for ex in sample.items:
-            part, child_x = route("c3", ex.x)
-            slices[part].append(Example(child_x, ex.y))
+        slices = defaultdict(lambda: ([], []))
+        for x, y in zip(vectors(sample.items, n), sample.y.tolist()):
+            part, child_x = oracles.route("c3", x)
+            slices[part][0].append(child_x)
+            slices[part][1].append(y)
         recombined = sum(
-            (Fraction(len(items), len(sample)) * empirical_error(composite.children[part], Sample(2, n, tuple(items)))
-             for part, items in slices.items()),
+            (Fraction(len(part_ys), len(sample)) * empirical_error(composite.children[part], sample_of(2, n, part_xs, part_ys))
+             for part, (part_xs, part_ys) in slices.items()),
             Fraction(0),
         )
         if total != recombined:
@@ -271,14 +277,13 @@ def test_criterion_10_realizable_learning():
     worst = {r: Fraction(0) for r in (-2, -1, 0, 1, 2)}
     for trial in range(3):
         h = Halfspace(rng.standard_normal(n), float(rng.standard_normal() * 0.5))
-        items = []
-        for r in (-2, -1, 0, 1, 2):
-            items.extend(Example(x, eval_halfspace(h, x)) for x in iter_part_c2(C2Part(r), n))
-        sample = Sample(2, n, tuple(items))
+        parts = {r: list(iter_part_c2(r, n)) for r in (-2, -1, 0, 1, 2)}
+        xs = [x for r in parts for x in parts[r]]
+        sample = sample_of(2, n, xs, [eval_halfspace(h, x) for x in xs])
         pred = learn_h2(sample, LearnerConfig(seed=trial))
-        for r in (-2, -1, 0, 1, 2):
-            slice_items = tuple(ex for ex in items if part_of_c2(ex.x).r == r)
-            err = empirical_error(pred, Sample(2, n, slice_items))
+        for r, part_xs in parts.items():
+            part_sample = sample_of(2, n, part_xs, [eval_halfspace(h, x) for x in part_xs])
+            err = empirical_error(pred, part_sample)
             worst[r] = max(worst[r], err)
     diag_ok = worst[1] == 0 and worst[-1] == 0
     matrix_ok = all(float(worst[r]) <= 0.05 for r in (-2, 0, 2))

@@ -3,13 +3,19 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsehalf.cli import main
-from sparsehalf.core import parse_sample
+from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
 from sparsehalf.formulas import parse_formula
+from sparsehalf.learners import H3_N_LIMIT, LearnerConfig, learn_h3
+from sparsehalf.predictors import BinaryHalfspacePredictor
+
+FROZEN = Path(__file__).parent / "fixtures" / "frozen"
 
 
 def run(*argv):
@@ -126,6 +132,95 @@ class TestToSampleLearnEval:
         model = tmp_path / "m"
         model.write_text("binary 2\n+1 -1\n")
         assert run("eval", "--model", str(model), "--data", str(bad)) == 2
+
+
+def cli_process(*argv):
+    """The CLI run as its own process, as a user runs it."""
+    return subprocess.run([sys.executable, "-m", "sparsehalf.cli", *argv], capture_output=True, text=True)
+
+
+def write_sample(path, n, count, seed):
+    rows = sample_exact_sparse(n, 3, count, seed)
+    path.write_text(serialize_sample(Sample(3, n, rows, np.where(rows[:, 0] > 0, 1, -1))))
+    return path
+
+
+class TestModelDimensionMismatch:
+    """A model whose n does not match the data is a usage error, never a traceback."""
+
+    def assert_usage_error(self, *argv):
+        proc = cli_process(*argv)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_h3_model_on_wider_data(self, tmp_path):
+        train = write_sample(tmp_path / "train8", 8, 200, 1)
+        data = write_sample(tmp_path / "data24", 24, 50, 2)
+        model = tmp_path / "h3.model"
+        assert run("learn", "--algo", "h3", "--train", str(train), "--model", str(model)) == 0
+        self.assert_usage_error("eval", "--model", str(model), "--data", str(data))
+
+    def test_matrix_child_of_other_n(self, tmp_path):
+        data = tmp_path / "data8"
+        data.write_text("# sparse-sample n=8 k=3\n+1 1:+1 5:+1 7:-1\n")  # reads cell (5, 7)
+        model = tmp_path / "m"
+        model.write_text("composite c3 8 1\npart i=1,b=+1\nmatrix r=0 2 2\n0 0\n0 0\n")
+        self.assert_usage_error("eval", "--model", str(model), "--data", str(data))
+
+    def test_c2_part_key_under_c3(self, tmp_path):
+        data = write_sample(tmp_path / "data8", 8, 50, 2)
+        model = tmp_path / "m"
+        model.write_text("composite c3 8 1\npart r=0\nbinary 8\n+1 +1 +1 +1 +1 +1 +1 +1\n")
+        self.assert_usage_error("eval", "--model", str(model), "--data", str(data))
+
+    def test_table_model_on_other_n(self, tmp_path):
+        data = write_sample(tmp_path / "data8", 8, 50, 2)
+        model = tmp_path / "m"
+        model.write_text("table 4 3 1\n1:+1 2:-1 3:+1 -> -1\n")
+        self.assert_usage_error("eval", "--model", str(model), "--data", str(data))
+
+
+class TestMatrixGuard:
+    def test_h3_above_the_limit_exits_3(self, tmp_path, capsys):
+        n = H3_N_LIMIT + 1
+        data = tmp_path / "wide"
+        data.write_text(f"# sparse-sample n={n} k=3\n+1 1:+1 2:-1 {n}:+1\n")
+        assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "m")) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+
+class TestFrozenOutputs:
+    """Outputs recorded before samples became arrays; they must not change."""
+
+    def test_tradeoff_csv(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run("tradeoff", "--n", "10", "--algos", "table,h3,erm-binary", "--sizes", "0,200,1600",
+                   "--test-size", "512", "--trials", "2", "--seed", "3", "--out", str(out)) == 0
+        rows = [",".join(line.split(",")[:-1]) for line in read(out).splitlines()]  # drop wall_ms
+        assert rows == (FROZEN / "tradeoff_n10.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("algo", ["table", "erm-binary"])
+    def test_model_bytes(self, tmp_path, algo):
+        formula, sample, model = tmp_path / "f.maj3", tmp_path / "f.sample", tmp_path / "f.model"
+        assert run("gen-formula", "--kind", "3maj", "--n", "12", "--clauses", "150", "--seed", "5",
+                   "--out", str(formula)) == 0
+        assert run("to-sample", "--in", str(formula), "--seed", "6", "--out", str(sample)) == 0
+        assert run("learn", "--algo", algo, "--train", str(sample), "--model", str(model)) == 0
+        assert model.read_bytes() == (FROZEN / f"{algo}.model").read_bytes()
+
+    def test_h3_predicted_labels(self):
+        # labels, not scores: the 17-digit scores depend on the LAPACK build
+        n = 10
+        bits = np.random.default_rng(31).integers(0, 2, n) * 2 - 1
+        target = BinaryHalfspacePredictor(BinaryAssignment(tuple(int(b) for b in bits)))
+        xs = sample_exact_sparse(n, 3, 1500, 32)
+        flips = np.random.default_rng(33).random(len(xs)) < 0.1
+        train = Sample(3, n, xs, np.where(flips, -1, 1) * target.predict_many(xs, n))
+        predictor = learn_h3(train, LearnerConfig(seed=34))
+        labels = predictor.predict_many(sample_exact_sparse(n, 3, 600, 35), n)
+        assert "".join("+" if v > 0 else "-" for v in labels) == (FROZEN / "h3_labels.txt").read_text().strip()
 
 
 class TestRefuteAndGame:

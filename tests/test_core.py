@@ -8,24 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    FunctionPredictor,
+    Halfspace,
+    count_sparse_vectors,
+    eval_halfspace,
+    iter_sparse_vectors,
+    sample_of,
+    vectors,
+)
 from sparsehalf.core import (
     BinaryAssignment,
-    Example,
-    Halfspace,
     Sample,
     SparseVector,
     assignment_from_index,
-    count_sparse_vectors,
     empirical_error,
     erm_binary_halfspace,
-    eval_halfspace,
-    iter_sparse_vectors,
     parse_sample,
     sample_exact_sparse,
     serialize_sample,
 )
 from sparsehalf.errors import FormatError, GuardError
 from sparsehalf.formulas import FormulaKind, FormulaSourceConfig, formula_to_sample, formula_value, sample_formula
+from sparsehalf.predictors import MajorityTable
 
 
 def sv(n, *pairs):
@@ -98,52 +103,61 @@ class TestEvalHalfspace:
             assert eval_halfspace(h, -x) == -eval_halfspace(h, x)
 
 
+def constant(n, label):
+    """The predictor that says ``label`` on every instance."""
+    return MajorityTable(n, 3, {}, default=label)
+
+
+def coin_labels(rng, count):
+    """One fair +-1 coin per example, drawn in example order."""
+    return [int(rng.integers(0, 2)) * 2 - 1 for _ in range(count)]
+
+
 class TestEmpiricalError:
     def test_trivial(self):
         x = sv(3, (1, 1))
-        s = Sample(3, 3, (Example(x, 1),))
-        assert empirical_error(lambda _: 1, s) == 0
+        s = sample_of(3, 3, [x], [1])
+        assert empirical_error(constant(3, 1), s) == 0
 
     def test_conflicting_labels(self):
         x = sv(3, (1, 1))
-        s = Sample(3, 3, (Example(x, 1), Example(x, -1)))
-        assert empirical_error(lambda _: 1, s) == Fraction(1, 2)
-        assert empirical_error(lambda _: -1, s) == Fraction(1, 2)
+        s = sample_of(3, 3, [x, x], [1, -1])
+        assert empirical_error(constant(3, 1), s) == Fraction(1, 2)
+        assert empirical_error(constant(3, -1), s) == Fraction(1, 2)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            empirical_error(lambda _: 1, Sample(3, 3, ()))
+            empirical_error(constant(3, 1), Sample(3, 3, (), ()))
 
     def test_matches_naive_recount(self):
         rng = np.random.default_rng(7)
         n = 9
-        xs = sample_exact_sparse(n, 3, 64, 7)
-        items = tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs)
-        s = Sample(3, n, items)
+        xs = vectors(sample_exact_sparse(n, 3, 64, 7), n)
+        ys = coin_labels(rng, len(xs))
+        s = sample_of(3, n, xs, ys)
         h = Halfspace(rng.standard_normal(n), float(rng.standard_normal()))
         # independent oracle: plain loop over dense vectors
         wrong = 0
-        for ex in items:
-            value = float(h.w @ ex.x.to_dense()) + h.b
+        for x, y in zip(xs, ys):
+            value = float(h.w @ x.to_dense()) + h.b
             pred = 1 if value >= 0 else -1
-            if pred != ex.y:
+            if pred != y:
                 wrong += 1
-        got = empirical_error(lambda x: eval_halfspace(h, x), s)
-        assert got == Fraction(wrong, len(items))
+        got = empirical_error(FunctionPredictor(n, lambda x: eval_halfspace(h, x)), s)
+        assert got == Fraction(wrong, len(xs))
 
     def test_error_times_size_is_integer(self):
         rng = np.random.default_rng(3)
         for seed in range(10):
             xs = sample_exact_sparse(8, 3, 31, seed)
-            items = tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs)
-            s = Sample(3, 8, items)
-            err = empirical_error(lambda _: 1, s)
-            assert (err * len(items)).denominator == 1
+            s = Sample(3, 8, xs, coin_labels(rng, len(xs)))
+            err = empirical_error(constant(8, 1), s)
+            assert (err * len(xs)).denominator == 1
 
 
 class TestErmBinaryHalfspace:
     def test_single_example(self):
-        s = Sample(3, 2, (Example(sv(2, (1, 1)), 1),))
+        s = sample_of(3, 2, [sv(2, (1, 1))], [1])
         psi, err = erm_binary_halfspace(s)
         assert err == 0
         assert psi.bits[0] == 1
@@ -156,12 +170,12 @@ class TestErmBinaryHalfspace:
         assert err == 0
 
     def test_empty_sample_gives_all_ones(self):
-        psi, err = erm_binary_halfspace(Sample(3, 4, ()))
+        psi, err = erm_binary_halfspace(Sample(3, 4, (), ()))
         assert psi.bits == (1, 1, 1, 1)
         assert err == 0
 
     def test_guard(self):
-        s = Sample(3, 25, (Example(sv(25, (1, 1)), 1),))
+        s = sample_of(3, 25, [sv(25, (1, 1))], [1])
         with pytest.raises(GuardError):
             erm_binary_halfspace(s)
 
@@ -170,14 +184,13 @@ class TestErmBinaryHalfspace:
         rng = np.random.default_rng(11)
         n = 10
         xs = sample_exact_sparse(n, 3, 40, 21)
-        items = tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs)
-        s = Sample(3, n, items)
+        s = Sample(3, n, xs, coin_labels(rng, len(xs)))
         best_psi, best_err = erm_binary_halfspace(s)
         first_minimizer = None
         for i in range(1 << n):
             psi = BinaryAssignment(assignment_from_index(i, n))
             h = Halfspace(np.array(psi.bits, dtype=float), 0.0)
-            err = empirical_error(lambda x: eval_halfspace(h, x), s)
+            err = empirical_error(FunctionPredictor(n, lambda x: eval_halfspace(h, x)), s)
             assert best_err <= err
             if err == best_err and first_minimizer is None:
                 first_minimizer = psi
@@ -213,12 +226,9 @@ class TestErmBinaryHalfspace:
         assert (err, bit_string(psi)) == self.FROZEN_MAJ[seed]
 
         rng = np.random.default_rng(seed)
-        items = []
-        for i, x in enumerate(sample_exact_sparse(20, 3, 160, seed)):
-            if i % 16 == 0:
-                x = SparseVector(20, ())
-            items.append(Example(x, int(rng.integers(0, 2)) * 2 - 1))
-        psi, err = erm_binary_halfspace(Sample(3, 20, tuple(items)))
+        xs = sample_exact_sparse(20, 3, 160, seed)
+        xs[::16] = 0  # every 16th instance is the zero vector
+        psi, err = erm_binary_halfspace(Sample(3, 20, xs, coin_labels(rng, len(xs))))
         assert (err, bit_string(psi)) == self.FROZEN_GENERIC[seed]
 
 
@@ -241,11 +251,11 @@ def dense_erm(sample):
     """(error, first minimizer) by scoring every pattern on every example."""
     patterns = all_patterns(sample.n)
     wrong = np.zeros(len(patterns), dtype=np.int64)
-    for ex in sample.items:
+    for x, y in zip(vectors(sample.items, sample.n), sample.y.tolist()):
         margin = np.zeros(len(patterns), dtype=np.int64)
-        for idx, val in ex.x.entries:
+        for idx, val in x.entries:
             margin += patterns[:, idx - 1] * val
-        wrong += np.where(margin >= 0, 1, -1) != ex.y
+        wrong += np.where(margin >= 0, 1, -1) != y
     best = int(wrong.argmin())
     return Fraction(int(wrong[best]), len(sample)), BinaryAssignment(tuple(int(v) for v in patterns[best]))
 
@@ -271,10 +281,10 @@ class TestEnumerationSplit:
 
     def test_erm_with_empty_vectors_of_both_labels(self):
         rng = np.random.default_rng(5)
-        xs = sample_exact_sparse(SPLIT_N, 3, 50, 6) + [SparseVector(SPLIT_N, ())] * 6
-        items = tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs)
-        assert {ex.y for ex in items if ex.x.nnz == 0} == {-1, 1}
-        sample = Sample(3, SPLIT_N, items)
+        xs = np.concatenate([sample_exact_sparse(SPLIT_N, 3, 50, 6), np.zeros((6, 3), dtype=np.int32)])
+        ys = coin_labels(rng, len(xs))
+        assert set(ys[50:]) == {-1, 1}
+        sample = Sample(3, SPLIT_N, xs, ys)
         psi, err = erm_binary_halfspace(sample)
         assert (err, psi) == dense_erm(sample)
 
@@ -282,15 +292,13 @@ class TestEnumerationSplit:
         n = SPLIT_N
         # w1 = -1, w2 = +1, wn = -1 are forced and one of the two x3 examples
         # is always wrong: 2^15 optimal patterns, all behind leading pattern 2
-        forced = Sample(1, n, (
-            Example(sv(n, (1, 1)), -1), Example(sv(n, (2, -1)), -1), Example(sv(n, (n, 1)), -1),
-            Example(sv(n, (3, 1)), 1), Example(sv(n, (3, 1)), -1),
-        ))
+        forced = sample_of(1, n, [sv(n, (1, 1)), sv(n, (2, -1)), sv(n, (n, 1)), sv(n, (3, 1)), sv(n, (3, 1))],
+                           [-1, -1, -1, 1, -1])
         psi, err = erm_binary_halfspace(forced)
         assert (err, psi) == dense_erm(forced)
         assert (err, psi) == (Fraction(1, 5), BinaryAssignment(assignment_from_index((1 << (n - 1)) | 1, n)))
         # only trailing coordinates matter: every leading pattern ties and the first wins
-        trailing = Sample(1, n, (Example(sv(n, (n, 1)), -1), Example(sv(n, (n - 1, -1)), 1)))
+        trailing = sample_of(1, n, [sv(n, (n, 1)), sv(n, (n - 1, -1))], [-1, 1])
         psi, err = erm_binary_halfspace(trailing)
         assert (err, psi) == (Fraction(0), BinaryAssignment(assignment_from_index(3, n)))
         assert (err, psi) == dense_erm(trailing)
@@ -308,18 +316,70 @@ class TestInstanceSpace:
 
     def test_exact_sparse_sampler(self):
         xs = sample_exact_sparse(12, 3, 500, 9)
-        assert len(xs) == 500
-        assert all(x.nnz == 3 for x in xs)
-        assert sample_exact_sparse(12, 3, 500, 9) == xs  # deterministic
-        assert sample_exact_sparse(12, 3, 0, 9) == []
+        assert xs.shape == (500, 3) and xs.dtype == np.int32
+        assert (xs != 0).all()
+        assert len(Sample(3, 12, xs, np.ones(500, dtype=np.int8))) == 500  # valid rows
+        assert np.array_equal(sample_exact_sparse(12, 3, 500, 9), xs)  # deterministic
+        assert sample_exact_sparse(12, 3, 0, 9).shape == (0, 3)
+
+
+@st.composite
+def samples(draw, min_n=1, min_k=0, min_m=0):
+    """A valid Sample: n <= 12, k <= 4, at most 8 rows, any sparsity up to k."""
+    n = draw(st.integers(min_n, 12))
+    k = draw(st.integers(min_k, 4))
+    m = draw(st.integers(min_m, 8))
+    items = np.zeros((m, k), dtype=np.int32)
+    for row in range(m):
+        index = sorted(draw(st.sets(st.integers(1, n), max_size=min(k, n))))
+        items[row, :len(index)] = [i * draw(st.sampled_from((-1, 1))) for i in index]
+    return Sample(k, n, items, draw(st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m)))
+
+
+class TestSampleArrays:
+    @given(samples())
+    @settings(max_examples=200, deadline=None)
+    def test_text_round_trip(self, s):
+        assert parse_sample(serialize_sample(s)) == s
+
+    @given(samples(min_n=2, min_k=2, min_m=1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rejects_each_malformed_array(self, s, data):
+        row = data.draw(st.integers(0, len(s) - 1))
+        low = data.draw(st.integers(1, s.n - 1))
+        high = data.draw(st.integers(low + 1, s.n))
+        sign = data.draw(st.sampled_from((-1, 1)))
+
+        def with_row(*values):
+            items = s.items.copy()
+            items[row] = 0
+            items[row, :len(values)] = values
+            return items
+
+        malformed = {
+            "unsorted row": with_row(high, sign * low),
+            "index 0": with_row(0, sign * high),
+            "index above n": with_row(sign * (s.n + 1)),
+            "nonzero after padding": with_row(low, 0, sign * high) if s.k >= 3 else with_row(0, low),
+        }
+        for what, items in malformed.items():
+            with pytest.raises(ValueError):
+                Sample(s.k, s.n, items, s.y)
+        for width in (s.k - 1, s.k + 1):
+            with pytest.raises(ValueError):
+                Sample(s.k, s.n, np.zeros((len(s), width), dtype=np.int32), s.y)
+        labels = s.y.copy()
+        labels[row] = data.draw(st.sampled_from((0, 2, -2)))
+        with pytest.raises(ValueError):
+            Sample(s.k, s.n, s.items, labels)
+        assert Sample(s.k, s.n, s.items, s.y) == s
 
 
 class TestSampleFormat:
     def test_round_trip_bytes(self):
         rng = np.random.default_rng(5)
-        xs = sample_exact_sparse(7, 3, 20, 5) + [SparseVector(7, ())]
-        items = tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs)
-        s = Sample(3, 7, items)
+        xs = np.concatenate([sample_exact_sparse(7, 3, 20, 5), np.zeros((1, 3), dtype=np.int32)])
+        s = Sample(3, 7, xs, coin_labels(rng, len(xs)))
         text = serialize_sample(s)
         assert parse_sample(text) == s
         assert serialize_sample(parse_sample(text)) == text
@@ -328,7 +388,7 @@ class TestSampleFormat:
         text = "\n# sparse-sample n=4 k=2\n# a comment\n+1 2:+1 4:-1\n\n-1\n"
         s = parse_sample(text)
         assert s.n == 4 and s.k == 2 and len(s) == 2
-        assert s.items[1].x.nnz == 0
+        assert not s.items[1].any()
 
     @pytest.mark.parametrize(
         "text",
@@ -344,6 +404,10 @@ class TestSampleFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_sample(text)
+
+    def test_rejects_indices_beyond_int32(self):
+        with pytest.raises(ValueError):
+            parse_sample("# sparse-sample n=3000000000 k=1\n+1 2999999999:+1\n")
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_leaves_gc_state_as_found(self, enabled):

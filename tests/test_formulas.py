@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import iter_all_clauses, vectors
 from sparsehalf.core import BinaryAssignment, assignment_from_index, empirical_error
 from sparsehalf.errors import FormatError, GuardError
 from sparsehalf.formulas import (
@@ -19,7 +20,6 @@ from sparsehalf.formulas import (
     eval_clause,
     formula_to_sample,
     formula_value,
-    iter_all_clauses,
     parse_formula,
     sample_formula,
     serialize_formula,
@@ -144,19 +144,19 @@ class TestSampleFormula:
 
 class TestClauseToExample:
     def test_negative_coin(self):
-        ex = clause_to_example(clause(MAJ, -2, 3, 6), -1, 6)
-        assert list(ex.x.to_dense()) == [0, 1, -1, 0, 0, -1]
-        assert ex.y == -1
+        x, y = clause_to_example(clause(MAJ, -2, 3, 6), -1, 6)
+        assert list(x.to_dense()) == [0, 1, -1, 0, 0, -1]
+        assert y == -1
 
     def test_positive_coin(self):
-        ex = clause_to_example(clause(MAJ, 1, -2, 4), 1, 4)
-        assert list(ex.x.to_dense()) == [1, -1, 0, 1]
-        assert ex.y == 1
+        x, y = clause_to_example(clause(MAJ, 1, -2, 4), 1, 4)
+        assert list(x.to_dense()) == [1, -1, 0, 1]
+        assert y == 1
 
     def test_plain(self):
-        ex = clause_to_example(clause(MAJ, 1, 2, 3), 1, 5)
-        assert list(ex.x.to_dense()) == [1, 1, 1, 0, 0]
-        assert ex.y == 1
+        x, y = clause_to_example(clause(MAJ, 1, 2, 3), 1, 5)
+        assert list(x.to_dense()) == [1, 1, 1, 0, 0]
+        assert y == 1
 
     def test_rejects_cnf(self):
         with pytest.raises(ValueError):
@@ -169,8 +169,8 @@ class TestClauseToExample:
         seen = {}
         for c in iter_all_clauses(n, MAJ):
             for b in (1, -1):
-                ex = clause_to_example(c, b, n)
-                seen.setdefault((ex.x.entries, ex.y), []).append((c, b))
+                x, y = clause_to_example(c, b, n)
+                seen.setdefault((x.entries, y), []).append((c, b))
         assert all(len(v) == 1 for v in seen.values())
         by_instance = {}
         for (entries, _y), gens in seen.items():
@@ -184,6 +184,10 @@ class TestFormulaToSample:
         sample = formula_to_sample(phi, 0)
         assert len(sample) == phi.m
         assert sample.k == 3 and sample.n == 9
+        # row j is clause j's example for its own coin, which is also its label
+        examples = [clause_to_example(c, int(b), phi.n) for c, b in zip(phi.clauses, sample.y)]
+        assert vectors(sample.items, phi.n) == [x for x, _ in examples]
+        assert sample.y.tolist() == [y for _, y in examples]
 
     def test_rejects_cnf(self):
         phi = sample_formula(FormulaSourceConfig(9, 10, seed=8), CNF)
@@ -209,7 +213,7 @@ class TestFormulaToSample:
         draws = 10_000
         totals = np.zeros(phi.m)
         for seed in range(draws):
-            totals += [ex.y for ex in formula_to_sample(phi, seed).items]
+            totals += formula_to_sample(phi, seed).y
         assert np.abs(totals / draws).max() <= 0.05
 
 
@@ -222,8 +226,8 @@ class TestCorrespondence:
                     h = BinaryHalfspacePredictor(psi)
                     sat = eval_clause(c, psi)
                     for b in (1, -1):
-                        ex = clause_to_example(c, b, n)
-                        assert (h.predict(ex.x) == ex.y) == sat
+                        x, y = clause_to_example(c, b, n)
+                        assert (h.predict(x) == y) == sat
 
 
 class TestDimacs:

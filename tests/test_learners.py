@@ -7,20 +7,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
+from oracles import Halfspace, eval_halfspace, iter_part_c2, iter_sparse_vectors, sample_of, vectors
 from sparsehalf.core import (
     BinaryAssignment,
-    Example,
-    Halfspace,
     Sample,
     SparseVector,
     empirical_error,
-    eval_halfspace,
-    iter_sparse_vectors,
+    erm_binary_halfspace,
     sample_exact_sparse,
 )
 from sparsehalf.decompmat import row_threshold_matrix
-from sparsehalf.errors import NumericError
+from sparsehalf.errors import GuardError, NumericError
 from sparsehalf.learners import (
+    H2_N_LIMIT,
+    H3_N_LIMIT,
+    MATRIX_BYTE_BUDGET,
     LearnerConfig,
     learn_h2,
     learn_h3,
@@ -30,7 +32,6 @@ from sparsehalf.learners import (
     table_majority_learn,
 )
 from sparsehalf.predictors import BinaryHalfspacePredictor, serialize_predictor
-from sparsehalf.realizations import C2Part, iter_part_c2, part_index, part_sort_key, route
 from sparsehalf.rng import derive_seed
 
 
@@ -39,26 +40,28 @@ def sv(n, *pairs):
 
 
 def labeled(n, k, xs, label_fn):
-    return Sample(k, n, tuple(Example(x, label_fn(x)) for x in xs))
+    """Sample of instances xs (vectors or signed-index rows) labeled by label_fn, called in order."""
+    xs = vectors(xs, n) if isinstance(xs, np.ndarray) else list(xs)
+    return sample_of(k, n, xs, [label_fn(x) for x in xs])
 
 
 class TestTableMajority:
     def test_majority_vote(self):
         x = sv(4, (1, 1))
-        s = Sample(3, 4, (Example(x, 1), Example(x, 1), Example(x, -1)))
+        s = sample_of(3, 4, [x, x, x], [1, 1, -1])
         assert table_majority_learn(s).predict(x) == 1
 
     def test_unseen_defaults_to_plus_one(self):
-        s = Sample(3, 4, (Example(sv(4, (1, 1)), -1),))
+        s = sample_of(3, 4, [sv(4, (1, 1))], [-1])
         assert table_majority_learn(s).predict(sv(4, (2, 1))) == 1
 
     def test_exact_tie_goes_to_plus_one(self):
         x = sv(4, (2, -1))
-        s = Sample(3, 4, (Example(x, 1), Example(x, -1), Example(x, 1), Example(x, -1)))
+        s = sample_of(3, 4, [x] * 4, [1, -1, 1, -1])
         assert table_majority_learn(s).predict(x) == 1
 
     def test_empty_sample_is_constant_plus_one(self):
-        pred = table_majority_learn(Sample(3, 4, ()))
+        pred = table_majority_learn(Sample(3, 4, (), ()))
         assert pred.predict(sv(4, (1, -1))) == 1
 
     def test_is_distinct_instance_optimum(self):
@@ -67,7 +70,7 @@ class TestTableMajority:
         xs = sample_exact_sparse(6, 3, 50, 3)
         s = labeled(6, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
         table_err = empirical_error(table_majority_learn(s), s)
-        psi, erm_err = __import__("sparsehalf.core", fromlist=["erm_binary_halfspace"]).erm_binary_halfspace(s)
+        psi, erm_err = erm_binary_halfspace(s)
         assert table_err <= erm_err
 
 
@@ -122,12 +125,13 @@ class TestMatrixMwLearn:
 
 
 def routed_slices(sample, kind):
-    """Per-part routed examples, in sample order, computed apart from the learner."""
-    slices = defaultdict(list)
-    for ex in sample.items:
-        part, child_x = route(kind, ex.x)
-        slices[part].append(Example(child_x, ex.y))
-    return slices
+    """Per-part routed samples, in sample order, computed apart from the learner."""
+    slices = defaultdict(lambda: ([], []))
+    for x, y in zip(vectors(sample.items, sample.n), sample.y.tolist()):
+        part, child_x = oracles.route(kind, x)
+        slices[part][0].append(child_x)
+        slices[part][1].append(y)
+    return {part: sample_of(2, sample.n, xs, ys) for part, (xs, ys) in slices.items()}
 
 
 def majority_per_part(part, sub):
@@ -148,7 +152,7 @@ class TestPartitionLearn:
 
         composite = partition_learn(s, "c2", train)
         assert sum(sizes.values()) == len(s)
-        assert set(composite.children) == set(sizes) == {C2Part(r) for r in (-2, -1, 0, 1, 2)}
+        assert set(composite.children) == set(sizes) == {r + 2 for r in (-2, -1, 0, 1, 2)}
 
     def test_parts_trained_in_sort_order_on_ordered_slices(self):
         xs = sample_exact_sparse(8, 3, 60, 3)
@@ -157,13 +161,14 @@ class TestPartitionLearn:
         calls = []
 
         def train(part, sub):
-            calls.append((part, sub.items))
+            calls.append((part, sub))
             return table_majority_learn(sub)
 
         partition_learn(s, "c3", train)
         expected = routed_slices(s, "c3")
-        assert [part for part, _ in calls] == sorted(expected, key=part_sort_key)
-        assert all(items == tuple(expected[part]) for part, items in calls)
+        # parts (i, b) in order of i, then b = +1 before -1; the residual (0) last
+        assert [part for part, _ in calls] == sorted(expected, key=lambda part: (part == 0, part))
+        assert all(sub == expected[part] for part, sub in calls)
 
     def test_error_decomposition_identity(self):
         # composite training error equals the mass-weighted per-part errors
@@ -176,39 +181,34 @@ class TestPartitionLearn:
             )
             total = empirical_error(composite, s)
             recombined = sum(
-                Fraction(len(items), len(s)) * empirical_error(composite.children[part], Sample(2, 8, tuple(items)))
-                for part, items in routed_slices(s, "c3").items()
+                Fraction(len(sub), len(s)) * empirical_error(composite.children[part], sub)
+                for part, sub in routed_slices(s, "c3").items()
             )
             assert total == recombined
 
     def test_empty_sample(self):
-        composite = partition_learn(Sample(2, 5, ()), "c2", majority_per_part)
+        composite = partition_learn(Sample(2, 5, (), ()), "c2", majority_per_part)
         assert not composite.children
         assert composite.predict(sv(5, (1, 1))) == 1
 
     def test_unknown_partition(self):
         with pytest.raises(ValueError):
-            partition_learn(Sample(2, 5, (Example(sv(5, (1, 1)), 1),)), "c9", majority_per_part)
+            partition_learn(sample_of(2, 5, [sv(5, (1, 1))], [1]), "c9", majority_per_part)
 
 
 class TestLearnH2:
     def test_difference_part_fully_sampled_realizable(self):
         n = 8
         h = Halfspace(np.arange(n, 0, -1, dtype=float), 0.0)
-        xs = list(iter_part_c2(C2Part(0), n))
+        xs = list(iter_part_c2(0, n))
         s = labeled(n, 2, xs, lambda x: eval_halfspace(h, x))
         pred = learn_h2(s, LearnerConfig(seed=0))
         assert all(pred.predict(x) == eval_halfspace(h, x) for x in xs)
 
     def test_singleton_only_sample_reduces_to_majority(self):
         n = 6
-        items = (
-            Example(sv(n, (2, 1)), -1),
-            Example(sv(n, (2, 1)), -1),
-            Example(sv(n, (2, 1)), 1),
-            Example(sv(n, (4, 1)), 1),
-        )
-        pred = learn_h2(Sample(2, n, items), LearnerConfig(seed=0))
+        xs = [sv(n, (2, 1)), sv(n, (2, 1)), sv(n, (2, 1)), sv(n, (4, 1))]
+        pred = learn_h2(sample_of(2, n, xs, [-1, -1, 1, 1]), LearnerConfig(seed=0))
         assert pred.predict(sv(n, (2, 1))) == -1
         assert pred.predict(sv(n, (4, 1))) == 1
         assert pred.predict(sv(n, (5, 1))) == 1  # unseen singleton
@@ -226,14 +226,14 @@ class TestLearnH2:
         assert all(pred.predict(x) == eval_halfspace(h, x) for x in xs)
 
     def test_rejects_three_sparse(self):
-        s = Sample(3, 6, (Example(sv(6, (1, 1), (2, 1), (3, 1)), 1),))
+        s = sample_of(3, 6, [sv(6, (1, 1), (2, 1), (3, 1))], [1])
         with pytest.raises(ValueError):
             learn_h2(s)
 
 
 class TestLearnH3:
     def test_empty_sample_is_constant_plus_one(self):
-        pred = learn_h3(Sample(3, 6, ()))
+        pred = learn_h3(Sample(3, 6, (), ()))
         assert pred.predict(sv(6, (1, 1), (2, 1), (3, -1))) == 1
 
     def test_realizable_monte_carlo(self):
@@ -255,8 +255,8 @@ class TestLearnH3:
         composite = learn_h3(s, cfg)
         slices = routed_slices(s, "c3")
         assert set(composite.children) == set(slices)
-        for part, items in slices.items():
-            alone = learn_h2(Sample(2, 7, tuple(items)), replace(cfg, seed=derive_seed(17, 3, part_index(part))))
+        for part, sub in slices.items():
+            alone = learn_h2(sub, replace(cfg, seed=derive_seed(17, 3, part)))
             assert serialize_predictor(composite.children[part]) == serialize_predictor(alone)
 
     def test_deterministic_given_config(self):
@@ -268,7 +268,7 @@ class TestLearnH3:
         assert a == b
 
     def test_rejects_four_sparse(self):
-        s = Sample(4, 8, (Example(SparseVector(8, ((1, 1), (2, 1), (3, 1), (4, 1))), 1),))
+        s = sample_of(4, 8, [SparseVector(8, ((1, 1), (2, 1), (3, 1), (4, 1)))], [1])
         with pytest.raises(ValueError):
             learn_h3(s)
 
@@ -281,6 +281,21 @@ class TestMakeLearner:
         s = labeled(6, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
         for name in ("table", "h3", "erm-binary"):
             pred = make_learner(name, cfg)(s)
-            assert pred.predict(s.items[0].x) in (-1, 1)
+            assert pred.predict(vectors(s.items[:1], s.n)[0]) in (-1, 1)
         with pytest.raises(ValueError):
             make_learner("nope", cfg)
+
+
+class TestMatrixSizeGuard:
+    def test_limits_follow_the_byte_budget(self):
+        assert 3 * 8 * H2_N_LIMIT**2 <= MATRIX_BYTE_BUDGET < 3 * 8 * (H2_N_LIMIT + 1) ** 2
+        h3_bytes = lambda n: (2 * n - 3) * 3 * 8 * n * n  # noqa: E731
+        assert h3_bytes(H3_N_LIMIT) <= MATRIX_BYTE_BUDGET < h3_bytes(H3_N_LIMIT + 1)
+
+    @pytest.mark.parametrize("learn,limit", [(learn_h2, H2_N_LIMIT), (learn_h3, H3_N_LIMIT)])
+    def test_guard_stops_above_the_limit_only(self, learn, limit):
+        with pytest.raises(GuardError):
+            learn(sample_of(2, limit + 1, [sv(limit + 1, (1, 1))], [1]))
+        with pytest.raises(GuardError):
+            make_learner("h2" if learn is learn_h2 else "h3", LearnerConfig())(Sample(2, limit + 1, (), ()))
+        assert learn(Sample(2, limit, (), ())).children == {}

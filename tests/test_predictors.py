@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sparsehalf.core import BinaryAssignment, Example, Sample, sample_exact_sparse
+from oracles import vectors
+from sparsehalf.core import BinaryAssignment, Sample, SparseVector, sample_exact_sparse
 from sparsehalf.errors import FormatError
 from sparsehalf.learners import LearnerConfig, learn_h2, learn_h3, table_majority_learn
 from sparsehalf.predictors import (
@@ -30,15 +31,11 @@ class TestNodes:
         assert back.psi == node.psi
 
     def test_binary_prediction(self):
-        from sparsehalf.core import SparseVector
-
         node = BinaryHalfspacePredictor(BinaryAssignment((1, 1, 1, 1, 1, 1)))
         inst = SparseVector.from_pairs(6, [(2, 1), (3, -1), (6, -1)])
         assert node.predict(inst) == -1
 
     def test_table_round_trip_with_zero_instance(self):
-        from sparsehalf.core import SparseVector
-
         table = MajorityTable(4, 2, {(): 1, ((1, 1), (3, -1)): -1})
         back = round_trip(table)
         assert back.predict(SparseVector(4, ())) == 1
@@ -53,29 +50,49 @@ class TestNodes:
         assert back.realization == 0
 
     def test_matrix_part_mismatch_raises(self):
-        from sparsehalf.core import SparseVector
-
         node = MatrixPredictor(3, 3, np.zeros((3, 3)), realization=0)
         with pytest.raises(ValueError):
             node.predict(SparseVector.from_pairs(3, [(1, 1), (2, 1)]))  # r=2 instance
 
     def test_trained_composites_round_trip(self):
         rng = np.random.default_rng(1)
-        xs2 = [x for x in sample_exact_sparse(6, 2, 60, 2)]
-        s2 = Sample(2, 6, tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs2))
+        xs2 = sample_exact_sparse(6, 2, 60, 2)
+        s2 = Sample(2, 6, xs2, [int(rng.integers(0, 2)) * 2 - 1 for _ in xs2])
         xs3 = sample_exact_sparse(6, 3, 60, 3)
-        s3 = Sample(3, 6, tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs3))
+        s3 = Sample(3, 6, xs3, [int(rng.integers(0, 2)) * 2 - 1 for _ in xs3])
         for node, sample in ((learn_h2(s2, LearnerConfig(seed=4)), s2), (learn_h3(s3, LearnerConfig(seed=4)), s3)):
             back = round_trip(node)
-            assert all(back.predict(ex.x) == node.predict(ex.x) for ex in sample.items)
+            labels = node.predict_many(sample.items, sample.n)
+            assert np.array_equal(back.predict_many(sample.items, sample.n), labels)
+            # one instance at a time is the batch path on one row
+            assert [back.predict(x) for x in vectors(sample.items, sample.n)] == labels.tolist()
 
     def test_table_learner_round_trip(self):
         rng = np.random.default_rng(5)
         xs = sample_exact_sparse(5, 3, 30, 6)
-        s = Sample(3, 5, tuple(Example(x, int(rng.integers(0, 2)) * 2 - 1) for x in xs))
+        s = Sample(3, 5, xs, [int(rng.integers(0, 2)) * 2 - 1 for _ in xs])
         node = table_majority_learn(s)
         back = round_trip(node)
-        assert all(back.predict(ex.x) == node.predict(ex.x) for ex in s.items)
+        assert np.array_equal(back.predict_many(s.items, s.n), node.predict_many(s.items, s.n))
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("node", [
+        BinaryHalfspacePredictor(BinaryAssignment((1, -1, 1, 1))),
+        MajorityTable(4, 3, {((1, 1),): -1}),
+        MatrixPredictor(4, 4, np.zeros((4, 4)), realization=0),
+        CompositePredictor("c3", 4, {}),
+        CompositePredictor("c2", 4, {}),
+    ])
+    def test_batch_predict_rejects_other_n(self, node):
+        rows = np.array([[1, -2]], dtype=np.int32)
+        assert node.predict_many(rows, 4).shape == (1,)
+        with pytest.raises(ValueError):
+            node.predict_many(rows, 8)
+
+    def test_empty_matrix_predicts_nothing(self):
+        for node in (table_majority_learn(Sample(3, 5, (), ())), BinaryHalfspacePredictor(BinaryAssignment((1,) * 5))):
+            assert node.predict_many(np.zeros((0, 3), dtype=np.int32), 5).shape == (0,)
 
 
 class TestMalformed:
@@ -89,6 +106,15 @@ class TestMalformed:
             "composite c9 4 0\n",  # unknown router
             "composite c2 4 1\nnope r=0\nbinary 1\n+1\n",  # bad part line
             "binary 2\n+1 -1\nextra\n",  # trailing content
+            "composite c3 4 1\npart r=0\nbinary 4\n+1 +1 +1 +1\n",  # c2 key under c3
+            "composite c2 4 1\npart residual\nbinary 4\n+1 +1 +1 +1\n",  # c3 key under c2
+            "composite c2 4 1\npart i=1,b=+1\nbinary 4\n+1 +1 +1 +1\n",  # c3 key under c2
+            "composite c3 4 1\npart i=3,b=+1\nbinary 4\n+1 +1 +1 +1\n",  # i > n - 2
+            "composite c3 4 1\npart i=1,b=+2\nbinary 4\n+1 +1 +1 +1\n",  # b not +-1
+            "composite c2 4 1\npart r=3\nbinary 4\n+1 +1 +1 +1\n",  # r outside [-2, 2]
+            "composite c3 4 1\npart residual\nbinary 3\n+1 +1 +1\n",  # child n differs
+            "composite c2 4 1\npart r=0\nmatrix r=0 2 2\n0 0\n0 0\n",  # matrix n differs
+            "composite c2 4 2\npart r=1\nbinary 4\n+1 +1 +1 +1\npart r=1\nbinary 4\n+1 +1 +1 +1\n",  # repeat
             "wat 1\n",  # unknown tag
         ],
     )
