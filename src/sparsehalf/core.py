@@ -75,23 +75,9 @@ class SparseVector:
         ordered = tuple(sorted((int(i), int(v)) for i, v in pairs))
         return SparseVector(n, ordered)
 
-    @staticmethod
-    def from_dense(vec: Sequence[int] | np.ndarray) -> "SparseVector":
-        entries = tuple((i + 1, int(v)) for i, v in enumerate(vec) if v)
-        return SparseVector(len(vec), entries)
-
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.n, dtype=np.int8)
-        for idx, val in self.entries:
-            dense[idx - 1] = val
-        return dense
-
-    def __neg__(self) -> "SparseVector":
-        return SparseVector(self.n, tuple((i, -v) for i, v in self.entries))
 
 
 def row_entries(row: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -126,9 +112,6 @@ class BinaryAssignment:
     @property
     def n(self) -> int:
         return len(self.bits)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.int8)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,8 +31,6 @@ from .predictors import (
 from .realizations import group_rows, part_order, realize_c2, route_rows
 from .rng import derive_seed, generator
 
-Cell = tuple[int, int]
-
 #: Bytes of score matrices an h2 or h3 model may hold unless forced.  An h2
 #: model holds three dense n x n float64 matrices (parts r = 0, +-2), an h3
 #: model one h2 model per first-nonzero part and the residual: 2n - 3 of them.
@@ -95,13 +93,14 @@ def _eg_margins(C: np.ndarray, tau: float, d: int) -> tuple[np.ndarray, float]:
 
 
 def matrix_mw_learn(
-    cells: Sequence[tuple[Cell, Label]],
+    cells: np.ndarray | Sequence[tuple[int, int, Label]],
     dims: tuple[int, int],
     cfg: LearnerConfig,
     realization: int | None = None,
 ) -> MatrixPredictor:
     """Learn +-1 labels of matrix cells by matrix exponentiated gradient.
 
+    ``cells`` holds one (row, col, label) triple per example, 1-based.
     Maintains a PSD pair (P, N) of size rows+cols with trace(P) + trace(N)
     capped at tau; each example incurs the hinge loss on the (P - N) margin
     at its cell, the accumulated negative gradient is exponentiated
@@ -113,11 +112,15 @@ def matrix_mw_learn(
     n_rows, n_cols = dims
     if n_rows < 1 or n_cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    for (row, col), label in cells:
-        if not (1 <= row <= n_rows and 1 <= col <= n_cols):
-            raise ValueError(f"cell ({row}, {col}) outside {n_rows}x{n_cols}")
-        if label not in (-1, 1):
-            raise ValueError(f"cell label must be +-1: got {label}")
+    cells = np.asarray(cells).reshape(-1, 3)
+    rows, cols, labels = cells.T
+    outside = (rows < 1) | (rows > n_rows) | (cols < 1) | (cols > n_cols)
+    bad = np.flatnonzero(outside | ((labels != 1) & (labels != -1)))
+    if bad.size:  # name the first bad cell in input order
+        i = bad[0]
+        if outside[i]:
+            raise ValueError(f"cell ({rows[i]}, {cols[i]}) outside {n_rows}x{n_cols}")
+        raise ValueError(f"cell label must be +-1: got {labels[i]}")
 
     beta = cfg.beta if cfg.beta is not None else 4.0 * math.log2(max(2, max(dims)))
     d = n_rows + n_cols
@@ -125,29 +128,40 @@ def matrix_mw_learn(
 
     C = np.zeros((n_rows, n_cols))
     margin_sum = np.zeros((n_rows, n_cols))
-    steps = 0
     max_trace = 0.0
     margins: np.ndarray | None = None
-    trace_now = 0.0
+    dwell = 0  # steps taken on the current margins and not yet in margin_sum
+    flat = (rows.astype(np.intp) - 1) * n_cols + (cols - 1)
+    m = len(cells)
     rng = generator(cfg.seed)
 
+    # The iterate, and so the margins, change only at a hinge violation: each
+    # pass of the inner loop jumps to the next violation in the shuffled order.
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(cells)) if cells else []
-        for pos in order:
-            (row, col), label = cells[pos]
+        order = rng.permutation(m)
+        at, lab = flat[order], labels[order]
+        pos = 0
+        while pos < m:
             if margins is None:
                 if not np.isfinite(C).all():
                     raise NumericError(f"non-finite accumulator in epoch {epoch + 1}; reduce eta")
                 margins, trace_now = _eg_margins(C, tau, d)
                 if not np.isfinite(margins).all():
                     raise NumericError(f"non-finite margins in epoch {epoch + 1}; reduce eta")
-            margin_sum += margins
-            steps += 1
-            if trace_now > max_trace:
-                max_trace = trace_now
-            if label * margins[row - 1, col - 1] < 1.0:
-                C[row - 1, col - 1] += 0.5 * cfg.eta * label
-                margins = None  # iterate changed, recompute lazily
+                max_trace = max(max_trace, trace_now)
+            hits = np.flatnonzero(lab[pos:] * margins.take(at[pos:]) < 1.0)
+            if not hits.size:
+                dwell += m - pos
+                break
+            j = pos + int(hits[0])
+            margin_sum += (dwell + j + 1 - pos) * margins
+            dwell = 0
+            C.flat[at[j]] += 0.5 * cfg.eta * lab[j]
+            margins = None  # iterate changed, recompute lazily
+            pos = j + 1
+    if dwell:
+        margin_sum += dwell * margins
+    steps = cfg.epochs * m
     scores = margin_sum / steps if steps else margin_sum
     return MatrixPredictor(n_rows, n_cols, scores, realization, max_trace=max_trace, trace_cap=tau)
 
@@ -196,11 +210,9 @@ def learn_h2(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = 
         if abs(r) == 1:
             return table_majority_learn(part_sample)
         rows, cols = realize_c2(part_sample.items)
-        labels = part_sample.y.tolist()
-        cells: list[tuple[Cell, Label]] = list(zip(zip(rows.tolist(), cols.tolist()), labels))
+        cells = np.column_stack((rows, cols, part_sample.y))
         if abs(r) == 2:  # each sum-pair cell is followed by its mirror
-            mirrors = zip(zip(cols.tolist(), rows.tolist()), labels)
-            cells = [cell for pair in zip(cells, mirrors) for cell in pair]
+            cells = np.stack((cells, cells[:, [1, 0, 2]]), axis=1).reshape(-1, 3)
         child_cfg = replace(cfg, seed=derive_seed(cfg.seed, 2, part))
         return matrix_mw_learn(cells, (n, n), child_cfg, realization=r)
 

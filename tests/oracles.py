@@ -3,21 +3,28 @@
 Real-weight halfspaces, enumerations of instance and clause spaces, the
 hypothesis matrices of the realization suite, and the per-instance routing
 functions that the library's batch versions in ``sparsehalf.realizations``
-replaced.  Nothing here is used by the library.
+replaced, and the per-step matrix exponentiated-gradient loop that
+``sparsehalf.learners.matrix_mw_learn`` replaced.  Nothing here is used by
+the library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from sparsehalf import learners
 from sparsehalf.core import Sample, SparseVector, row_entries, sign_pm
+from sparsehalf.errors import NumericError
 from sparsehalf.formulas import Clause3, FormulaKind, Literal
-from sparsehalf.predictors import TrainedPredictor
+from sparsehalf.learners import LearnerConfig
+from sparsehalf.predictors import MatrixPredictor, TrainedPredictor
+from sparsehalf.rng import generator
 
 
 def sample_of(k: int, n: int, xs: Iterable[SparseVector], ys: Iterable[int]) -> Sample:
@@ -32,6 +39,36 @@ def sample_of(k: int, n: int, xs: Iterable[SparseVector], ys: Iterable[int]) -> 
 def vectors(rows: np.ndarray, n: int) -> list[SparseVector]:
     """The signed-index instance rows as SparseVectors, in order."""
     return [SparseVector(n, row_entries(row)) for row in rows.tolist()]
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Wrap ``owner.name`` for the test so each call bumps the returned one-item counter."""
+    calls, inner = [0], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def from_dense(vec) -> SparseVector:
+    """The SparseVector of a dense +-1/0 vector."""
+    return SparseVector(len(vec), tuple((i + 1, int(v)) for i, v in enumerate(vec) if v))
+
+
+def negate(x: SparseVector) -> SparseVector:
+    """-x."""
+    return SparseVector(x.n, tuple((i, -v) for i, v in x.entries))
+
+
+def to_dense(x: SparseVector) -> np.ndarray:
+    """The dense int8 vector of a SparseVector."""
+    dense = np.zeros(x.n, dtype=np.int8)
+    for idx, val in x.entries:
+        dense[idx - 1] = val
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +216,58 @@ class FunctionPredictor(TrainedPredictor):
 
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
         return np.array([self.fn(x) for x in vectors(rows, n)], dtype=np.int8)
+
+
+# ---------------------------------------------------------------------------
+# Matrix exponentiated gradient, one Python iteration per step
+
+def matrix_mw_learn_stepwise(
+    cells: Sequence[tuple[tuple[int, int], int]],
+    dims: tuple[int, int],
+    cfg: LearnerConfig,
+    realization: int | None = None,
+) -> MatrixPredictor:
+    """``matrix_mw_learn`` on ((row, col), label) pairs, adding the margins at every step.
+
+    ``learners._eg_margins`` is looked up at call time so tests can count calls.
+    """
+    n_rows, n_cols = dims
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("matrix dimensions must be positive")
+    for (row, col), label in cells:
+        if not (1 <= row <= n_rows and 1 <= col <= n_cols):
+            raise ValueError(f"cell ({row}, {col}) outside {n_rows}x{n_cols}")
+        if label not in (-1, 1):
+            raise ValueError(f"cell label must be +-1: got {label}")
+
+    beta = cfg.beta if cfg.beta is not None else 4.0 * math.log2(max(2, max(dims)))
+    d = n_rows + n_cols
+    tau = 2.0 * beta * d
+
+    C = np.zeros((n_rows, n_cols))
+    margin_sum = np.zeros((n_rows, n_cols))
+    steps = 0
+    max_trace = 0.0
+    margins: np.ndarray | None = None
+    trace_now = 0.0
+    rng = generator(cfg.seed)
+
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(cells)) if cells else []
+        for pos in order:
+            (row, col), label = cells[pos]
+            if margins is None:
+                if not np.isfinite(C).all():
+                    raise NumericError(f"non-finite accumulator in epoch {epoch + 1}; reduce eta")
+                margins, trace_now = learners._eg_margins(C, tau, d)
+                if not np.isfinite(margins).all():
+                    raise NumericError(f"non-finite margins in epoch {epoch + 1}; reduce eta")
+            margin_sum += margins
+            steps += 1
+            if trace_now > max_trace:
+                max_trace = trace_now
+            if label * margins[row - 1, col - 1] < 1.0:
+                C[row - 1, col - 1] += 0.5 * cfg.eta * label
+                margins = None  # iterate changed, recompute lazily
+    scores = margin_sum / steps if steps else margin_sum
+    return MatrixPredictor(n_rows, n_cols, scores, realization, max_trace=max_trace, trace_cap=tau)

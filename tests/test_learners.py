@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from oracles import Halfspace, eval_halfspace, iter_part_c2, iter_sparse_vectors, sample_of, vectors
+from sparsehalf import learners
 from sparsehalf.core import (
     BinaryAssignment,
     Sample,
@@ -74,17 +75,33 @@ class TestTableMajority:
         assert table_err <= erm_err
 
 
+def grid_cells(labels, n):
+    """(row, col, label) for every cell of an n x n matrix, labels in row-major order."""
+    return [(i + 1, j + 1, int(labels[i * n + j])) for i in range(n) for j in range(n)]
+
+
+def eg_case(seed, dims, m, mirrored=False):
+    """m random (row, col, label) cells, a quarter of them repeated; if mirrored each is followed by its mirror."""
+    rng = np.random.default_rng(seed)
+    cells = [(int(r), int(c), int(l)) for r, c, l in
+             zip(rng.integers(1, dims[0] + 1, m), rng.integers(1, dims[1] + 1, m), rng.choice([-1, 1], m))]
+    cells += cells[: m // 4]  # repeated examples
+    if mirrored:
+        cells = [cell for r, c, l in cells for cell in ((r, c, l), (c, r, l))]
+    return cells
+
+
 class TestMatrixMwLearn:
     def test_realizable_row_threshold(self):
         rng = np.random.default_rng(0)
         t = [int(v) for v in rng.integers(0, 9, size=8)]
         W = row_threshold_matrix(t)
-        cells = [((i + 1, j + 1), int(W[i, j])) for i in range(8) for j in range(8)]
+        cells = grid_cells(W.ravel(), 8)
         pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(seed=1))
-        assert all(pred.predict_cell(*cell) == label for cell, label in cells)
+        assert all(pred.predict_cell(r, c) == label for r, c, label in cells)
 
     def test_single_cell_repeated(self):
-        pred = matrix_mw_learn([((2, 3), -1)] * 5, (4, 4), LearnerConfig(seed=0))
+        pred = matrix_mw_learn([(2, 3, -1)] * 5, (4, 4), LearnerConfig(seed=0))
         assert pred.predict_cell(2, 3) == -1
 
     def test_adversarial_band_one_epoch(self):
@@ -92,36 +109,71 @@ class TestMatrixMwLearn:
         for seed in range(10):
             rng = np.random.default_rng(seed + 100)
             labels = rng.integers(0, 2, 64) * 2 - 1
-            cells = [((i + 1, j + 1), int(labels[i * 8 + j])) for i in range(8) for j in range(8)]
+            cells = grid_cells(labels, 8)
             pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(epochs=1, seed=seed))
-            err = sum(pred.predict_cell(*cell) != label for cell, label in cells) / 64
+            err = sum(pred.predict_cell(r, c) != label for r, c, label in cells) / 64
             worst = max(worst, err)
         assert worst <= 0.5 + 0.15
 
     def test_trace_cap_respected(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 2, 64) * 2 - 1
-        cells = [((i + 1, j + 1), int(labels[i * 8 + j])) for i in range(8) for j in range(8)]
+        cells = grid_cells(labels, 8)
         cfg = LearnerConfig(seed=3, epochs=5, beta=0.5)  # small cap rescales often
         pred = matrix_mw_learn(cells, (8, 8), cfg)
         assert pred.trace_cap == pytest.approx(2 * 0.5 * 16)
         assert pred.max_trace <= pred.trace_cap + 1e-6
 
     def test_deterministic_given_config(self):
-        cells = [((1, 2), 1), ((2, 1), -1), ((1, 1), 1)]
+        cells = [(1, 2, 1), (2, 1, -1), (1, 1, 1)]
         a = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5))
         b = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5))
         assert np.array_equal(a.scores, b.scores)
 
+    @pytest.mark.parametrize("cells,dims,cfg", [
+        (eg_case(0, (6, 6), 40), (6, 6), LearnerConfig(seed=1, epochs=1)),
+        (eg_case(1, (6, 6), 40), (6, 6), LearnerConfig(seed=2, epochs=10)),
+        (eg_case(2, (7, 7), 30, mirrored=True), (7, 7), LearnerConfig(seed=3, epochs=10)),
+        (eg_case(3, (8, 8), 64), (8, 8), LearnerConfig(seed=4, epochs=5, beta=0.5)),  # the cap binds
+        (eg_case(4, (5, 5), 20, mirrored=True), (5, 5), LearnerConfig(seed=5, epochs=3, eta=2000.0)),  # smax >= 600
+        (eg_case(5, (5, 5), 1), (5, 5), LearnerConfig(seed=6, epochs=10)),  # a single cell
+        (eg_case(6, (4, 9), 30), (4, 9), LearnerConfig(seed=7, epochs=4)),  # rectangular
+    ], ids=["epochs1", "epochs10", "mirrored", "cap-binds", "large-eta", "single-cell", "rectangular"])
+    def test_matches_stepwise_reference(self, monkeypatch, cells, dims, cfg):
+        margins_calls = oracles.count_calls(monkeypatch, learners, "_eg_margins")
+        ref = oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], dims, cfg)
+        ref_calls, margins_calls[0] = margins_calls[0], 0
+        got = matrix_mw_learn(np.array(cells), dims, cfg)
+        assert margins_calls[0] == ref_calls > 0
+        assert np.allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12)
+        sure = np.abs(ref.scores) > 1e-9
+        assert np.array_equal(np.sign(got.scores[sure]), np.sign(ref.scores[sure]))
+        assert (got.max_trace, got.trace_cap) == (ref.max_trace, ref.trace_cap)
+
     def test_non_finite_step_reports_epoch(self):
-        cells = [((1, 1), 1)]
-        with pytest.raises(NumericError) as excinfo:
-            matrix_mw_learn(cells, (2, 2), LearnerConfig(seed=0, eta=float("nan")))
-        assert "epoch" in str(excinfo.value)
+        stepwise = oracles.matrix_mw_learn_stepwise
+        for n_cells, epochs in [(1, 10), (1, 2), (5, 2), (5, 10)]:
+            cells = [(1 + i % 2, 1 + i // 2 % 2, 1 - 2 * (i % 3 == 0)) for i in range(n_cells)]
+            cfg = LearnerConfig(seed=0, eta=float("nan"), epochs=epochs)
+            with pytest.raises(NumericError) as ref:
+                stepwise([((r, c), l) for r, c, l in cells], (2, 2), cfg)
+            with pytest.raises(NumericError) as got:
+                matrix_mw_learn(cells, (2, 2), cfg)
+            assert "epoch" in str(got.value)
+            assert str(got.value) == str(ref.value), (n_cells, epochs)
 
     def test_cell_bounds(self):
-        with pytest.raises(ValueError):
-            matrix_mw_learn([((3, 1), 1)], (2, 2), LearnerConfig())
+        for cells, message in [
+            ([(3, 1, 1)], "cell (3, 1) outside 2x2"),
+            ([(1, 1, 1), (2, 0, -1), (1, 1, 2)], "cell (2, 0) outside 2x2"),
+            ([(1, 1, 1), (1, 2, 0), (5, 5, 1)], "cell label must be +-1: got 0"),
+            ([(2, 2, -3)], "cell label must be +-1: got -3"),
+        ]:
+            with pytest.raises(ValueError) as ref:
+                oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], (2, 2), LearnerConfig())
+            with pytest.raises(ValueError) as got:
+                matrix_mw_learn(cells, (2, 2), LearnerConfig())
+            assert str(got.value) == str(ref.value) == message
 
 
 def routed_slices(sample, kind):

@@ -1,7 +1,8 @@
 """The benchmark tracer (bench/tracer.py) wraps library functions by name.
 
 A rename in the library would only show up in a traced benchmark run, so
-these tests check the names and parameters the tracer relies on.
+these tests check the names and parameters the tracer relies on, and that
+the counts it derives from them still mean what it reports.
 """
 
 import importlib
@@ -9,12 +10,16 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracer  # noqa: E402
 
+from oracles import count_calls  # noqa: E402
+from sparsehalf import learners  # noqa: E402
 from sparsehalf.core import Sample  # noqa: E402
+from sparsehalf.learners import LearnerConfig, matrix_mw_learn  # noqa: E402
 
 
 def module(name):
@@ -46,3 +51,21 @@ def test_sample_and_dykstra_hooks():
     assert "__post_init__" in vars(Sample)
     assert len(Sample(2, 3, [[1, -2], [3, 0]], [1, -1]).items) == 2  # the tracer counts len(items)
     assert callable(module("decompmat")._dykstra_feasible)
+
+
+def test_eg_steps_and_svds_counters(monkeypatch):
+    """learners.eg_steps is cfg.epochs * len(cells); learners.eg_svds counts numpy.linalg.svd calls."""
+    (steps_of,) = [count for _, fname, _, _, count, _ in tracer.SPANS if fname == "matrix_mw_learn"]
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    margins = count_calls(monkeypatch, learners, "_eg_margins")
+    cells, cfg = [(1, 1, 1)] * 3, LearnerConfig(seed=0, eta=4.0, epochs=5)
+    pred = matrix_mw_learn(cells, (2, 2), cfg)
+    assert svds[0] == margins[0] > 0
+    # one update at the first step; every later step adds the same margins, so the
+    # average over all steps reads the step count
+    C = np.zeros((2, 2))
+    C[0, 0] = 0.5 * cfg.eta
+    after, _ = learners._eg_margins(C, pred.trace_cap, 4)
+    steps = steps_of({"cells": cells, "cfg": cfg}, pred)
+    assert steps == 15
+    assert pred.scores[0, 0] == pytest.approx(after[0, 0] * (steps - 1) / steps, rel=1e-12)
