@@ -21,13 +21,9 @@ from .core import (
     serialize_sample,
 )
 from .formulas import (
-    Clause3,
     Formula,
     FormulaKind,
     FormulaSourceConfig,
-    Literal,
-    clause_to_example,
-    eval_clause,
     formula_to_sample,
     formula_value,
     parse_formula,

@@ -25,7 +25,6 @@ from .core import (
 )
 from .core import BinaryAssignment
 from .decompmat import (
-    CertifierConfig,
     certify_min_beta,
     read_decomposition,
     triangular_matrix,
@@ -256,12 +255,7 @@ def cmd_certify_beta(args: argparse.Namespace) -> int:
     if args.matrix != "tn":
         raise ValueError(f"unknown matrix family {args.matrix!r}; only 'tn' is supported")
     W = triangular_matrix(args.n)
-    cfg = CertifierConfig(
-        tolerance=args.tol,
-        max_iterations=args.max_iterations,
-        beta_resolution=args.resolution,
-    )
-    beta_hat, dec = certify_min_beta(W, cfg)
+    beta_hat, dec = certify_min_beta(W)
     write_decomposition(args.out, dec)
     loaded = read_decomposition(args.out, shape=(args.n, args.n))
     report = verify_decomposition(W, loaded)
@@ -354,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-beta", help="numeric decomposability certificate")
     p.add_argument("--matrix", default="tn")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--resolution", type=float, default=1e-3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_certify_beta)
 

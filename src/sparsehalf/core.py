@@ -69,12 +69,6 @@ class SparseVector:
             last = idx
         object.__setattr__(self, "entries", entries)
 
-    @staticmethod
-    def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "SparseVector":
-        """Build from unordered (index, value) pairs; duplicate indices are an error."""
-        ordered = tuple(sorted((int(i), int(v)) for i, v in pairs))
-        return SparseVector(n, ordered)
-
     @property
     def nnz(self) -> int:
         return len(self.entries)

@@ -1,11 +1,12 @@
 """Three-literal OR and majority formulas: sampling, valuation, I/O, reduction.
 
 A clause is three literals over distinct variables; a formula is an ordered
-conjunction of clauses over n +-1-valued variables.  OR clauses need one
-agreeing literal, majority clauses need two.  ``formula_value`` is the exact
-brute-force optimum over all 2^n assignments.  Each majority clause converts
-to a labeled 3-sparse example, which is the bridge between formulas and
-halfspace learning used by :mod:`sparsehalf.refutation`.  ``formula_value``
+conjunction of clauses over n +-1-valued variables, held as one m x 3 matrix
+of signed variable indices.  OR clauses need one agreeing literal, majority
+clauses need two.  ``formula_value`` is the exact brute-force optimum over
+all 2^n assignments.  Each majority clause converts to a labeled 3-sparse
+example, which is the bridge between formulas and halfspace learning used
+by :mod:`sparsehalf.refutation`.  ``formula_value``
 and ERM (:func:`sparsehalf.core.erm_binary_halfspace`) share one enumeration
 kernel, :func:`sparsehalf.core.best_pattern`.
 
@@ -26,9 +27,7 @@ import numpy as np
 from .core import (
     EXHAUSTIVE_N_LIMIT,
     BinaryAssignment,
-    Label,
     Sample,
-    SparseVector,
     assignment_from_index,
     best_pattern,
 )
@@ -41,62 +40,47 @@ class FormulaKind(enum.Enum):
     MAJ = "maj3"
 
 
-@dataclass(frozen=True)
-class Literal:
-    """Variable index (1-based) with a +-1 sign; sign -1 means negated."""
-
-    var: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1: got {self.var}")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"literal sign must be +-1: got {self.sign}")
+#: A clause holds under psi iff <its literal signs, psi on its variables> > ABOVE[kind]:
+#: that counts agreeing minus disagreeing literals; OR needs one to agree, majority two.
+ABOVE = {FormulaKind.CNF: -3, FormulaKind.MAJ: 0}
 
 
-@dataclass(frozen=True)
-class Clause3:
-    """Exactly three literals over pairwise distinct variables."""
-
-    kind: FormulaKind
-    lits: tuple[Literal, Literal, Literal]
-
-    def __post_init__(self) -> None:
-        if len(self.lits) != 3:
-            raise ValueError(f"a clause has exactly 3 literals: got {len(self.lits)}")
-        variables = [lit.var for lit in self.lits]
-        if len(set(variables)) != 3:
-            raise ValueError(f"clause variables must be pairwise distinct: got {variables}")
-        object.__setattr__(self, "lits", tuple(self.lits))
-
-    @staticmethod
-    def from_ints(kind: FormulaKind, a: int, b: int, c: int) -> "Clause3":
-        lits = tuple(Literal(abs(v), 1 if v > 0 else -1) for v in (a, b, c))
-        return Clause3(kind, lits)  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
+    """An ordered conjunction of m three-literal clauses over n variables.
+
+    ``lits`` is an int32 m x 3 matrix with one row per clause: its literals
+    as signed variable indices sign * variable, in written order.  It is
+    checked once, here, and stored read-only.
+    """
+
     n: int
     kind: FormulaKind
-    clauses: tuple[Clause3, ...]
+    lits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("formula needs n >= 1 variables")
-        clauses = tuple(self.clauses)
-        for cl in clauses:
-            if cl.kind is not self.kind:
-                raise ValueError("all clauses must share the formula kind")
-            for lit in cl.lits:
-                if lit.var > self.n:
-                    raise ValueError(f"variable {lit.var} out of range [1, {self.n}]")
-        object.__setattr__(self, "clauses", clauses)
+        if not 1 <= self.n <= np.iinfo(np.int32).max:
+            raise ValueError("need 1 <= n < 2^31 variables, so that literals fit in int32")
+        lits = np.asarray(self.lits)
+        if lits.ndim != 2 or lits.shape[1] != 3 or (lits.size and lits.dtype.kind not in "iu"):
+            raise ValueError(f"need an m x 3 integer literal matrix: got {lits.dtype} {lits.shape}")
+        variables = np.abs(lits)
+        if ((variables < 1) | (variables > self.n)).any():
+            raise ValueError(f"variables must lie in [1, {self.n}]")
+        if (variables[:, [0, 0, 1]] == variables[:, [1, 2, 2]]).any():
+            raise ValueError("clause variables must be pairwise distinct")
+        lits = lits.astype(np.int32)
+        lits.setflags(write=False)
+        object.__setattr__(self, "lits", lits)
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return len(self.lits)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return (self.n, self.kind) == (other.n, other.kind) and np.array_equal(self.lits, other.lits)
 
 
 @dataclass(frozen=True)
@@ -121,88 +105,57 @@ class FormulaSourceConfig:
                 raise ValueError("planted assignment length must equal n")
 
 
-def eval_clause(clause: Clause3, psi: BinaryAssignment) -> bool:
-    """OR: some literal agrees with psi; majority: at least two agree."""
-    agree = 0
-    for lit in clause.lits:
-        if lit.var > psi.n:
-            raise ValueError(f"variable {lit.var} out of range for assignment of length {psi.n}")
-        if psi.bits[lit.var - 1] == lit.sign:
-            agree += 1
-    return agree >= 1 if clause.kind is FormulaKind.CNF else agree >= 2
-
-
 def formula_value(phi: Formula, *, force: bool = False) -> tuple[Fraction, BinaryAssignment]:
     """Exact best satisfied-clause fraction over all 2^n assignments, with a witness.
 
     The witness is the first maximizer in lexicographic order (+1 < -1).
     Guarded at n <= 24 unless ``force`` is set.  A clause's row holds its
-    literal signs on its variables, so <row, psi> counts agreeing minus
-    disagreeing literals: majority needs > 0, OR needs > -3.
+    literal signs on its variables and is compared against ``ABOVE[kind]``.
     """
     if phi.n > EXHAUSTIVE_N_LIMIT and not force:
         raise GuardError(f"formula value enumerates 2^{phi.n} assignments; the guard stops n > {EXHAUSTIVE_N_LIMIT} unless forced")
     if phi.m == 0:
         raise ValueError("formula has no clauses")
     rows = np.zeros((phi.m, phi.n), dtype=np.int8)
-    for row, cl in enumerate(phi.clauses):
-        for lit in cl.lits:
-            rows[row, lit.var - 1] = lit.sign
-    above = np.full(phi.m, -3 if phi.kind is FormulaKind.CNF else 0)
-    count, index = best_pattern(rows, above)
+    np.put_along_axis(rows, np.abs(phi.lits) - 1, np.sign(phi.lits), axis=1)
+    count, index = best_pattern(rows, np.full(phi.m, ABOVE[phi.kind]))
     return Fraction(count, phi.m), BinaryAssignment(assignment_from_index(index, phi.n))
-
-
-def _draw_clause(rng: np.random.Generator, n: int, kind: FormulaKind) -> Clause3:
-    variables = rng.choice(n, size=3, replace=False) + 1
-    signs = rng.integers(0, 2, size=3) * 2 - 1
-    lits = tuple(Literal(int(v), int(s)) for v, s in zip(variables, signs))
-    return Clause3(kind, lits)  # type: ignore[arg-type]
 
 
 def sample_formula(cfg: FormulaSourceConfig, kind: FormulaKind) -> Formula:
     """Draw a random formula.
 
-    Uniform mode draws each clause independently: three distinct variables
-    uniformly without replacement, signs independent fair coins.  Planted
-    mode rejection-samples each clause until the hidden assignment satisfies
-    it, so the result has value 1 under that assignment.
+    Each clause draws three distinct variables uniformly without replacement,
+    then three fair sign coins.  Uniform mode keeps every draw; planted mode
+    redraws a clause until the hidden assignment satisfies it, so the result
+    has value 1 under that assignment.
     """
     if cfg.n < 3:
         raise ValueError("need n >= 3 variables for 3-literal clauses")
     rng = generator(cfg.seed)
-    clauses = []
-    for _ in range(cfg.m):
-        clause = _draw_clause(rng, cfg.n, kind)
-        if cfg.mode == "planted":
-            while not eval_clause(clause, cfg.psi):
-                clause = _draw_clause(rng, cfg.n, kind)
-        clauses.append(clause)
-    return Formula(cfg.n, kind, tuple(clauses))
-
-
-def clause_to_example(clause: Clause3, b: int, n: int) -> tuple[SparseVector, Label]:
-    """The labeled 3-sparse example (x, y) a majority clause generates for coin b.
-
-    The instance places b * sign on each of the clause's three variables and
-    the label is b itself.
-    """
-    if clause.kind is not FormulaKind.MAJ:
-        raise ValueError("only majority clauses convert to examples")
-    if b not in (-1, 1):
-        raise ValueError(f"b must be +-1: got {b}")
-    pairs = [(lit.var, b * lit.sign) for lit in clause.lits]
-    return SparseVector.from_pairs(n, pairs), b
+    psi = None if cfg.mode == "uniform" else np.array(cfg.psi.bits)
+    lits = np.empty((cfg.m, 3), dtype=np.int32)
+    for row in lits:
+        while True:
+            variables = rng.choice(cfg.n, size=3, replace=False)
+            signs = rng.integers(0, 2, size=3) * 2 - 1
+            if psi is None or signs @ psi[variables] > ABOVE[kind]:
+                break
+        row[:] = (variables + 1) * signs
+    return Formula(cfg.n, kind, lits)
 
 
 def formula_to_sample(phi: Formula, seed: int) -> Sample:
-    """One example per clause, in clause order, each with an independent fair coin."""
+    """One example per majority clause, in clause order, each with an independent fair coin b.
+
+    The instance places b * sign on each of the clause's three variables
+    (the row sorted by variable, times b) and the label is b itself.
+    """
     if phi.kind is not FormulaKind.MAJ:
         raise ValueError("only majority formulas convert to samples")
     coins = generator(seed).integers(0, 2, size=phi.m) * 2 - 1
-    signed = [sorted((lit.sign * lit.var for lit in cl.lits), key=abs) for cl in phi.clauses]
-    items = np.array(signed, dtype=np.int32).reshape(phi.m, 3) * coins[:, None]
-    return Sample(3, phi.n, items, coins)
+    by_variable = np.take_along_axis(phi.lits, np.argsort(np.abs(phi.lits), axis=1), axis=1)
+    return Sample(3, phi.n, by_variable * coins[:, None], coins)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +166,15 @@ _KIND_TOKENS = {kind.value: kind for kind in FormulaKind}
 
 def serialize_formula(phi: Formula) -> str:
     lines = [f"p {phi.kind.value} {phi.n} {phi.m}"]
-    for cl in phi.clauses:
-        lines.append(" ".join(str(lit.sign * lit.var) for lit in cl.lits) + " 0")
+    lines += [f"{a} {b} {c} 0" for a, b, c in phi.lits.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def parse_formula(text: str) -> Formula:
     n = m = None
     kind = None
-    literal_buf: list[int] = []
-    clauses: list[Clause3] = []
+    clause: list[int] = []
+    lits: list[int] = []  # the clauses' literals laid end to end
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -247,23 +199,23 @@ def parse_formula(text: str) -> Formula:
                 value = int(tok)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad literal {tok!r}") from exc
-            if value == 0:
-                if len(literal_buf) != 3:
-                    raise FormatError(f"line {lineno}: clause has {len(literal_buf)} literals, expected 3")
-                if any(abs(v) > n for v in literal_buf):
-                    raise FormatError(f"line {lineno}: variable out of range [1, {n}]")
-                try:
-                    clauses.append(Clause3.from_ints(kind, *literal_buf))
-                except ValueError as exc:
-                    raise FormatError(f"line {lineno}: {exc}") from exc
-                literal_buf = []
-            else:
-                literal_buf.append(value)
+            if value:
+                clause.append(value)
+                continue
+            if len(clause) != 3:
+                raise FormatError(f"line {lineno}: clause has {len(clause)} literals, expected 3")
+            variables = [abs(v) for v in clause]
+            if max(variables) > n:
+                raise FormatError(f"line {lineno}: variable out of range [1, {n}]")
+            if len(set(variables)) != 3:
+                raise FormatError(f"line {lineno}: clause variables must be pairwise distinct: got {variables}")
+            lits += clause
+            clause = []
 
     if kind is None:
         raise FormatError("missing 'p <kind> <n> <m>' header")
-    if literal_buf:
+    if clause:
         raise FormatError("unterminated clause at end of input")
-    if len(clauses) != m:
-        raise FormatError(f"header declares {m} clauses, found {len(clauses)}")
-    return Formula(n, kind, tuple(clauses))
+    if len(lits) != 3 * m:
+        raise FormatError(f"header declares {m} clauses, found {len(lits) // 3}")
+    return Formula(n, kind, np.array(lits).reshape(m, 3))

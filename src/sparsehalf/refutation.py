@@ -62,8 +62,8 @@ class GameConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta < 1:
-            raise ValueError("clause density must be >= 1")
+        if not 1 <= self.delta < math.inf:
+            raise ValueError(f"clause density must be finite and >= 1: got {self.delta}")
         if not 0 <= self.mu <= 0.5:
             raise ValueError("density exponent must lie in [0, 0.5]")
         if self.trials < 1:

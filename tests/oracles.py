@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the library against.
 
 Real-weight halfspaces, enumerations of instance and clause spaces, the
-hypothesis matrices of the realization suite, and the per-instance routing
-functions that the library's batch versions in ``sparsehalf.realizations``
+per-clause satisfaction and clause-to-example rules that the library applies
+to a whole formula matrix at once, the hypothesis matrices of the
+realization suite, and the per-instance routing functions that the library's batch versions in ``sparsehalf.realizations``
 replaced, and the per-step matrix exponentiated-gradient loop that
 ``sparsehalf.learners.matrix_mw_learn`` replaced.  Nothing here is used by
 the library.
@@ -19,9 +20,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from sparsehalf import learners
-from sparsehalf.core import Sample, SparseVector, row_entries, sign_pm
+from sparsehalf.core import BinaryAssignment, Sample, SparseVector, row_entries, sign_pm
 from sparsehalf.errors import NumericError
-from sparsehalf.formulas import Clause3, FormulaKind, Literal
+from sparsehalf.formulas import FormulaKind
 from sparsehalf.learners import LearnerConfig
 from sparsehalf.predictors import MatrixPredictor, TrainedPredictor
 from sparsehalf.rng import generator
@@ -51,6 +52,11 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> SparseVector:
+    """The SparseVector of unordered (index, value) pairs; duplicate indices are an error."""
+    return SparseVector(n, tuple(sorted((int(i), int(v)) for i, v in pairs)))
 
 
 def from_dense(vec) -> SparseVector:
@@ -122,11 +128,31 @@ def iter_sparse_vectors(n: int, k: int) -> Iterator[SparseVector]:
                 yield SparseVector(n, tuple(zip(idxs, signs)))
 
 
-def iter_all_clauses(n: int, kind: FormulaKind) -> Iterator[Clause3]:
-    """All clauses over n variables (unordered variable triples x sign patterns)."""
+def iter_all_clauses(n: int) -> Iterator[tuple[int, int, int]]:
+    """All clauses over n variables (unordered variable triples x sign patterns), as signed indices."""
     for triple in combinations(range(1, n + 1), 3):
         for signs in product((1, -1), repeat=3):
-            yield Clause3(kind, tuple(Literal(v, s) for v, s in zip(triple, signs)))  # type: ignore[arg-type]
+            yield tuple(s * v for v, s in zip(triple, signs))  # type: ignore[misc]
+
+
+# ---------------------------------------------------------------------------
+# One clause at a time
+
+def eval_clause(kind: FormulaKind, clause: Sequence[int], psi: BinaryAssignment) -> bool:
+    """OR: some literal of the signed-index clause agrees with psi; majority: at least two agree."""
+    agree = sum(psi.bits[abs(v) - 1] == (1 if v > 0 else -1) for v in clause)
+    return agree >= 1 if kind is FormulaKind.CNF else agree >= 2
+
+
+def clause_to_example(clause: Sequence[int], b: int, n: int) -> tuple[SparseVector, int]:
+    """The labeled 3-sparse example (x, y) a majority clause generates for coin b.
+
+    The instance places b * sign on each of the clause's three variables and
+    the label is b itself.
+    """
+    if b not in (-1, 1):
+        raise ValueError(f"b must be +-1: got {b}")
+    return from_pairs(n, [(abs(v), b if v > 0 else -b) for v in clause]), b
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +214,7 @@ def iter_part_c2(r: int, n: int) -> Iterator[SparseVector]:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i != j:
-                    yield SparseVector.from_pairs(n, [(i, 1), (j, -1)])
+                    yield from_pairs(n, [(i, 1), (j, -1)])
     elif r in (1, -1):
         for i in range(1, n + 1):
             yield SparseVector(n, ((i, r),))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import eval_clause
 from sparsehalf.cli import main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
@@ -48,13 +49,10 @@ class TestGenFormula:
         assert capsys.readouterr().out.startswith("val 1 1/1")
 
     def test_planted_sidecar_satisfies_all_clauses(self, planted):
-        from sparsehalf.core import BinaryAssignment
-        from sparsehalf.formulas import eval_clause
-
         bits = tuple(int(t) for t in read(planted.with_name("planted.maj3.psi")).split())
         psi = BinaryAssignment(bits)
         phi = parse_formula(read(planted))
-        assert all(eval_clause(c, psi) for c in phi.clauses)
+        assert all(eval_clause(phi.kind, clause, psi) for clause in phi.lits.tolist())
 
     def test_file_reparses_identically(self, uniform):
         from sparsehalf.formulas import serialize_formula
@@ -192,7 +190,32 @@ class TestMatrixGuard:
 
 
 class TestFrozenOutputs:
-    """Outputs recorded before samples became arrays; they must not change."""
+    """Outputs recorded before samples and formulas became arrays; they must not change."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", ["uniform", "planted"])
+    @pytest.mark.parametrize("kind", ["3maj", "3cnf"])
+    def test_gen_formula(self, tmp_path, kind, mode, seed):
+        name = f"gen_{kind}_{mode}_s{seed}.txt"
+        out = tmp_path / name
+        assert run("gen-formula", "--kind", kind, "--n", "12", "--clauses", "60", "--mode", mode,
+                   "--seed", str(seed), "--out", str(out)) == 0
+        assert out.read_bytes() == (FROZEN / name).read_bytes()
+        psi = tmp_path / f"{name}.psi"
+        assert psi.exists() == (mode == "planted")
+        if mode == "planted":
+            assert psi.read_bytes() == (FROZEN / f"{name}.psi").read_bytes()
+
+    def test_to_sample(self, tmp_path):
+        out = tmp_path / "s.txt"
+        assert run("to-sample", "--in", str(FROZEN / "gen_3maj_uniform_s0.txt"), "--seed", "7", "--out", str(out)) == 0
+        assert out.read_bytes() == (FROZEN / "to_sample_3maj_uniform_s0_seed7.txt").read_bytes()
+
+    def test_game_csv(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert run("game", "--n", "16", "--delta", "16", "--trials", "4", "--seed", "0", "--out", str(out)) == 0
+        rows = [",".join(line.split(",")[:-1]) for line in read(out).splitlines()]  # drop wall_ms
+        assert rows == (FROZEN / "game_n16_delta16.csv").read_text().splitlines()
 
     def test_tradeoff_csv(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -249,6 +272,13 @@ class TestRefuteAndGame:
         assert len(read(a).strip().splitlines()) == 1 + 6
         assert (tmp_path / "a.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_is_usage_error(self, tmp_path, delta):
+        proc = cli_process("game", "--n", "8", "--delta", delta, "--trials", "1", "--out", str(tmp_path / "g.csv"))
+        assert proc.returncode == 2
+        assert "error: clause density must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_refute_cnf_is_usage_error(self, tmp_path):
         out = tmp_path / "f.cnf"
         run("gen-formula", "--kind", "3cnf", "--n", "8", "--clauses", "20", "--seed", "0", "--out", str(out))
@@ -299,7 +329,8 @@ class TestCertifyBeta:
         dec = read_decomposition(str(out), shape=(6, 6))
         assert verify_decomposition(triangular_matrix(6), dec).ok
         assert dec.beta == pytest.approx(beta)
-        assert (tmp_path / "t6.cert.manifest.json").exists()
+        manifest = json.loads(read(tmp_path / "t6.cert.manifest.json"))
+        assert manifest["flags"] == {"matrix": "tn", "n": 6, "out": str(out)}
 
     def test_unknown_matrix_family(self, tmp_path):
         assert run("certify-beta", "--matrix", "xx", "--n", "4", "--out", str(tmp_path / "x")) == 2

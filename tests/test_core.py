@@ -14,6 +14,7 @@ from oracles import (
     count_sparse_vectors,
     eval_halfspace,
     from_dense,
+    from_pairs,
     iter_sparse_vectors,
     negate,
     sample_of,
@@ -37,7 +38,7 @@ from sparsehalf.predictors import MajorityTable
 
 
 def sv(n, *pairs):
-    return SparseVector.from_pairs(n, pairs)
+    return from_pairs(n, pairs)
 
 
 class TestSparseVector:
@@ -55,7 +56,7 @@ class TestSparseVector:
         with pytest.raises(ValueError):
             SparseVector(4, ((2, 2),))  # not +-1
         with pytest.raises(ValueError):
-            SparseVector.from_pairs(4, [(2, 1), (2, -1)])  # duplicate index
+            SparseVector(4, ((2, 1), (2, -1)))  # duplicate index
 
     def test_dense_round_trip(self):
         x = sv(5, (1, -1), (4, 1))
@@ -268,8 +269,8 @@ def dense_value(phi):
     patterns = all_patterns(phi.n)
     needed = 1 if phi.kind is FormulaKind.CNF else 2
     satisfied = np.zeros(len(patterns), dtype=np.int64)
-    for clause in phi.clauses:
-        agree = sum((patterns[:, lit.var - 1] == lit.sign).astype(np.int64) for lit in clause.lits)
+    for clause in phi.lits.tolist():
+        agree = sum((patterns[:, abs(v) - 1] == np.sign(v)).astype(np.int64) for v in clause)
         satisfied += agree >= needed
     best = int(satisfied.argmax())
     return Fraction(int(satisfied[best]), phi.m), BinaryAssignment(tuple(int(v) for v in patterns[best]))

@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import iter_all_clauses, to_dense, vectors
+from oracles import clause_to_example, eval_clause, iter_all_clauses, to_dense, vectors
 from sparsehalf.core import BinaryAssignment, assignment_from_index, empirical_error
 from sparsehalf.errors import FormatError, GuardError
 from sparsehalf.formulas import (
-    Clause3,
     Formula,
     FormulaKind,
     FormulaSourceConfig,
-    Literal,
-    clause_to_example,
-    eval_clause,
     formula_to_sample,
     formula_value,
     parse_formula,
@@ -30,50 +26,71 @@ MAJ = FormulaKind.MAJ
 CNF = FormulaKind.CNF
 
 
-def clause(kind, a, b, c):
-    return Clause3.from_ints(kind, a, b, c)
+def plus_rows(phi):
+    """Each majority clause's example for coin +1, from the library's formula_to_sample."""
+    sample = formula_to_sample(phi, 0)
+    return sample.items * sample.y[:, None]
+
+
+def library_example(clause, b, n):
+    """(x, y) the library makes of one majority clause for coin b: b x its coin-(+1) row, labeled b."""
+    (x,) = vectors(b * plus_rows(Formula(n, MAJ, [clause])), n)
+    return x, b
 
 
 class TestEvalClause:
     def test_majority_two_agree(self):
         psi = BinaryAssignment((1, 1, -1, 1))
-        assert eval_clause(clause(MAJ, 1, 2, 3), psi)
+        assert eval_clause(MAJ, (1, 2, 3), psi)
 
     def test_cnf_all_disagree(self):
         psi = BinaryAssignment((1, 1, 1))
-        assert not eval_clause(clause(CNF, -1, -2, -3), psi)
+        assert not eval_clause(CNF, (-1, -2, -3), psi)
 
     def test_cnf_one_agrees(self):
         psi = BinaryAssignment((1, 1, 1))
-        assert eval_clause(clause(CNF, 1, -2, -3), psi)
+        assert eval_clause(CNF, (1, -2, -3), psi)
 
     def test_majority_is_sign_of_literal_sum(self):
         # semantic oracle: MAJ(l1,l2,l3) = sign(sum of literal values)
         rng = np.random.default_rng(0)
         for _ in range(300):
             n = int(rng.integers(3, 9))
-            ints = (rng.choice(n, 3, replace=False) + 1) * (rng.integers(0, 2, 3) * 2 - 1)
-            c = clause(MAJ, *ints.tolist())
+            c = ((rng.choice(n, 3, replace=False) + 1) * (rng.integers(0, 2, 3) * 2 - 1)).tolist()
             psi = BinaryAssignment(tuple(int(v) for v in rng.integers(0, 2, n) * 2 - 1))
-            total = sum(lit.sign * psi.bits[lit.var - 1] for lit in c.lits)
-            assert eval_clause(c, psi) == (total > 0)
+            total = sum(np.sign(v) * psi.bits[abs(v) - 1] for v in c)
+            assert eval_clause(MAJ, c, psi) == (total > 0)
 
     def test_clause_invariants(self):
+        for rows in (
+            [[1, 1, 2]],  # repeated variable
+            [[4, -4, 2]],  # repeated variable, opposite signs
+            [[0, 1, 2]],  # variable 0
+            [[1, 2, 7]],  # variable > n
+            [[1, -7, 2]],  # negated variable > n
+            [[1, 2]],  # width 2
+            [[1, 2, 3, 4]],  # width 4
+            [[1, 2, 3], [1, 2, 2]],  # the second clause repeats a variable
+        ):
+            with pytest.raises(ValueError):
+                Formula(6, MAJ, rows)
+
+    def test_literal_matrix_is_read_only_int32(self):
+        phi = Formula(6, MAJ, np.array([[-2, 3, 6]], dtype=np.int64))
+        assert phi.lits.dtype == np.int32 and phi.lits.shape == (1, 3) and phi.m == 1
         with pytest.raises(ValueError):
-            clause(MAJ, 1, 1, 2)  # repeated variable
-        with pytest.raises(ValueError):
-            Clause3(MAJ, (Literal(1, 1), Literal(2, 1)))  # type: ignore[arg-type]
+            phi.lits[0, 0] = 1
 
 
 class TestFormulaValue:
     def test_single_clause(self):
-        phi = Formula(3, MAJ, (clause(MAJ, 1, 2, 3),))
+        phi = Formula(3, MAJ, [[1, 2, 3]])
         val, witness = formula_value(phi)
         assert val == 1
-        assert eval_clause(phi.clauses[0], witness)
+        assert eval_clause(MAJ, phi.lits[0].tolist(), witness)
 
     def test_opposite_pair(self):
-        phi = Formula(3, MAJ, (clause(MAJ, 1, 2, 3), clause(MAJ, -1, -2, -3)))
+        phi = Formula(3, MAJ, [[1, 2, 3], [-1, -2, -3]])
         assert formula_value(phi)[0] == Fraction(1, 2)
 
     def test_frozen_regression(self):
@@ -103,20 +120,20 @@ class TestFormulaValue:
         for seed in range(5):
             phi = sample_formula(FormulaSourceConfig(8, 30, seed=seed), MAJ)
             val, witness = formula_value(phi)
-            attained = Fraction(sum(eval_clause(c, witness) for c in phi.clauses), phi.m)
+            attained = Fraction(sum(eval_clause(MAJ, c, witness) for c in phi.lits.tolist()), phi.m)
             assert attained == val
 
     def test_matches_naive_enumeration(self):
         # independent oracle: pure-python maximum over all assignments
         phi = sample_formula(FormulaSourceConfig(7, 25, seed=3), CNF)
         best = max(
-            sum(eval_clause(c, BinaryAssignment(assignment_from_index(i, 7))) for c in phi.clauses)
+            sum(eval_clause(CNF, c, BinaryAssignment(assignment_from_index(i, 7))) for c in phi.lits.tolist())
             for i in range(2**7)
         )
         assert formula_value(phi)[0] == Fraction(best, phi.m)
 
     def test_guard(self):
-        phi = Formula(25, MAJ, (clause(MAJ, 1, 2, 3),))
+        phi = Formula(25, MAJ, [[1, 2, 3]])
         with pytest.raises(GuardError):
             formula_value(phi)
 
@@ -124,9 +141,10 @@ class TestFormulaValue:
 class TestSampleFormula:
     def test_planted_value_is_one(self):
         psi = BinaryAssignment(tuple(1 if i % 2 else -1 for i in range(10)))
-        phi = sample_formula(FormulaSourceConfig(10, 80, mode="planted", psi=psi, seed=3), MAJ)
-        assert all(eval_clause(c, psi) for c in phi.clauses)
-        assert formula_value(phi)[0] == 1
+        for kind in (MAJ, CNF):
+            phi = sample_formula(FormulaSourceConfig(10, 80, mode="planted", psi=psi, seed=3), kind)
+            assert all(eval_clause(kind, c, psi) for c in phi.lits.tolist())
+            assert formula_value(phi)[0] == 1
 
     def test_seeds_differ(self):
         a = sample_formula(FormulaSourceConfig(12, 72, seed=1), MAJ)
@@ -138,39 +156,43 @@ class TestSampleFormula:
         # any fixed assignment satisfies a uniform majority clause w.p. exactly 1/2
         psi = BinaryAssignment(tuple(1 if i % 3 else -1 for i in range(12)))
         phi = sample_formula(FormulaSourceConfig(12, 5000, seed=77), MAJ)
-        frac = sum(eval_clause(c, psi) for c in phi.clauses) / 5000
+        frac = sum(eval_clause(MAJ, c, psi) for c in phi.lits.tolist()) / 5000
         assert abs(frac - 0.5) <= 0.03
 
 
 class TestClauseToExample:
     def test_negative_coin(self):
-        x, y = clause_to_example(clause(MAJ, -2, 3, 6), -1, 6)
+        x, y = clause_to_example((-2, 3, 6), -1, 6)
         assert list(to_dense(x)) == [0, 1, -1, 0, 0, -1]
         assert y == -1
+        assert library_example((-2, 3, 6), -1, 6) == (x, y)
 
     def test_positive_coin(self):
-        x, y = clause_to_example(clause(MAJ, 1, -2, 4), 1, 4)
+        x, y = clause_to_example((1, -2, 4), 1, 4)
         assert list(to_dense(x)) == [1, -1, 0, 1]
         assert y == 1
+        assert library_example((4, 1, -2), 1, 4) == (x, y)  # literal order does not matter
 
     def test_plain(self):
-        x, y = clause_to_example(clause(MAJ, 1, 2, 3), 1, 5)
+        x, y = clause_to_example((1, 2, 3), 1, 5)
         assert list(to_dense(x)) == [1, 1, 1, 0, 0]
         assert y == 1
+        assert library_example((3, 2, 1), 1, 5) == (x, y)
 
     def test_rejects_cnf(self):
         with pytest.raises(ValueError):
-            clause_to_example(clause(CNF, 1, 2, 3), 1, 5)
+            formula_to_sample(Formula(5, CNF, [[1, 2, 3]]), 0)
 
     def test_two_generators_per_instance(self):
         # every exactly-3-sparse instance arises from exactly one (clause, coin)
         # pair per label, hence exactly two clauses overall
         n = 5
+        clauses = list(iter_all_clauses(n))
+        rows = plus_rows(Formula(n, MAJ, clauses))
         seen = {}
-        for c in iter_all_clauses(n, MAJ):
-            for b in (1, -1):
-                x, y = clause_to_example(c, b, n)
-                seen.setdefault((x.entries, y), []).append((c, b))
+        for b in (1, -1):
+            for c, x in zip(clauses, vectors(b * rows, n)):
+                seen.setdefault((x.entries, b), []).append((c, b))
         assert all(len(v) == 1 for v in seen.values())
         by_instance = {}
         for (entries, _y), gens in seen.items():
@@ -185,7 +207,7 @@ class TestFormulaToSample:
         assert len(sample) == phi.m
         assert sample.k == 3 and sample.n == 9
         # row j is clause j's example for its own coin, which is also its label
-        examples = [clause_to_example(c, int(b), phi.n) for c, b in zip(phi.clauses, sample.y)]
+        examples = [clause_to_example(c, int(b), phi.n) for c, b in zip(phi.lits.tolist(), sample.y)]
         assert vectors(sample.items, phi.n) == [x for x, _ in examples]
         assert sample.y.tolist() == [y for _, y in examples]
 
@@ -203,7 +225,7 @@ class TestFormulaToSample:
         for _ in range(5):
             psi = BinaryAssignment(tuple(int(v) for v in rng.integers(0, 2, 9) * 2 - 1))
             h = BinaryHalfspacePredictor(psi)
-            unsat = Fraction(sum(not eval_clause(c, psi) for c in phi.clauses), phi.m)
+            unsat = Fraction(sum(not eval_clause(MAJ, c, psi) for c in phi.lits.tolist()), phi.m)
             for seed in (0, 1, 99):
                 err = empirical_error(h, formula_to_sample(phi, seed))
                 assert err == unsat
@@ -220,24 +242,26 @@ class TestFormulaToSample:
 class TestCorrespondence:
     def test_prediction_correct_iff_clause_satisfied(self):
         for n in (3, 4):
-            for c in iter_all_clauses(n, MAJ):
+            clauses = list(iter_all_clauses(n))
+            rows = plus_rows(Formula(n, MAJ, clauses))
+            for c, row in zip(clauses, rows):
                 for i in range(2**n):
                     psi = BinaryAssignment(assignment_from_index(i, n))
                     h = BinaryHalfspacePredictor(psi)
-                    sat = eval_clause(c, psi)
+                    sat = eval_clause(MAJ, c, psi)
                     for b in (1, -1):
-                        x, y = clause_to_example(c, b, n)
-                        assert (h.predict(x) == y) == sat
+                        (x,) = vectors(b * row[None], n)
+                        assert (h.predict(x) == b) == sat
 
 
 class TestDimacs:
     def test_documented_forms(self):
         phi = parse_formula("p maj3 6 1\n-2 3 6 0\n")
         assert phi.kind is MAJ and phi.n == 6
-        assert phi.clauses[0] == clause(MAJ, -2, 3, 6)
+        assert phi.lits.tolist() == [[-2, 3, 6]]
         phi = parse_formula("p cnf 3 1\n1 -2 3 0\n")
         assert phi.kind is CNF
-        assert phi.clauses[0] == clause(CNF, 1, -2, 3)
+        assert phi.lits.tolist() == [[1, -2, 3]]
 
     def test_round_trip_is_byte_identical(self):
         rng = np.random.default_rng(0)
@@ -267,6 +291,12 @@ class TestDimacs:
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_formula(text)
+
+    @pytest.mark.parametrize("n", [2**31, 10**20])
+    def test_n_beyond_int32_is_value_error(self, n):
+        # the literal matrix is int32; a literal beyond int64 must not overflow on the way
+        with pytest.raises(ValueError):
+            parse_formula(f"p maj3 {n} 1\n{n - 1} 1 2 0\n")
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)

@@ -37,7 +37,7 @@ from sparsehalf.rng import derive_seed
 
 
 def sv(n, *pairs):
-    return SparseVector.from_pairs(n, pairs)
+    return oracles.from_pairs(n, pairs)
 
 
 def labeled(n, k, xs, label_fn):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import vectors
+from oracles import from_pairs, vectors
 from sparsehalf.core import BinaryAssignment, Sample, SparseVector, sample_exact_sparse
 from sparsehalf.errors import FormatError
 from sparsehalf.learners import LearnerConfig, learn_h2, learn_h3, table_majority_learn
@@ -32,15 +32,15 @@ class TestNodes:
 
     def test_binary_prediction(self):
         node = BinaryHalfspacePredictor(BinaryAssignment((1, 1, 1, 1, 1, 1)))
-        inst = SparseVector.from_pairs(6, [(2, 1), (3, -1), (6, -1)])
+        inst = from_pairs(6, [(2, 1), (3, -1), (6, -1)])
         assert node.predict(inst) == -1
 
     def test_table_round_trip_with_zero_instance(self):
         table = MajorityTable(4, 2, {(): 1, ((1, 1), (3, -1)): -1})
         back = round_trip(table)
         assert back.predict(SparseVector(4, ())) == 1
-        assert back.predict(SparseVector.from_pairs(4, [(1, 1), (3, -1)])) == -1
-        assert back.predict(SparseVector.from_pairs(4, [(2, 1)])) == 1
+        assert back.predict(from_pairs(4, [(1, 1), (3, -1)])) == -1
+        assert back.predict(from_pairs(4, [(2, 1)])) == 1
 
     def test_matrix_round_trip_exact_floats(self):
         rng = np.random.default_rng(0)
@@ -52,7 +52,7 @@ class TestNodes:
     def test_matrix_part_mismatch_raises(self):
         node = MatrixPredictor(3, 3, np.zeros((3, 3)), realization=0)
         with pytest.raises(ValueError):
-            node.predict(SparseVector.from_pairs(3, [(1, 1), (2, 1)]))  # r=2 instance
+            node.predict(from_pairs(3, [(1, 1), (2, 1)]))  # r=2 instance
 
     def test_trained_composites_round_trip(self):
         rng = np.random.default_rng(1)

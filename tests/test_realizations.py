@@ -17,7 +17,7 @@ from sparsehalf.realizations import (
 
 
 def sv(n, *pairs):
-    return SparseVector.from_pairs(n, pairs)
+    return oracles.from_pairs(n, pairs)
 
 
 def rows(k, *xs):
