@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -66,10 +67,12 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace, outpu
         fh.write("\n")
 
 
-def _print_force_estimate(n: int, m: int) -> None:
-    flops = (1 << n) * max(m, 1) * 2
-    print(f"force: exhaustive pass over 2^{n} patterns x {m} examples, "
-          f"~{flops:.3g} flops (~{flops / 2e9:.1f} s)", file=sys.stderr)
+def _print_force_estimate(n: int, rows: int) -> None:
+    # best_pattern fills one uint64 word of pass bits per row and 64 patterns, at about
+    # 1.7e8 words a second (measured at n = 24 on one core of a 2-core AMD EPYC)
+    words = (1 << max(0, n - 6)) * max(rows, 1)
+    print(f"force: exhaustive pass over 2^{n} patterns x {rows} rows, "
+          f"~{words:.3g} row-words (~{words / 1.7e8:.1f} s)", file=sys.stderr)
 
 
 def _learner_config(args: argparse.Namespace, seed: int) -> LearnerConfig:
@@ -161,8 +164,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     with open(args.infile, "r", encoding="ascii") as fh:
         phi = parse_formula(fh.read())
-    if args.algo == "erm-binary" and phi.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(phi.n, phi.m)
     cfg = RefuterConfig(
         fraction=args.fraction,
         threshold=args.threshold,
@@ -171,6 +172,8 @@ def cmd_refute(args: argparse.Namespace) -> int:
         seed=args.seed,
         force=args.force,
     )
+    if args.algo == "erm-binary" and phi.n > EXHAUSTIVE_N_LIMIT and args.force:
+        _print_force_estimate(phi.n, math.ceil(cfg.fraction * phi.m))  # ERM sees the subsample
     verdict = refute(phi, cfg)
     print(f"{verdict.kind} err={_fmt(verdict.error)} "
           f"({verdict.error.numerator}/{verdict.error.denominator})")
@@ -187,8 +190,6 @@ def cmd_game(args: argparse.Namespace) -> int:
         modes=tuple(args.modes.split(",")),
         base_seed=args.seed,
     )
-    if args.algo == "erm-binary" and args.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(args.n, game.clause_count)
     refuter = RefuterConfig(
         fraction=args.fraction,
         threshold=args.threshold,
@@ -196,6 +197,8 @@ def cmd_game(args: argparse.Namespace) -> int:
         learner_config=_learner_config(args, 0),
         force=args.force,
     )
+    if args.algo == "erm-binary" and args.n > EXHAUSTIVE_N_LIMIT and args.force:
+        _print_force_estimate(args.n, math.ceil(refuter.fraction * game.clause_count))
     stats = refutation_game(game, refuter)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n")

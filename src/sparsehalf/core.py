@@ -174,36 +174,86 @@ def assignment_from_index(index: int, n: int) -> tuple[int, ...]:
     return tuple(1 if ((index >> (n - 1 - j)) & 1) == 0 else -1 for j in range(n))
 
 
+#: best_pattern counts the patterns of its trailing BLOCK_BITS coordinates at
+#: once, in batches of at most BATCH_WORDS uint64 words of pass bits.
+BLOCK_BITS, BATCH_WORDS = 16, 1 << 15
+
+
+def add_to_counter(planes: np.ndarray, passed: np.ndarray) -> np.ndarray:
+    """Binary counter planes (``planes[j]``: bit j of each lane's count) plus one per set bit of ``passed``."""
+    out, column = [], np.concatenate([passed, planes[:1]])
+    while len(column):  # full adders reduce each weight's bits to one, carrying into the next weight
+        carries = [planes[len(out) + 1:len(out) + 2]]
+        while len(column) > 2:
+            k = len(column) // 3
+            a, b, c = column[:k], column[k:2 * k], column[2 * k:3 * k]
+            ab = a ^ b
+            carries.append(a & b | c & ab)
+            c ^= ab
+            column = column[2 * k:]  # the sums, then the rows left over
+        if len(column) == 2:
+            carries.append(column[:1] & column[1:])
+            column = column[:1] ^ column[1:]
+        out.append(column[0])
+        column = np.concatenate(carries)
+    return np.array(out)
+
+
 def best_pattern(rows: np.ndarray, above: np.ndarray) -> tuple[int, int]:
     """(count, index): the most rows with <row, w> > above[row] over all +-1 patterns w.
 
-    ``rows`` is an int8 m x n matrix and ``above`` an m-vector of thresholds.
-    Patterns are numbered as in :func:`assignment_from_index`; ``index`` is
-    the first maximizer, the lexicographically first under +1 < -1.  The
-    margins of the trailing ``low`` coordinates minus ``above`` are tabulated
-    once (2^low x m int16, at most 2^24 entries); each pattern of the leading
-    coordinates is then one comparison of that table against its negated
-    margins.
+    ``rows`` is an int8 m x n matrix over {-1, 0, +1} and ``above`` an
+    m-vector.  ``index`` is the first maximizer in :func:`assignment_from_index`
+    order, the lexicographically first under +1 < -1.  Bit-sliced: a row with
+    nnz nonzeros passes when t = floor((nnz + above) / 2) + 1 of them agree
+    with w.  Each block of 2^BLOCK_BITS patterns, 64 to a uint64 word, fixes
+    the leading coordinates, which fold into every row's t: rows with t <= 0
+    pass throughout the block, rows with t > nnz nowhere, and the others' pass
+    bits, built from one bitset per literal, go into binary counter planes.
+    A later block's maximum must beat an earlier one's strictly.
     """
     m, n = rows.shape
-    low = min(n, 16, max(0, 24 - m.bit_length()))
-    high = n - low
-    margins = np.empty((1 << low, m), dtype=np.int16)
-    margins[0] = -above
-    for bit in range(low):  # double the table: coordinate n - bit is +1 in the first half
-        size = 1 << bit
-        col = rows[:, n - 1 - bit]
-        np.subtract(margins[:size], col, out=margins[size:2 * size])
-        margins[:size] += col
-    high_rows = rows[:, :high].astype(np.int16)
-    passed = np.empty(margins.shape, dtype=bool)
+    low = min(n, BLOCK_BITS)
+    high, words = n - low, 1 << max(0, low - 6)
+    word_index = np.arange(words, dtype=np.uint64)
+    agree = np.zeros((2 * low + 1, words), dtype=np.uint64)  # literal code -> its agreeing lanes; 0 never agrees
+    for j, bit in enumerate(reversed(range(low))):  # trailing coordinate j is -1 where this index bit is set
+        agree[2 + 2 * j] = (sum(1 << lane for lane in range(64) if lane >> bit & 1) if bit < 6
+                            else np.where(word_index >> np.uint64(bit - 6) & np.uint64(1), ~np.uint64(0), 0))
+    agree[1::2] = ~agree[2::2]
+    valid = np.full(words, (1 << (1 << min(low, 6))) - 1, dtype=np.uint64)
+
+    trailing = rows[:, high:]
+    nnz = np.count_nonzero(trailing, axis=1)
+    codes = np.where(trailing != 0, np.arange(1, 2 * low, 2, dtype=np.int32) + (trailing < 0), 0)
+    literals = -np.sort(-codes, axis=1)[:, :int(nnz.max(initial=0))]  # each row's codes first, then 0
+    leading, base = rows[:, :high].astype(np.int64), nnz + np.asarray(above, dtype=np.int64)
+    batch = max(1, BATCH_WORDS // words)
     best_count, best_index = -1, 0
     for prefix in range(1 << high):
-        negated = high_rows @ -np.array(assignment_from_index(prefix, high), dtype=np.int16)
-        counts = np.count_nonzero(np.greater(margins, negated, out=passed), axis=1)
-        local = int(counts.argmax())
-        if counts[local] > best_count:
-            best_count, best_index = int(counts[local]), (prefix << low) | local
+        need = (base - leading @ np.array(assignment_from_index(prefix, high), dtype=np.int64)) // 2 + 1
+        live, sure = np.flatnonzero((need > 0) & (need <= nnz)), int(np.count_nonzero(need <= 0))
+        if sure + len(live) <= best_count:  # the block cannot beat an earlier one
+            continue
+        planes = np.zeros((0, words), dtype=np.uint64)
+        for start in range(0, len(live), batch):
+            pick = live[start:start + batch]
+            reach = np.zeros((int(need[pick].max()), len(pick), words), dtype=np.uint64)  # reach[c]: > c agree
+            for i in range(literals.shape[1]):
+                lit = agree[literals[pick, i]]
+                for c in range(min(i, len(reach) - 1), 0, -1):
+                    reach[c] |= reach[c - 1] & lit
+                reach[0] |= lit
+            planes = add_to_counter(planes, reach[need[pick] - 1, np.arange(len(pick))])
+        count, candidates = 0, valid
+        for bit in reversed(range(len(planes))):
+            hit = candidates & planes[bit]
+            if hit.any():
+                count, candidates = count | 1 << bit, hit
+        if sure + count > best_count:
+            word = int(np.flatnonzero(candidates)[0])
+            lowest = int(candidates[word]) & -int(candidates[word])
+            best_count, best_index = sure + count, (prefix << low) | word << 6 | lowest.bit_length() - 1
     return best_count, best_index
 
 

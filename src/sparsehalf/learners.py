@@ -53,12 +53,12 @@ class LearnerConfig:
     epochs: int = 10
 
     def __post_init__(self) -> None:
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and positive: got {self.beta}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and positive: got {self.eta}")
 
 
 def table_majority_learn(sample: Sample) -> MajorityTable:

@@ -124,6 +124,16 @@ class TestToSampleLearnEval:
             errs[algo] = float(capsys.readouterr().out.split()[1])
         assert errs["table"] <= errs["erm-binary"]
 
+    @pytest.mark.parametrize("flag", ["--beta", "--eta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learner_flag_is_usage_error(self, planted, tmp_path, capsys, flag, value):
+        data = tmp_path / "s.txt"
+        run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
+        model = tmp_path / "h3.model"
+        assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(model), flag, value) == 2
+        assert f"error: {flag[2:]} must be finite and positive" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_eval_on_garbage_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a sample\n")
@@ -271,6 +281,13 @@ class TestRefuteAndGame:
         assert strip_wall(read(a)) == strip_wall(read(b))
         assert len(read(a).strip().splitlines()) == 1 + 6
         assert (tmp_path / "a.csv.manifest.json").exists()
+
+    def test_force_estimate_prices_the_subsample(self, tmp_path, capsys):
+        out = tmp_path / "big.maj3"
+        run("gen-formula", "--kind", "3maj", "--n", "25", "--clauses", "7", "--mode", "planted", "--seed", "0",
+            "--out", str(out))
+        assert run("refute", "--in", str(out), "--fraction", "0.5", "--force") == 0
+        assert "force: exhaustive pass over 2^25 patterns x 4 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("delta", ["inf", "nan"])
     def test_non_finite_delta_is_usage_error(self, tmp_path, delta):

@@ -1,7 +1,9 @@
 """Vocabulary layer: instances, halfspaces, samples, exact error, binary ERM."""
 
 import gc
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ from oracles import (
     to_dense,
     vectors,
 )
+from sparsehalf import core
 from sparsehalf.core import (
     BinaryAssignment,
     Sample,
     SparseVector,
     assignment_from_index,
+    best_pattern,
     empirical_error,
     erm_binary_halfspace,
     parse_sample,
@@ -240,9 +244,9 @@ def bit_string(psi):
     return "".join("+" if b > 0 else "-" for b in psi.bits)
 
 
-#: above the 16 trailing coordinates best_pattern tabulates, so its loop over
-#: leading-coordinate patterns runs more than once
-SPLIT_N = 18
+#: two coordinates above the trailing ones a best_pattern block covers, so
+#: the patterns of the leading coordinates make four blocks
+SPLIT_N = core.BLOCK_BITS + 2
 
 
 def all_patterns(n):
@@ -276,6 +280,63 @@ def dense_value(phi):
     return Fraction(int(satisfied[best]), phi.m), BinaryAssignment(tuple(int(v) for v in patterns[best]))
 
 
+@st.composite
+def blocking(draw):
+    """Block and batch sizes for best_pattern, from one-lane blocks and one-row batches up."""
+    return draw(st.integers(1, core.BLOCK_BITS)), draw(st.sampled_from((1, 3, 64, core.BATCH_WORDS)))
+
+
+@st.composite
+def dense_checked_samples(draw):
+    """n <= 12, any k <= n, up to 16 rows of any sparsity, and zero rows of either label."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    m = draw(st.integers(0, 16))
+    items = np.zeros((m, k), dtype=np.int32)
+    for row in range(m):
+        index = sorted(draw(st.sets(st.integers(1, n), max_size=k)))
+        items[row, :len(index)] = [i * draw(st.sampled_from((-1, 1))) for i in index]
+    labels = draw(st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m))
+    zeros = draw(st.lists(st.sampled_from((-1, 1)), max_size=3))  # +1 always right, -1 never
+    items = np.concatenate([items, np.zeros((len(zeros), k), dtype=np.int32)])
+    return Sample(k, n, items, labels + zeros)
+
+
+class TestBestPatternAgainstDense:
+    """(count, first index) of the bit-sliced kernel against scoring every pattern densely."""
+
+    @given(dense_checked_samples(), blocking())
+    @settings(max_examples=150, deadline=None)
+    def test_erm(self, sample, sizes):
+        bits, batch = sizes
+        with mock.patch.object(core, "BLOCK_BITS", bits), mock.patch.object(core, "BATCH_WORDS", batch):
+            found = erm_binary_halfspace(sample)
+        if len(sample):
+            assert found == tuple(reversed(dense_erm(sample)))
+
+    @given(st.integers(3, 12), st.integers(1, 40), st.sampled_from(list(FormulaKind)), st.integers(0, 2**32),
+           blocking())
+    @settings(max_examples=100, deadline=None)
+    def test_formula_value(self, n, m, kind, seed, sizes):
+        phi = sample_formula(FormulaSourceConfig(n, m, seed=seed), kind)
+        bits, batch = sizes
+        with mock.patch.object(core, "BLOCK_BITS", bits), mock.patch.object(core, "BATCH_WORDS", batch):
+            assert formula_value(phi) == dense_value(phi)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_n_at_the_default_block(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            xs = np.zeros((12, k), dtype=np.int32)
+            for row in range(len(xs)):
+                index = np.sort(rng.choice(n, size=int(rng.integers(0, k + 1)), replace=False)) + 1
+                xs[row, :len(index)] = index * rng.choice([-1, 1], size=len(index))
+            sample = Sample(k, n, np.concatenate([xs, np.zeros((2, k), dtype=np.int32)]),
+                            coin_labels(rng, len(xs)) + [1, -1])
+            psi, err = erm_binary_halfspace(sample)
+            assert (err, psi) == dense_erm(sample)
+
+
 class TestEnumerationSplit:
     @pytest.mark.parametrize("kind", [FormulaKind.MAJ, FormulaKind.CNF])
     def test_formula_value(self, kind):
@@ -306,6 +367,43 @@ class TestEnumerationSplit:
         psi, err = erm_binary_halfspace(trailing)
         assert (err, psi) == (Fraction(0), BinaryAssignment(assignment_from_index(3, n)))
         assert (err, psi) == dense_erm(trailing)
+
+    def test_first_maximizer_in_a_later_block(self):
+        n = SPLIT_N
+        # w1 = -1 is forced and the x_n pair splits: the optimum 2/3 first holds in the third block
+        later = sample_of(1, n, [sv(n, (1, -1)), sv(n, (n, 1)), sv(n, (n, -1))], [1, 1, 1])
+        psi, err = erm_binary_halfspace(later)
+        assert (err, psi) == (Fraction(1, 3), BinaryAssignment(assignment_from_index(2 << (n - 2), n)))
+        assert (err, psi) == dense_erm(later)
+
+    def test_tie_across_blocks_goes_to_the_earlier_block(self):
+        n = SPLIT_N
+        # w1 = +1 is forced and the x_n pair splits: blocks one and two reach the same
+        # count, and each could hold one more, so neither is skipped
+        tie = sample_of(1, n, [sv(n, (1, 1)), sv(n, (n, 1)), sv(n, (n, -1))], [1, 1, 1])
+        psi, err = erm_binary_halfspace(tie)
+        assert (err, psi) == (Fraction(1, 3), BinaryAssignment((1,) * n))
+        assert (err, psi) == dense_erm(tie)
+        rows = np.zeros((3, n), dtype=np.int8)
+        rows[[0, 1, 2], [0, n - 1, n - 1]] = [1, 1, -1]
+        assert best_pattern(rows, np.zeros(3)) == (2, 0)
+
+
+class TestBestPatternMemory:
+    def test_peak_does_not_grow_with_leading_coordinates(self):
+        """Two more leading coordinates give four blocks of the same size, not four times the memory."""
+        peaks = {}
+        for n in (core.BLOCK_BITS, core.BLOCK_BITS + 2):
+            phi = sample_formula(FormulaSourceConfig(n, 64, seed=n), FormulaKind.MAJ)
+            rows = np.zeros((phi.m, n), dtype=np.int8)
+            np.put_along_axis(rows, np.abs(phi.lits) - 1, np.sign(phi.lits), axis=1)
+            tracemalloc.start()
+            try:
+                best_pattern(rows, np.zeros(phi.m))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[core.BLOCK_BITS + 2] <= 1.1 * peaks[core.BLOCK_BITS]
 
 
 class TestInstanceSpace:

@@ -154,7 +154,8 @@ class TestMatrixMwLearn:
         stepwise = oracles.matrix_mw_learn_stepwise
         for n_cells, epochs in [(1, 10), (1, 2), (5, 2), (5, 10)]:
             cells = [(1 + i % 2, 1 + i // 2 % 2, 1 - 2 * (i % 3 == 0)) for i in range(n_cells)]
-            cfg = LearnerConfig(seed=0, eta=float("nan"), epochs=epochs)
+            # finite settings whose steps overflow: LearnerConfig refuses nan and inf
+            cfg = LearnerConfig(seed=0, eta=1e308, beta=1e308, epochs=epochs)
             with pytest.raises(NumericError) as ref:
                 stepwise([((r, c), l) for r, c, l in cells], (2, 2), cfg)
             with pytest.raises(NumericError) as got:
