@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .core import (
     BinaryAssignment,
     Sample,
-    SparseVector,
     empirical_error,
     erm_binary_halfspace,
     parse_sample,
@@ -31,7 +30,6 @@ from .formulas import (
     serialize_formula,
 )
 from .decompmat import (
-    CertifierConfig,
     Decomposition,
     certify_min_beta,
     delete_rowcol_decomposition,

@@ -1,13 +1,12 @@
 """Sparse sign instances, binary halfspace weights, labeled samples, exact error.
 
 Instances are vectors in {-1, 0, +1}^n with at most k nonzero coordinates.
-One instance on its own is a :class:`SparseVector` of ordered (index, value)
-pairs with 1-based indices.  A :class:`Sample` keeps its instances as one
-integer matrix with a row per instance: each nonzero is written as its
-signed index value * index, in ascending index order, and the row ends in
-zero padding.  Dense expansion is always an explicit conversion.  Empirical
-error is exact rational arithmetic (``fractions.Fraction``).  The sign
-convention is fixed package-wide: sign(0) = +1.
+Every instance in the package is one signed-index row: each nonzero is
+written as its signed index value * index (indices 1-based), in ascending
+index order, and the row ends in zero padding.  A :class:`Sample` keeps its
+instances as one integer matrix with a row per instance.  Empirical error is
+exact rational arithmetic (``fractions.Fraction``).  The sign convention is
+fixed package-wide: sign(0) = +1.
 
 Text format for labeled samples (shared with the CLI)::
 
@@ -25,58 +24,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import FormatError, GuardError
 from .rng import generator
 
-Label = int
-
 #: Largest n for which the 2^n exhaustive paths (ERM, formula value) will run
 #: without an explicit override.
 EXHAUSTIVE_N_LIMIT = 24
-
-
-def sign_pm(value: float) -> Label:
-    """sign with the package convention sign(0) = +1."""
-    return 1 if value >= 0 else -1
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """At most k nonzero +-1 coordinates of an n-dimensional vector.
-
-    ``entries`` holds (index, value) pairs with strictly increasing 1-based
-    indices; zero coordinates are never stored.  The sparsity bound k is kept
-    on the surrounding :class:`Sample`, not per vector.
-    """
-
-    n: int
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive: got {self.n}")
-        entries = tuple((int(i), int(v)) for i, v in self.entries)
-        last = 0
-        for idx, val in entries:
-            if not last < idx <= self.n:
-                raise ValueError(f"indices must be strictly increasing in [1, {self.n}]")
-            if val not in (-1, 1):
-                raise ValueError(f"entry values must be +-1: got {val}")
-            last = idx
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-
-def row_entries(row: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """The (index, value) pairs of one signed-index row, padding dropped."""
-    return tuple((abs(v), 1 if v > 0 else -1) for v in row if v)
 
 
 def distinct_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,10 +261,17 @@ def sample_exact_sparse(n: int, k: int, count: int, seed: int) -> np.ndarray:
 _HEADER_RE = re.compile(r"#\s*sparse-sample\s+n=(\d+)\s+k=(\d+)\s*$")
 
 
+def format_instance(row: Sequence[int]) -> str:
+    """One signed-index row written as ``idx:val`` tokens; the zero vector is empty."""
+    return " ".join(f"{v}:+1" if v > 0 else f"{-v}:-1" for v in row if v)
+
+
 def serialize_sample(sample: Sample) -> str:
+    if sample.k > sample.n:  # parse_sample refuses such a header
+        raise ValueError(f"the text format holds k <= n: got k={sample.k}, n={sample.n}")
     lines = [f"# sparse-sample n={sample.n} k={sample.k}"]
     for label, row in zip(sample.y.tolist(), sample.items.tolist()):
-        lines.append(" ".join([f"{label:+d}"] + [f"{v}:+1" if v > 0 else f"{-v}:-1" for v in row if v]))
+        lines.append(f"{label:+d} {format_instance(row)}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -347,6 +311,8 @@ def parse_sample(text: str) -> Sample:
     if header is None:
         raise FormatError("empty sample file: missing header")
     n, k = int(header.group(1)), int(header.group(2))
+    if not 1 <= n <= np.iinfo(np.int32).max or k > n:  # a row holds at most n distinct indices
+        raise FormatError(f"header needs 1 <= n < 2^31 and k <= n: got n={n}, k={k}")
 
     labels: list[int] = []
     signed: list[int] = []  # the rows, zero-padded to k and laid end to end

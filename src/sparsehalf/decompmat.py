@@ -12,8 +12,8 @@ diagonal entry of both at most beta.  This module provides:
   reconstruction set, the two PSD cones, and the diagonal cap.
 
 The certified value is an upper bound on the true minimal beta up to the
-configured tolerances.  Dense float64 matrices only, with
-a 256-dimension guard on the certifier.
+tolerances below.  Dense float64 matrices only, with a 256-dimension guard
+on the certifier.
 """
 
 from __future__ import annotations
@@ -66,30 +66,6 @@ class Decomposition:
     @property
     def d(self) -> int:
         return int(self.P.shape[0])
-
-
-@dataclass(frozen=True)
-class CertifierConfig:
-    """Tolerances and budgets for ``certify_min_beta``.
-
-    ``tolerance`` is the feasibility tolerance Dykstra must reach before a
-    beta is declared feasible; ``beta_resolution`` stops the bisection.  When
-    ``beta_hi`` is None the spectral-split bound is used, which is always
-    feasible.
-    """
-
-    tolerance: float = 1e-7
-    max_iterations: int = 2000
-    beta_hi: float | None = None
-    beta_resolution: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.beta_hi is not None and self.beta_hi <= 0:
-            raise ValueError("beta_hi must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("iteration counts must be positive")
 
 
 @dataclass(frozen=True)
@@ -301,6 +277,10 @@ def diagonal_decomposition(D: np.ndarray) -> Decomposition:
 #: Dykstra iterations between feasibility checks
 _CHECK_EVERY = 20
 
+#: the violation Dykstra must get below for a beta to count as feasible, its
+#: iteration budget per beta, and the width at which the bisection stops
+TOLERANCE, MAX_ITERATIONS, BETA_RESOLUTION = 1e-7, 2000, 1e-3
+
 
 def _project_affine(P: np.ndarray, N: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual = S - (P - N)
@@ -333,7 +313,6 @@ def _dykstra_feasible(
     S: np.ndarray,
     beta: float,
     start: tuple[np.ndarray, np.ndarray],
-    cfg: CertifierConfig,
 ) -> tuple[bool, tuple[np.ndarray, np.ndarray]]:
     """Search for (P, N) with P - N = S, both PSD, diagonals <= beta.
 
@@ -355,7 +334,7 @@ def _dykstra_feasible(
 
     prev_P = P.copy()
     prev_N = N.copy()
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         vP, vN = P + inc_aff_P, N + inc_aff_N
         P, N = _project_affine(vP, vN, S)
         inc_aff_P, inc_aff_N = vP - P, vN - N
@@ -373,12 +352,12 @@ def _dykstra_feasible(
         N = _project_diag_cap(vN, beta)
         inc_cap_P, inc_cap_N = vP - P, vN - N
 
-        if iteration % _CHECK_EVERY == 0 or iteration == cfg.max_iterations:
+        if iteration % _CHECK_EVERY == 0 or iteration == MAX_ITERATIONS:
             gap = _violations(P, N, S, beta)
-            if gap <= cfg.tolerance:
+            if gap <= TOLERANCE:
                 return True, (P, N)
             delta = max(np.abs(P - prev_P).max(initial=0.0), np.abs(N - prev_N).max(initial=0.0))
-            if delta <= cfg.tolerance * 1e-2:
+            if delta <= TOLERANCE * 1e-2:
                 return False, (P, N)  # stalled short of the intersection
             prev_P, prev_N = P.copy(), N.copy()
     return False, (P, N)
@@ -410,20 +389,17 @@ def _repair(
     return Decomposition(P, N, max(beta, max_diag), shape=shape)
 
 
-def certify_min_beta(
-    W: np.ndarray, cfg: CertifierConfig | None = None
-) -> tuple[float, Decomposition]:
+def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
     """Bisect on beta for the smallest value Dykstra can certify feasible.
 
     The bisection starts from the nuclear-norm lower bound ||sym(W)||_* / (2d),
     so a spectral split already at that bound (as for the triangular
     matrices) needs no Dykstra run at all.
 
-    Returns the certified beta (an upper bound on the true minimum) and a repaired decomposition that passes ``verify_decomposition``
-    at its default tolerances.  Raises :class:`NumericError` when no feasible
-    beta is found at or below the configured upper bound.
+    Returns the certified beta (an upper bound on the true minimum, and at
+    most the spectral split's) and a repaired decomposition that passes
+    ``verify_decomposition`` at its default tolerances.
     """
-    cfg = cfg or CertifierConfig()
     W = check_sign_matrix(np.asarray(W))
     n, m = W.shape
     if n + m > MAX_CERTIFY_DIM:
@@ -431,24 +407,15 @@ def certify_min_beta(
     S = symmetrize(W)
     spectral = spectral_split(S, shape=(n, m))
 
-    if cfg.beta_hi is None:
-        hi = spectral.beta
-        best_point = (spectral.P.copy(), spectral.N.copy())
-    else:
-        hi = float(cfg.beta_hi)
-        feasible, point = _dykstra_feasible(S, hi, (spectral.P.copy(), spectral.N.copy()), cfg)
-        if not feasible:
-            raise NumericError(f"no feasible beta found at or below beta_hi={hi}")
-        best_point = point
-
+    hi, best_point = spectral.beta, (spectral.P.copy(), spectral.N.copy())
     # tr P + tr N >= ||S||_* for every decomposition, and the trace sum is at
     # most 2 d beta, so no beta below ||S||_* / (2d) is feasible; the spectral
     # split meets the nuclear norm with equality.
     bound = (np.trace(spectral.P) + np.trace(spectral.N)) / (2.0 * spectral.d)
     lo = min(max(float(bound), 0.0), hi)
-    while hi - lo > cfg.beta_resolution:
+    while hi - lo > BETA_RESOLUTION:
         mid = (hi + lo) / 2.0
-        feasible, point = _dykstra_feasible(S, mid, best_point, cfg)
+        feasible, point = _dykstra_feasible(S, mid, best_point)
         if feasible:
             hi = mid
             best_point = point
@@ -465,10 +432,10 @@ def certify_min_beta(
 _T_CERT_CACHE: dict[int, Decomposition] = {}
 
 
-def t_certificate(n: int, cfg: CertifierConfig | None = None) -> Decomposition:
+def t_certificate(n: int) -> Decomposition:
     """Certified decomposition of the n x n triangular sign matrix, memoized."""
     if n not in _T_CERT_CACHE:
-        _, dec = certify_min_beta(triangular_matrix(n), cfg)
+        _, dec = certify_min_beta(triangular_matrix(n))
         _T_CERT_CACHE[n] = dec
     return _T_CERT_CACHE[n]
 
@@ -487,7 +454,6 @@ def row_threshold_matrix(thresholds: Iterable[int]) -> np.ndarray:
 def row_threshold_decomposition(
     thresholds: Iterable[int],
     base: Decomposition | None = None,
-    cfg: CertifierConfig | None = None,
 ) -> tuple[np.ndarray, Decomposition]:
     """Sign matrix whose row i is -1 up to thresholds[i] then +1, with certificate.
 
@@ -505,7 +471,7 @@ def row_threshold_decomposition(
     n = len(t)
     m = n + 1
     if base is None:
-        base = t_certificate(m, cfg)
+        base = t_certificate(m)
     if base.shape is None or base.shape != (m, m) or base.d != 2 * m:
         raise ValueError(f"base certificate must decompose the {m}x{m} triangular matrix")
     # symmetrization coordinates in the base: row block for level t_i, then column blocks

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Label, Sample, distinct_rows, erm_binary_halfspace, row_entries
+from .core import Sample, distinct_rows, erm_binary_halfspace
 from .errors import GuardError, NumericError
 from .predictors import (
     BinaryHalfspacePredictor,
@@ -65,8 +65,7 @@ def table_majority_learn(sample: Sample) -> MajorityTable:
     """Majority label per distinct instance; ties and unseen instances -> +1."""
     distinct, inverse = distinct_rows(sample.items)
     votes = np.bincount(inverse, weights=sample.y, minlength=len(distinct))
-    table = {row_entries(row): (1 if total >= 0 else -1) for row, total in zip(distinct.tolist(), votes.tolist())}
-    return MajorityTable(sample.n, sample.k, table)
+    return MajorityTable(sample.n, sample.k, distinct, np.where(votes >= 0, 1, -1))
 
 
 def _eg_margins(C: np.ndarray, tau: float, d: int) -> tuple[np.ndarray, float]:
@@ -75,7 +74,8 @@ def _eg_margins(C: np.ndarray, tau: float, d: int) -> tuple[np.ndarray, float]:
     The PSD pair is exp(sym(C)) and exp(-sym(C)) rescaled to the trace cap;
     via the SVD C = U S V^T the margin block is 2c U sinh(S) V^T and the raw
     trace is 2 (sum_k 2 cosh(S_k) + d - 2K).  Large spectra are evaluated in
-    a scaled domain so nothing overflows.
+    a scaled domain so nothing overflows; a spectrum too large even for that
+    gives non-finite margins, silently, for the caller to report.
     """
     U, S, Vt = np.linalg.svd(C, full_matrices=False)
     K = S.size
@@ -85,22 +85,25 @@ def _eg_margins(C: np.ndarray, tau: float, d: int) -> tuple[np.ndarray, float]:
         scale = 1.0 if trace_raw <= tau else tau / trace_raw
         margins = (U * (2.0 * scale * np.sinh(S))) @ Vt
         return margins, float(min(trace_raw, tau))
-    up = np.exp(S - smax)
-    down = np.exp(-S - smax)
-    scaled_trace = 2.0 * ((up + down).sum() + (d - 2 * K) * math.exp(-smax))
-    margins = (U * (tau * (up - down) / scaled_trace)) @ Vt
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = np.exp(S - smax)
+        down = np.exp(-S - smax)
+        scaled_trace = 2.0 * ((up + down).sum() + (d - 2 * K) * math.exp(-smax))
+        margins = (U * (tau * (up - down) / scaled_trace)) @ Vt
     return margins, tau
 
 
 def matrix_mw_learn(
-    cells: np.ndarray | Sequence[tuple[int, int, Label]],
+    cells: np.ndarray | Sequence[tuple[int, int, int]],
     dims: tuple[int, int],
     cfg: LearnerConfig,
-    realization: int | None = None,
+    realization: int,
 ) -> MatrixPredictor:
     """Learn +-1 labels of matrix cells by matrix exponentiated gradient.
 
-    ``cells`` holds one (row, col, label) triple per example, 1-based.
+    ``cells`` holds one (row, col, label) triple per example, 1-based, and
+    ``realization`` tags the predictor with the coordinate-sum part r whose
+    cell map produced them.
     Maintains a PSD pair (P, N) of size rows+cols with trace(P) + trace(N)
     capped at tau; each example incurs the hinge loss on the (P - N) margin
     at its cell, the accumulated negative gradient is exponentiated

@@ -8,8 +8,7 @@ Four node kinds, composed into trees by the composite router node:
 * ``composite`` -- routes an instance to a per-part child predictor.
 
 Every node labels a whole instance matrix at once (``predict_many``, rows in
-the signed-index form of ``core.Sample``); ``predict`` is that applied to a
-single instance.
+the signed-index form of ``core.Sample``).
 
 Serialization is line-based text: a tagged header per node followed by its
 payload (table rows in the sparse-sample instance syntax, matrices row
@@ -22,9 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryAssignment, Label, SparseVector, distinct_rows, parse_instance, row_entries, sign_pm
+from .core import BinaryAssignment, Sample, distinct_rows, format_instance, parse_instance
 from .errors import FormatError
 from .realizations import PARTITIONS, group_rows, part_of_c2, part_order, realize_c2, route_rows
+
+#: The label of an unseen instance and of a part with no examples.
+DEFAULT_LABEL = 1
 
 
 def _check_n(node_n: int, n: int) -> None:
@@ -39,39 +41,58 @@ class TrainedPredictor:
         """int8 +-1 labels of n-dimensional signed-index instance rows (see ``core.Sample``)."""
         raise NotImplementedError
 
-    def predict(self, x: SparseVector) -> Label:
-        return int(self.predict_many(np.array([[v * i for i, v in x.entries]], dtype=np.int32), x.n)[0])
-
 
 @dataclass
 class MajorityTable(TrainedPredictor):
-    """Majority label per distinct seen instance; ties and unseen go to +1."""
+    """Majority label per distinct seen instance; unseen instances get +1.
+
+    ``rows`` holds the distinct seen instances as an int32 matrix of
+    signed-index rows, at most k wide, and ``labels`` their int8 +-1 labels.
+    Both are checked once, here, and sorted into model-file order: by the
+    first nonzero's index, then its value (-1 first), then the next nonzero,
+    with a shorter row before any row it is a prefix of.
+    """
 
     n: int
     k: int
-    table: dict[tuple[tuple[int, int], ...], Label]
-    default: Label = 1
+    rows: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or rows.shape[1] > self.k:
+            raise ValueError(f"table rows must form a matrix at most k={self.k} wide: got shape {rows.shape}")
+        table = Sample(rows.shape[1], self.n, rows, self.labels)  # checks indices, padding and labels
+        codes = 2 * np.abs(table.items) + (table.items > 0)  # padding 0 sorts first
+        order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
+        self.rows, self.labels = table.items[order], table.y[order]
+        if (self.rows[1:] == self.rows[:-1]).all(axis=1).any():
+            raise ValueError("table repeats a row")
 
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
         _check_n(self.n, n)
-        distinct, inverse = distinct_rows(rows)
-        labels = [self.table.get(row_entries(row), self.default) for row in distinct.tolist()]
-        return np.array(labels, dtype=np.int8)[inverse]
+        # zero-pad both sides to one width, so a query wider than the table matches no row
+        width = max(self.rows.shape[1], rows.shape[1])
+        both = np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in (self.rows, rows)])
+        distinct, inverse = distinct_rows(both)
+        label_of = np.full(len(distinct), DEFAULT_LABEL, dtype=np.int8)
+        label_of[inverse[:len(self.rows)]] = self.labels
+        return label_of[inverse[len(self.rows):]]
 
 
 @dataclass
 class MatrixPredictor(TrainedPredictor):
     """sign of a real score matrix read at an instance's cell (0 -> +1).
 
-    ``realization`` names the two-sparse part whose cell map the matrix was
-    trained under; without it the predictor only answers ``predict_cell``.
-    ``max_trace`` is a training diagnostic (largest capped trace seen).
+    ``realization`` names the coordinate-sum part r whose cell map the matrix
+    was trained under.  ``max_trace`` is a training diagnostic (largest
+    capped trace seen).
     """
 
     n_rows: int
     n_cols: int
     scores: np.ndarray
-    realization: int | None = None
+    realization: int
     max_trace: float = 0.0
     trace_cap: float = float("inf")
 
@@ -81,12 +102,7 @@ class MatrixPredictor(TrainedPredictor):
             raise ValueError("score matrix shape mismatch")
         self.scores = scores
 
-    def predict_cell(self, row: int, col: int) -> Label:
-        return sign_pm(self.scores[row - 1, col - 1])
-
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
-        if self.realization is None:
-            raise ValueError("matrix predictor has no realization tag; use predict_cell")
         if (n, n) != (self.n_rows, self.n_cols):
             raise ValueError(f"dimension mismatch: instances have n={n}, matrix is {self.n_rows}x{self.n_cols}")
         parts = part_of_c2(rows)
@@ -125,12 +141,11 @@ class CompositePredictor(TrainedPredictor):
     router_name: str
     n: int
     children: dict[int, TrainedPredictor] = field(default_factory=dict)
-    default: Label = 1
 
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
         _check_n(self.n, n)
         parts, child_rows = route_rows(self.router_name, rows, n)
-        labels = np.full(len(rows), self.default, dtype=np.int8)
+        labels = np.full(len(rows), DEFAULT_LABEL, dtype=np.int8)
         for part, where in group_rows(parts).items():
             child = self.children.get(part)
             if child is not None:
@@ -160,14 +175,11 @@ def _emit(node: TrainedPredictor, out: list[str]) -> None:
         out.append(f"binary {node.psi.n}")
         out.append(" ".join(f"{b:+d}" for b in node.psi.bits))
     elif isinstance(node, MajorityTable):
-        out.append(f"table {node.n} {node.k} {len(node.table)}")
-        for entries in sorted(node.table):
-            inst = " ".join(f"{i}:{v:+d}" for i, v in entries)
-            label = node.table[entries]
-            out.append(f"{inst} -> {label:+d}" if inst else f"-> {label:+d}")
+        out.append(f"table {node.n} {node.k} {len(node.rows)}")
+        for row, label in zip(node.rows.tolist(), node.labels.tolist()):
+            out.append(f"{format_instance(row)} -> {label:+d}".lstrip())
     elif isinstance(node, MatrixPredictor):
-        tag = "none" if node.realization is None else str(node.realization)
-        out.append(f"matrix r={tag} {node.n_rows} {node.n_cols}")
+        out.append(f"matrix r={node.realization} {node.n_rows} {node.n_cols}")
         for row in node.scores:
             out.append(" ".join(f"{v:.17g}" for v in row))
     elif isinstance(node, CompositePredictor):
@@ -219,9 +231,9 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
     if tag == "table":
         if len(header) != 4:
             raise FormatError("table header is 'table <n> <k> <rows>'")
-        n, k, rows = int(header[1]), int(header[2]), int(header[3])
-        table: dict[tuple[tuple[int, int], ...], Label] = {}
-        for _ in range(rows):
+        n, k, count = int(header[1]), int(header[2]), int(header[3])
+        rows, labels = [], []
+        for _ in range(count):
             line = reader.next()
             left, sep, right = line.rpartition("->")
             if not sep:
@@ -229,22 +241,26 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
             label = int(right)
             if label not in (-1, 1):
                 raise FormatError(f"table row label must be +-1: {line!r}")
-            table[row_entries(parse_instance(left.split(), n, "table row"))] = label
-        return MajorityTable(n, k, table)
+            rows.append(parse_instance(left.split(), n, "table row"))
+            labels.append(label)
+        width = max(map(len, rows), default=0)  # the widest row in the file, not the header's k
+        items = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64).reshape(count, width)
+        try:
+            return MajorityTable(n, k, items, labels)
+        except ValueError as exc:
+            raise FormatError(f"table: {exc}") from exc
 
     if tag == "matrix":
-        if len(header) != 4 or not header[1].startswith("r="):
+        if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].lstrip("-").isdigit():
             raise FormatError("matrix header is 'matrix r=<r> <rows> <cols>'")
-        rtag = header[1][2:]
-        realization = None if rtag == "none" else int(rtag)
         n_rows, n_cols = int(header[2]), int(header[3])
-        scores = np.empty((n_rows, n_cols))
+        scores = []  # the rows the file holds; the header's dimensions are not trusted to allocate
         for i in range(n_rows):
             vals = reader.next().split()
             if len(vals) != n_cols:
                 raise FormatError(f"matrix row {i + 1} has {len(vals)} entries, expected {n_cols}")
-            scores[i] = [float(v) for v in vals]
-        return MatrixPredictor(n_rows, n_cols, scores, realization)
+            scores.append([float(v) for v in vals])
+        return MatrixPredictor(n_rows, n_cols, np.array(scores).reshape(n_rows, n_cols), int(header[1][2:]))
 
     if tag == "composite":
         if len(header) != 4:

@@ -1,10 +1,13 @@
 """Reference implementations the tests compare the library against.
 
-Real-weight halfspaces, enumerations of instance and clause spaces, the
-per-clause satisfaction and clause-to-example rules that the library applies
-to a whole formula matrix at once, the hypothesis matrices of the
-realization suite, and the per-instance routing functions that the library's batch versions in ``sparsehalf.realizations``
-replaced, and the per-step matrix exponentiated-gradient loop that
+One instance at a time as a :class:`SparseVector` of (index, value) pairs,
+with the one-instance ``predict`` and ``cell_label`` helpers; the majority
+table as a dict keyed by those pairs; real-weight halfspaces; enumerations
+of instance and clause spaces; the per-clause satisfaction and
+clause-to-example rules that the library applies to a whole formula matrix
+at once; the hypothesis matrices of the realization suite; the per-instance
+routing functions that the batch versions in ``sparsehalf.realizations``
+replaced; and the per-step matrix exponentiated-gradient loop that
 ``sparsehalf.learners.matrix_mw_learn`` replaced.  Nothing here is used by
 the library.
 """
@@ -12,6 +15,7 @@ the library.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -20,12 +24,62 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from sparsehalf import learners
-from sparsehalf.core import BinaryAssignment, Sample, SparseVector, row_entries, sign_pm
+from sparsehalf.core import BinaryAssignment, Sample
 from sparsehalf.errors import NumericError
 from sparsehalf.formulas import FormulaKind
 from sparsehalf.learners import LearnerConfig
 from sparsehalf.predictors import MatrixPredictor, TrainedPredictor
 from sparsehalf.rng import generator
+
+
+def sign_pm(value: float) -> int:
+    """sign with the package convention sign(0) = +1."""
+    return 1 if value >= 0 else -1
+
+
+@dataclass(frozen=True)
+class SparseVector:
+    """At most k nonzero +-1 coordinates of an n-dimensional vector.
+
+    ``entries`` holds (index, value) pairs with strictly increasing 1-based
+    indices; zero coordinates are never stored.
+    """
+
+    n: int
+    entries: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"dimension must be positive: got {self.n}")
+        entries = tuple((int(i), int(v)) for i, v in self.entries)
+        last = 0
+        for idx, val in entries:
+            if not last < idx <= self.n:
+                raise ValueError(f"indices must be strictly increasing in [1, {self.n}]")
+            if val not in (-1, 1):
+                raise ValueError(f"entry values must be +-1: got {val}")
+            last = idx
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.entries)
+
+
+def row_entries(row: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The (index, value) pairs of one signed-index row, padding dropped."""
+    return tuple((abs(v), 1 if v > 0 else -1) for v in row if v)
+
+
+def predict(predictor: TrainedPredictor, x: SparseVector) -> int:
+    """The predictor's label of one instance: its batch path on a one-row matrix."""
+    row = np.array([v * i for i, v in x.entries], dtype=np.int32)
+    return int(predictor.predict_many(row[None], x.n)[0])
+
+
+def cell_label(predictor: MatrixPredictor, row: int, col: int) -> int:
+    """The sign of the score at 1-based cell (row, col), with sign(0) = +1."""
+    return sign_pm(predictor.scores[row - 1, col - 1])
 
 
 def sample_of(k: int, n: int, xs: Iterable[SparseVector], ys: Iterable[int]) -> Sample:
@@ -234,6 +288,28 @@ def hypothesis_matrix(h: Halfspace, r: int, n: int) -> np.ndarray:
     return W
 
 
+class DictTable(TrainedPredictor):
+    """The majority table keyed by (index, value) tuples: a dict from instance to label."""
+
+    def __init__(self, sample: Sample):
+        votes: dict[tuple[tuple[int, int], ...], int] = defaultdict(int)
+        for x, y in zip(vectors(sample.items, sample.n), sample.y.tolist()):
+            votes[x.entries] += y
+        self.n, self.k = sample.n, sample.k
+        self.table = {entries: sign_pm(total) for entries, total in votes.items()}
+
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        return np.array([self.table.get(row_entries(row), 1) for row in rows.tolist()], dtype=np.int8)
+
+    def model_text(self) -> str:
+        """The ``table`` node of a model file: the rows in sorted order of their tuples."""
+        lines = [f"table {self.n} {self.k} {len(self.table)}"]
+        for entries in sorted(self.table):
+            inst = " ".join(f"{i}:{v:+d}" for i, v in entries)
+            lines.append(f"{inst} -> {self.table[entries]:+d}" if inst else f"-> {self.table[entries]:+d}")
+        return "\n".join(lines) + "\n"
+
+
 class FunctionPredictor(TrainedPredictor):
     """Labels each row by a function of its SparseVector, one instance at a time."""
 
@@ -251,7 +327,7 @@ def matrix_mw_learn_stepwise(
     cells: Sequence[tuple[tuple[int, int], int]],
     dims: tuple[int, int],
     cfg: LearnerConfig,
-    realization: int | None = None,
+    realization: int = 0,
 ) -> MatrixPredictor:
     """``matrix_mw_learn`` on ((row, col), label) pairs, adding the margins at every step.
 

@@ -134,6 +134,14 @@ class TestToSampleLearnEval:
         assert f"error: {flag[2:]} must be finite and positive" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_overflowing_step_is_one_error_line(self, planted, tmp_path):
+        data = tmp_path / "s.txt"
+        run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
+        proc = cli_process("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "h3.model"),
+                           "--eta", "1e308", "--beta", "1e308")
+        assert proc.returncode == 4
+        assert proc.stderr == "error: non-finite margins in epoch 1; reduce eta\n"
+
     def test_eval_on_garbage_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a sample\n")
@@ -187,6 +195,31 @@ class TestModelDimensionMismatch:
         model = tmp_path / "m"
         model.write_text("table 4 3 1\n1:+1 2:-1 3:+1 -> -1\n")
         self.assert_usage_error("eval", "--model", str(model), "--data", str(data))
+
+
+class TestReadersAllocateWhatTheFileHolds:
+    """A header's dimensions never size an allocation before the file's rows are read."""
+
+    @staticmethod
+    def assert_eval_usage_error(tmp_path, model_text, sample_text):
+        model, data = tmp_path / "m", tmp_path / "d"
+        model.write_text(model_text)
+        data.write_text(sample_text)
+        proc = cli_process("eval", "--model", str(model), "--data", str(data))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("model", [
+        "matrix r=0 3000000 3000000\n0 0\n",
+        "composite c2 3 1\npart r=0\nmatrix r=0 3000000 3000000\n0 0\n",
+    ], ids=["top-level", "under-composite"])
+    def test_huge_matrix_header(self, tmp_path, model):
+        self.assert_eval_usage_error(tmp_path, model, "# sparse-sample n=3 k=1\n+1 1:+1\n")
+
+    def test_huge_sample_k(self, tmp_path):
+        self.assert_eval_usage_error(tmp_path, "binary 3\n+1 +1 +1\n",
+                                     "# sparse-sample n=3 k=1000000000000\n+1 1:+1\n")
 
 
 class TestMatrixGuard:

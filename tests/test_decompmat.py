@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsehalf.decompmat import (
-    CertifierConfig,
     Decomposition,
     all_ones_decomposition,
     certify_min_beta,
@@ -22,7 +21,7 @@ from sparsehalf.decompmat import (
     triangular_matrix,
     verify_decomposition,
 )
-from sparsehalf.errors import FormatError, GuardError, NumericError
+from sparsehalf.errors import FormatError, GuardError
 
 SPECTRAL_BETA_T8 = 1.1435080342292838  # frozen from the eigendecomposition
 
@@ -244,13 +243,6 @@ class TestCertifier:
             assert beta <= spectral + 1e-6
             assert verify_decomposition(W, dec).ok
 
-    def test_monotone_in_beta_hi(self):
-        W = random_sign(np.random.default_rng(10), 4, 4)
-        base, _ = certify_min_beta(W)
-        spectral = spectral_split(symmetrize(W)).beta
-        wider, _ = certify_min_beta(W, CertifierConfig(beta_hi=2 * spectral + 1.0))
-        assert wider <= base + CertifierConfig().beta_resolution + 1e-6
-
     def test_triangular_needs_no_dykstra_run(self, monkeypatch):
         # the spectral split of sym(T_n) meets the nuclear-norm lower bound,
         # so the bisection has nothing to search
@@ -269,10 +261,6 @@ class TestCertifier:
         assert calls == []
         assert beta == pytest.approx(spectral_split(symmetrize(W)).beta)
         assert verify_decomposition(W, dec).ok
-
-    def test_infeasible_beta_hi_raises(self):
-        with pytest.raises(NumericError):
-            certify_min_beta(np.ones((3, 3)), CertifierConfig(beta_hi=1e-4, max_iterations=200))
 
     def test_dimension_guard(self):
         with pytest.raises(GuardError):

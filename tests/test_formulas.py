@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import clause_to_example, eval_clause, iter_all_clauses, to_dense, vectors
+from oracles import clause_to_example, eval_clause, iter_all_clauses, predict, to_dense, vectors
 from sparsehalf.core import BinaryAssignment, assignment_from_index, empirical_error
 from sparsehalf.errors import FormatError, GuardError
 from sparsehalf.formulas import (
@@ -251,7 +251,7 @@ class TestCorrespondence:
                     sat = eval_clause(MAJ, c, psi)
                     for b in (1, -1):
                         (x,) = vectors(b * row[None], n)
-                        assert (h.predict(x) == b) == sat
+                        assert (predict(h, x) == b) == sat
 
 
 class TestDimacs:

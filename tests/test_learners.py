@@ -8,12 +8,21 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import Halfspace, eval_halfspace, iter_part_c2, iter_sparse_vectors, sample_of, vectors
+from oracles import (
+    Halfspace,
+    SparseVector,
+    cell_label,
+    eval_halfspace,
+    iter_part_c2,
+    iter_sparse_vectors,
+    predict,
+    sample_of,
+    vectors,
+)
 from sparsehalf import learners
 from sparsehalf.core import (
     BinaryAssignment,
     Sample,
-    SparseVector,
     empirical_error,
     erm_binary_halfspace,
     sample_exact_sparse,
@@ -50,20 +59,20 @@ class TestTableMajority:
     def test_majority_vote(self):
         x = sv(4, (1, 1))
         s = sample_of(3, 4, [x, x, x], [1, 1, -1])
-        assert table_majority_learn(s).predict(x) == 1
+        assert predict(table_majority_learn(s), x) == 1
 
     def test_unseen_defaults_to_plus_one(self):
         s = sample_of(3, 4, [sv(4, (1, 1))], [-1])
-        assert table_majority_learn(s).predict(sv(4, (2, 1))) == 1
+        assert predict(table_majority_learn(s), sv(4, (2, 1))) == 1
 
     def test_exact_tie_goes_to_plus_one(self):
         x = sv(4, (2, -1))
         s = sample_of(3, 4, [x] * 4, [1, -1, 1, -1])
-        assert table_majority_learn(s).predict(x) == 1
+        assert predict(table_majority_learn(s), x) == 1
 
     def test_empty_sample_is_constant_plus_one(self):
         pred = table_majority_learn(Sample(3, 4, (), ()))
-        assert pred.predict(sv(4, (1, -1))) == 1
+        assert predict(pred, sv(4, (1, -1))) == 1
 
     def test_is_distinct_instance_optimum(self):
         # no predictor beats per-instance majority on the training set
@@ -97,12 +106,12 @@ class TestMatrixMwLearn:
         t = [int(v) for v in rng.integers(0, 9, size=8)]
         W = row_threshold_matrix(t)
         cells = grid_cells(W.ravel(), 8)
-        pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(seed=1))
-        assert all(pred.predict_cell(r, c) == label for r, c, label in cells)
+        pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(seed=1), 0)
+        assert all(cell_label(pred, r, c) == label for r, c, label in cells)
 
     def test_single_cell_repeated(self):
-        pred = matrix_mw_learn([(2, 3, -1)] * 5, (4, 4), LearnerConfig(seed=0))
-        assert pred.predict_cell(2, 3) == -1
+        pred = matrix_mw_learn([(2, 3, -1)] * 5, (4, 4), LearnerConfig(seed=0), 0)
+        assert cell_label(pred, 2, 3) == -1
 
     def test_adversarial_band_one_epoch(self):
         worst = 0.0
@@ -110,8 +119,8 @@ class TestMatrixMwLearn:
             rng = np.random.default_rng(seed + 100)
             labels = rng.integers(0, 2, 64) * 2 - 1
             cells = grid_cells(labels, 8)
-            pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(epochs=1, seed=seed))
-            err = sum(pred.predict_cell(r, c) != label for r, c, label in cells) / 64
+            pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(epochs=1, seed=seed), 0)
+            err = sum(cell_label(pred, r, c) != label for r, c, label in cells) / 64
             worst = max(worst, err)
         assert worst <= 0.5 + 0.15
 
@@ -120,14 +129,14 @@ class TestMatrixMwLearn:
         labels = rng.integers(0, 2, 64) * 2 - 1
         cells = grid_cells(labels, 8)
         cfg = LearnerConfig(seed=3, epochs=5, beta=0.5)  # small cap rescales often
-        pred = matrix_mw_learn(cells, (8, 8), cfg)
+        pred = matrix_mw_learn(cells, (8, 8), cfg, 0)
         assert pred.trace_cap == pytest.approx(2 * 0.5 * 16)
         assert pred.max_trace <= pred.trace_cap + 1e-6
 
     def test_deterministic_given_config(self):
         cells = [(1, 2, 1), (2, 1, -1), (1, 1, 1)]
-        a = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5))
-        b = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5))
+        a = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5), 0)
+        b = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5), 0)
         assert np.array_equal(a.scores, b.scores)
 
     @pytest.mark.parametrize("cells,dims,cfg", [
@@ -143,7 +152,7 @@ class TestMatrixMwLearn:
         margins_calls = oracles.count_calls(monkeypatch, learners, "_eg_margins")
         ref = oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], dims, cfg)
         ref_calls, margins_calls[0] = margins_calls[0], 0
-        got = matrix_mw_learn(np.array(cells), dims, cfg)
+        got = matrix_mw_learn(np.array(cells), dims, cfg, 0)
         assert margins_calls[0] == ref_calls > 0
         assert np.allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12)
         sure = np.abs(ref.scores) > 1e-9
@@ -159,7 +168,7 @@ class TestMatrixMwLearn:
             with pytest.raises(NumericError) as ref:
                 stepwise([((r, c), l) for r, c, l in cells], (2, 2), cfg)
             with pytest.raises(NumericError) as got:
-                matrix_mw_learn(cells, (2, 2), cfg)
+                matrix_mw_learn(cells, (2, 2), cfg, 0)
             assert "epoch" in str(got.value)
             assert str(got.value) == str(ref.value), (n_cells, epochs)
 
@@ -173,7 +182,7 @@ class TestMatrixMwLearn:
             with pytest.raises(ValueError) as ref:
                 oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], (2, 2), LearnerConfig())
             with pytest.raises(ValueError) as got:
-                matrix_mw_learn(cells, (2, 2), LearnerConfig())
+                matrix_mw_learn(cells, (2, 2), LearnerConfig(), 0)
             assert str(got.value) == str(ref.value) == message
 
 
@@ -242,7 +251,7 @@ class TestPartitionLearn:
     def test_empty_sample(self):
         composite = partition_learn(Sample(2, 5, (), ()), "c2", majority_per_part)
         assert not composite.children
-        assert composite.predict(sv(5, (1, 1))) == 1
+        assert predict(composite, sv(5, (1, 1))) == 1
 
     def test_unknown_partition(self):
         with pytest.raises(ValueError):
@@ -256,15 +265,15 @@ class TestLearnH2:
         xs = list(iter_part_c2(0, n))
         s = labeled(n, 2, xs, lambda x: eval_halfspace(h, x))
         pred = learn_h2(s, LearnerConfig(seed=0))
-        assert all(pred.predict(x) == eval_halfspace(h, x) for x in xs)
+        assert all(predict(pred, x) == eval_halfspace(h, x) for x in xs)
 
     def test_singleton_only_sample_reduces_to_majority(self):
         n = 6
         xs = [sv(n, (2, 1)), sv(n, (2, 1)), sv(n, (2, 1)), sv(n, (4, 1))]
         pred = learn_h2(sample_of(2, n, xs, [-1, -1, 1, 1]), LearnerConfig(seed=0))
-        assert pred.predict(sv(n, (2, 1))) == -1
-        assert pred.predict(sv(n, (4, 1))) == 1
-        assert pred.predict(sv(n, (5, 1))) == 1  # unseen singleton
+        assert predict(pred, sv(n, (2, 1))) == -1
+        assert predict(pred, sv(n, (4, 1))) == 1
+        assert predict(pred, sv(n, (5, 1))) == 1  # unseen singleton
 
     def test_ranking_data_realizable(self):
         # pairwise-comparison data: h(i, j) = +1 iff rank(i) > rank(j),
@@ -276,7 +285,7 @@ class TestLearnH2:
         xs = [sv(n, (i, 1), (j, -1)) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         s = labeled(n, 2, xs, lambda x: eval_halfspace(h, x))
         pred = learn_h2(s, LearnerConfig(seed=2))
-        assert all(pred.predict(x) == eval_halfspace(h, x) for x in xs)
+        assert all(predict(pred, x) == eval_halfspace(h, x) for x in xs)
 
     def test_rejects_three_sparse(self):
         s = sample_of(3, 6, [sv(6, (1, 1), (2, 1), (3, 1))], [1])
@@ -287,7 +296,7 @@ class TestLearnH2:
 class TestLearnH3:
     def test_empty_sample_is_constant_plus_one(self):
         pred = learn_h3(Sample(3, 6, (), ()))
-        assert pred.predict(sv(6, (1, 1), (2, 1), (3, -1))) == 1
+        assert predict(pred, sv(6, (1, 1), (2, 1), (3, -1))) == 1
 
     def test_realizable_monte_carlo(self):
         n = 10
@@ -295,8 +304,8 @@ class TestLearnH3:
         target = BinaryHalfspacePredictor(
             BinaryAssignment(tuple(int(b) for b in rng.integers(0, 2, n) * 2 - 1))
         )
-        train = labeled(n, 3, sample_exact_sparse(n, 3, 40 * n * n, 11), target.predict)
-        test = labeled(n, 3, sample_exact_sparse(n, 3, 2000, 12), target.predict)
+        train = labeled(n, 3, sample_exact_sparse(n, 3, 40 * n * n, 11), lambda x: predict(target, x))
+        test = labeled(n, 3, sample_exact_sparse(n, 3, 2000, 12), lambda x: predict(target, x))
         pred = learn_h3(train, LearnerConfig(seed=13))
         assert float(empirical_error(pred, test)) <= 0.1
 
@@ -334,7 +343,7 @@ class TestMakeLearner:
         s = labeled(6, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
         for name in ("table", "h3", "erm-binary"):
             pred = make_learner(name, cfg)(s)
-            assert pred.predict(vectors(s.items[:1], s.n)[0]) in (-1, 1)
+            assert predict(pred, vectors(s.items[:1], s.n)[0]) in (-1, 1)
         with pytest.raises(ValueError):
             make_learner("nope", cfg)
 

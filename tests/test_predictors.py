@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import from_pairs, vectors
-from sparsehalf.core import BinaryAssignment, Sample, SparseVector, sample_exact_sparse
+from oracles import DictTable, SparseVector, from_pairs, predict, vectors
+from sparsehalf.core import BinaryAssignment, Sample, sample_exact_sparse
 from sparsehalf.errors import FormatError
 from sparsehalf.learners import LearnerConfig, learn_h2, learn_h3, table_majority_learn
 from sparsehalf.predictors import (
@@ -33,14 +35,14 @@ class TestNodes:
     def test_binary_prediction(self):
         node = BinaryHalfspacePredictor(BinaryAssignment((1, 1, 1, 1, 1, 1)))
         inst = from_pairs(6, [(2, 1), (3, -1), (6, -1)])
-        assert node.predict(inst) == -1
+        assert predict(node, inst) == -1
 
     def test_table_round_trip_with_zero_instance(self):
-        table = MajorityTable(4, 2, {(): 1, ((1, 1), (3, -1)): -1})
+        table = MajorityTable(4, 2, np.array([[0, 0], [1, -3]]), [1, -1])
         back = round_trip(table)
-        assert back.predict(SparseVector(4, ())) == 1
-        assert back.predict(from_pairs(4, [(1, 1), (3, -1)])) == -1
-        assert back.predict(from_pairs(4, [(2, 1)])) == 1
+        assert predict(back, SparseVector(4, ())) == 1
+        assert predict(back, from_pairs(4, [(1, 1), (3, -1)])) == -1
+        assert predict(back, from_pairs(4, [(2, 1)])) == 1
 
     def test_matrix_round_trip_exact_floats(self):
         rng = np.random.default_rng(0)
@@ -52,7 +54,7 @@ class TestNodes:
     def test_matrix_part_mismatch_raises(self):
         node = MatrixPredictor(3, 3, np.zeros((3, 3)), realization=0)
         with pytest.raises(ValueError):
-            node.predict(from_pairs(3, [(1, 1), (2, 1)]))  # r=2 instance
+            predict(node, from_pairs(3, [(1, 1), (2, 1)]))  # r=2 instance
 
     def test_trained_composites_round_trip(self):
         rng = np.random.default_rng(1)
@@ -65,7 +67,7 @@ class TestNodes:
             labels = node.predict_many(sample.items, sample.n)
             assert np.array_equal(back.predict_many(sample.items, sample.n), labels)
             # one instance at a time is the batch path on one row
-            assert [back.predict(x) for x in vectors(sample.items, sample.n)] == labels.tolist()
+            assert [predict(back, x) for x in vectors(sample.items, sample.n)] == labels.tolist()
 
     def test_table_learner_round_trip(self):
         rng = np.random.default_rng(5)
@@ -79,7 +81,7 @@ class TestNodes:
 class TestDimensionMismatch:
     @pytest.mark.parametrize("node", [
         BinaryHalfspacePredictor(BinaryAssignment((1, -1, 1, 1))),
-        MajorityTable(4, 3, {((1, 1),): -1}),
+        MajorityTable(4, 3, np.array([[1]]), [-1]),
         MatrixPredictor(4, 4, np.zeros((4, 4)), realization=0),
         CompositePredictor("c3", 4, {}),
         CompositePredictor("c2", 4, {}),
@@ -102,6 +104,9 @@ class TestMalformed:
             "",  # empty
             "binary 3\n+1 -1\n",  # wrong weight count
             "table 4 2 1\n1:+1 2\n",  # row missing arrow
+            "table 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n",  # repeated row
+            "table 4 1 1\n1:+1 2:-1 -> -1\n",  # more than k nonzeros
+            "matrix r=none 2 2\n0 0\n0 0\n",  # no realization
             "matrix r=0 2 2\n0 0\n0\n",  # short row
             "composite c9 4 0\n",  # unknown router
             "composite c2 4 1\nnope r=0\nbinary 1\n+1\n",  # bad part line
@@ -121,3 +126,38 @@ class TestMalformed:
     def test_rejected(self, text):
         with pytest.raises(FormatError):
             parse_predictor(text)
+
+
+@st.composite
+def table_cases(draw):
+    """A sample with k in {0, 1, 2, 3} and rows of mixed widths, and query rows wider or narrower than k."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+
+    def rows(width, count):
+        items = np.zeros((count, width), dtype=np.int32)
+        for row in range(count):
+            index = sorted(draw(st.sets(st.integers(1, n), max_size=min(width, n))))
+            items[row, :len(index)] = [i * draw(st.sampled_from((-1, 1))) for i in index]
+        return items
+
+    m = draw(st.integers(0, 12))
+    sample = Sample(k, n, rows(k, m), draw(st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m)))
+    width = draw(st.integers(0, 4))
+    seen = np.pad(sample.items, ((0, 0), (0, max(0, width - k))))[:, :width]  # seen rows that fit the width
+    seen = seen[np.count_nonzero(sample.items, axis=1) <= width]
+    return sample, np.concatenate([seen, rows(width, draw(st.integers(0, 12)))])
+
+
+class TestTableAgainstDictOracle:
+    @given(table_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_labels_and_model_text(self, case):
+        sample, queries = case
+        oracle, table = DictTable(sample), table_majority_learn(sample)
+        text = serialize_predictor(table)
+        assert text == oracle.model_text()
+        back = parse_predictor(text)  # only as wide as its widest row
+        assert serialize_predictor(back) == text
+        expected = oracle.predict_many(queries, sample.n)
+        for node in (table, back):
+            assert np.array_equal(node.predict_many(queries, sample.n), expected)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import Halfspace, eval_halfspace, hypothesis_matrix, iter_part_c2, iter_sparse_vectors, sample_of
-from sparsehalf.core import SparseVector
+from oracles import (
+    Halfspace,
+    SparseVector,
+    eval_halfspace,
+    hypothesis_matrix,
+    iter_part_c2,
+    iter_sparse_vectors,
+    sample_of,
+)
 from sparsehalf.realizations import (
     group_rows,
     part_of_c2,

@@ -59,7 +59,7 @@ def test_eg_steps_and_svds_counters(monkeypatch):
     svds = count_calls(monkeypatch, np.linalg, "svd")
     margins = count_calls(monkeypatch, learners, "_eg_margins")
     cells, cfg = [(1, 1, 1)] * 3, LearnerConfig(seed=0, eta=4.0, epochs=5)
-    pred = matrix_mw_learn(cells, (2, 2), cfg)
+    pred = matrix_mw_learn(cells, (2, 2), cfg, 0)
     assert svds[0] == margins[0] > 0
     # one update at the first step; every later step adds the same margins, so the
     # average over all steps reads the step count
