@@ -213,6 +213,14 @@ class _Reader:
         return self.pos >= len(self.lines)
 
 
+def _numbers(tokens: list[str], tag: str, reader: _Reader, kind: type = int) -> list:
+    """The tokens as ``kind`` values; FormatError naming the node and the line read last otherwise."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError:
+        raise FormatError(f"{tag} node, line {reader.pos}: expected {kind.__name__}s, got {' '.join(tokens)!r}") from None
+
+
 def _read_node(reader: _Reader) -> TrainedPredictor:
     header = reader.next().split()
     if not header:
@@ -222,8 +230,8 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
     if tag == "binary":
         if len(header) != 2:
             raise FormatError("binary header is 'binary <n>'")
-        n = int(header[1])
-        bits = tuple(int(t) for t in reader.next().split())
+        (n,) = _numbers(header[1:], tag, reader)
+        bits = tuple(_numbers(reader.next().split(), tag, reader))
         if len(bits) != n:
             raise FormatError(f"binary payload has {len(bits)} weights, expected {n}")
         return BinaryHalfspacePredictor(BinaryAssignment(bits))
@@ -231,14 +239,14 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
     if tag == "table":
         if len(header) != 4:
             raise FormatError("table header is 'table <n> <k> <rows>'")
-        n, k, count = int(header[1]), int(header[2]), int(header[3])
+        n, k, count = _numbers(header[1:], tag, reader)
         rows, labels = [], []
         for _ in range(count):
             line = reader.next()
             left, sep, right = line.rpartition("->")
             if not sep:
                 raise FormatError(f"table row missing '->': {line!r}")
-            label = int(right)
+            (label,) = _numbers([right], tag, reader)
             if label not in (-1, 1):
                 raise FormatError(f"table row label must be +-1: {line!r}")
             rows.append(parse_instance(left.split(), n, "table row"))
@@ -253,19 +261,19 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
     if tag == "matrix":
         if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].lstrip("-").isdigit():
             raise FormatError("matrix header is 'matrix r=<r> <rows> <cols>'")
-        n_rows, n_cols = int(header[2]), int(header[3])
+        n_rows, n_cols = _numbers(header[2:], tag, reader)
         scores = []  # the rows the file holds; the header's dimensions are not trusted to allocate
         for i in range(n_rows):
             vals = reader.next().split()
             if len(vals) != n_cols:
                 raise FormatError(f"matrix row {i + 1} has {len(vals)} entries, expected {n_cols}")
-            scores.append([float(v) for v in vals])
+            scores.append(_numbers(vals, tag, reader, float))
         return MatrixPredictor(n_rows, n_cols, np.array(scores).reshape(n_rows, n_cols), int(header[1][2:]))
 
     if tag == "composite":
         if len(header) != 4:
             raise FormatError("composite header is 'composite <router> <n> <children>'")
-        router_name, n, count = header[1], int(header[2]), int(header[3])
+        router_name, (n, count) = header[1], _numbers(header[2:], tag, reader)
         if router_name not in PARTITIONS:
             raise FormatError(f"unknown router {router_name!r}")
         keys = _part_keys(router_name, n)

@@ -1,5 +1,6 @@
 """Training procedures: majority table, matrix learner, partition glue, H2/H3."""
 
+import multiprocessing
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -333,6 +334,40 @@ class TestLearnH3:
         s = sample_of(4, 8, [SparseVector(8, ((1, 1), (2, 1), (3, 1), (4, 1)))], [1])
         with pytest.raises(ValueError):
             learn_h3(s)
+
+
+class TestWorkerProcesses:
+    """learn_h3 fits its parts in forked worker processes; their number changes no output."""
+
+    @pytest.fixture
+    def use_workers(self, monkeypatch):
+        return lambda count: monkeypatch.setattr(learners, "_workers", lambda parts: min(count, parts))
+
+    @pytest.fixture
+    def sample(self):
+        xs = sample_exact_sparse(10, 3, 1500, 41)
+        rng = np.random.default_rng(42)
+        return labeled(10, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
+
+    def test_serial_and_parallel_models_are_byte_equal(self, use_workers, sample):
+        models = []
+        for count in (1, 2):
+            use_workers(count)
+            models.append(serialize_predictor(learn_h3(sample, LearnerConfig(seed=43))))
+            assert not multiprocessing.active_children()
+        assert models[0] == models[1]
+
+    def test_worker_error_is_the_serial_error(self, use_workers, sample):
+        errors = []
+        for count in (1, 2):
+            use_workers(count)
+            with pytest.raises(NumericError) as caught:
+                learn_h3(sample, LearnerConfig(eta=1e308, beta=1e308))
+            errors.append(caught.value)
+            assert not multiprocessing.active_children()
+        assert [str(e) for e in errors] == ["non-finite margins in epoch 1; reduce eta"] * 2
+        # the pool chains the worker's traceback; the serial path raises directly
+        assert errors[0].__cause__ is None and errors[1].__cause__ is not None
 
 
 class TestMakeLearner:

@@ -127,6 +127,19 @@ class TestMalformed:
         with pytest.raises(FormatError):
             parse_predictor(text)
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("table x 2 0\n", "table node, line 1"),
+            ("matrix r=0 two 2\n", "matrix node, line 1"),
+            ("binary 2\n+1 x\n", "binary node, line 2"),
+            ("composite c2 x 0\n", "composite node, line 1"),
+        ],
+    )
+    def test_non_integer_field_names_node_and_line(self, text, where):
+        with pytest.raises(FormatError, match=where):
+            parse_predictor(text)
+
 
 @st.composite
 def table_cases(draw):
