@@ -17,6 +17,15 @@ Text format for labeled samples (shared with the CLI)::
 One example per line: label first, then the nonzero coordinates in ascending
 index order.  A line holding only a label encodes the zero vector.  Blank
 lines and additional ``#`` comments are ignored.
+
+:func:`parse_sample` reads the examples with :func:`read_rows`, which
+tokenizes the text's bytes with numpy, ``CHUNK_LINES`` lines at a time.  A
+line whose tokens, apart by spaces and tabs, are ``[+-]D`` and then
+``[+-]D:[+-]D`` ones (D: 1 to 18 ASCII digits) is read there; any other
+line is read token by token with Python's ``int``, which also words the
+error of a malformed line, with its line number.  A header's k may pad the
+rows to at most ``PAD_CELLS`` int32 cells per character of the file (or
+2^20 cells in all).
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -296,6 +305,122 @@ def parse_instance(tokens: Sequence[str], n: int, where: str) -> list[int]:
     return signed
 
 
+#: read_rows tokenizes CHUNK_LINES lines at a time, so that its per-byte
+#: arrays have a fixed size however long the text is.
+CHUNK_LINES = 1 << 12
+
+#: A sample file's k pads every row to k cells: the instance matrix may hold
+#: at most this many int32 cells per character of the file (or 2^20 in all).
+PAD_CELLS = 4
+
+
+def _before(mask: np.ndarray, first: bool) -> np.ndarray:
+    """``mask`` of the byte before each byte, ``first`` for the first byte."""
+    return np.concatenate(([first], mask[:-1]))
+
+
+def _after(mask: np.ndarray) -> np.ndarray:
+    """``mask`` of the byte after each byte, False for the last."""
+    return np.concatenate((mask[1:], [False]))
+
+
+def _read_chunk(lines: Sequence[str], n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, rows, unread) of the lines in the grammar of :func:`read_rows`.
+
+    Unread lines, those outside the grammar, get label 0 and a zero row.
+    """
+    data = np.frombuffer(("\n".join(lines) + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    digit, sign, colon, end = data - 48 < 10, (data == 43) | (data == 45), data == 58, data == 10
+    apart = end | (data == 32) | (data == 9)
+    bad = ~(digit | sign | colon | apart) | (apart & _before(end, True))  # a line starts with a token
+    bad |= sign & ~(_after(digit) & (_before(apart, True) | _before(colon, False)))
+    bad |= colon & ~(_before(digit, False) & _after(digit | sign))
+    ends = np.flatnonzero(end)
+    unread = np.zeros(len(lines), dtype=bool)
+    unread[np.searchsorted(ends, np.flatnonzero(bad))] = True
+
+    # the tokens of the other lines are [+-]digits groups joined by colons
+    run_start = np.flatnonzero(digit & ~_before(digit, False))
+    run_end = np.flatnonzero(digit & ~_after(digit))
+    length = run_end - run_start + 1
+    value = np.zeros(len(run_start), dtype=np.int64)
+    for place in range(min(int(length.max(initial=0)), 18)):  # int64 holds 18 digits
+        value += np.where(length > place, data[run_end - place].astype(np.int64) - 48, 0) * 10 ** place
+    before = data[run_start - 1]  # byte -1 is the closing newline
+    value = np.where(before == 45, -value, value)
+    after_colon = np.where((before == 43) | (before == 45), data[run_start - 2], before) == 58
+    past = np.searchsorted(run_start, ends)  # the runs before each line's end
+    counts = np.diff(past, prepend=0)
+    run_line = np.repeat(np.arange(len(lines)), counts)
+    pos = np.arange(len(run_line)) - np.repeat(past - counts, counts)  # label 0, then idx, val, idx, ...
+    unread[run_line[(after_colon != ((pos > 0) & (pos % 2 == 0))) | (length > 18)]] = True
+    unread |= counts % 2 == 0  # so each line is a label, then idx:val tokens
+
+    keep = ~unread[run_line]
+    run_line, value, pos = run_line[keep], value[keep], pos[keep]
+    label_line, label = run_line[pos == 0], value[pos == 0]
+    entry = np.flatnonzero(pos % 2 == 1)
+    entry_line, index, sign_of = run_line[entry], value[entry], value[entry + 1]
+    wrong = (index < 1) | (index > n) | (np.abs(sign_of) != 1)
+    wrong[1:] |= (index[1:] <= index[:-1]) & (entry_line[1:] == entry_line[:-1])
+    unread[entry_line[wrong]] = True
+    unread[label_line[np.abs(label) != 1]] = True
+    nnz = counts // 2
+    unread |= nnz > k
+
+    labels = np.zeros(len(lines), dtype=np.int8)
+    read = ~unread[label_line]
+    labels[label_line[read]] = label[read]
+    read = ~unread[entry_line]
+    rows = np.zeros((len(lines), int(nnz[~unread].max(initial=0))), dtype=np.int32)
+    rows.reshape(-1)[(entry_line * rows.shape[1] + pos[entry] // 2)[read]] = (index * sign_of)[read]
+    return labels, rows, unread
+
+
+def read_rows(lines: Sequence[str], n: int, k: int, read_line: Callable[[int], tuple[int, list[int]]],
+              width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(int8 labels, int32 signed-index rows) of ``<label> <idx>:<val> ...`` lines.
+
+    The library's one reader of ``idx:val`` rows.  It tokenizes the bytes of
+    CHUNK_LINES lines at a time with numpy and reads a line itself when its
+    tokens, apart by spaces and tabs, are a label, then at most k ``idx:val``
+    tokens; every number is ``[+-]`` and 1 to 18 ASCII digits, the label and
+    each val are +-1, and the indices rise strictly within [1, n].  Each other
+    line i goes to ``read_line(i)``, in order, which raises the line's
+    FormatError or returns its (label, nonzeros).  Rows are zero-padded to
+    the widest row, and to at least ``width``.
+    """
+    labels, chunks, slow = [], [], {}
+    for start in range(0, len(lines), CHUNK_LINES):
+        y, rows, unread = _read_chunk(lines[start:start + CHUNK_LINES], n, k)
+        for i in np.flatnonzero(unread).tolist():
+            y[i], slow[start + i] = read_line(start + i)
+        labels.append(y)
+        chunks.append(rows)
+    width = max([width, *(rows.shape[1] for rows in chunks), *map(len, slow.values())])
+    items = np.zeros((len(lines), width), dtype=np.int32)
+    for start, rows in zip(range(0, len(lines), CHUNK_LINES), chunks):
+        items[start:start + len(rows), :rows.shape[1]] = rows
+    for i, row in slow.items():
+        items[i, :len(row)] = row
+    return np.concatenate([np.zeros(0, dtype=np.int8), *labels]), items
+
+
+def _read_example(line: str, n: int, k: int, number: int) -> tuple[int, list[int]]:
+    """(label, nonzeros) of example line ``number``, token by token; FormatError if malformed."""
+    tokens = line.split()
+    try:
+        label = int(tokens[0])
+    except ValueError as exc:
+        raise FormatError(f"line {number}: bad label {tokens[0]!r}") from exc
+    if label not in (-1, 1):
+        raise FormatError(f"line {number}: label must be +-1, got {label}")
+    row = parse_instance(tokens[1:], n, f"line {number}")
+    if len(row) > k:
+        raise FormatError(f"line {number}: more than k={k} nonzeros")
+    return label, row
+
+
 def parse_sample(text: str) -> Sample:
     lines = text.splitlines()
     header = None
@@ -314,22 +439,13 @@ def parse_sample(text: str) -> Sample:
     if not 1 <= n <= np.iinfo(np.int32).max or k > n:  # a row holds at most n distinct indices
         raise FormatError(f"header needs 1 <= n < 2^31 and k <= n: got n={n}, k={k}")
 
-    labels: list[int] = []
-    signed: list[int] = []  # the rows, zero-padded to k and laid end to end
-    for offset, line in enumerate(lines[body_start:], start=body_start + 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        try:
-            label = int(tokens[0])
-        except ValueError as exc:
-            raise FormatError(f"line {offset}: bad label {tokens[0]!r}") from exc
-        if label not in (-1, 1):
-            raise FormatError(f"line {offset}: label must be +-1, got {label}")
-        row = parse_instance(tokens[1:], n, f"line {offset}")
-        if len(row) > k:
-            raise FormatError(f"line {offset}: more than k={k} nonzeros")
-        labels.append(label)
-        signed += row + [0] * (k - len(row))
-    return Sample(k, n, np.array(signed, dtype=np.int64).reshape(len(labels), k), labels)
+    rest = [line.strip() for line in lines[body_start:]]
+    body = [s for s in rest if s and s[0] != "#"]  # blank lines and comments dropped
+    limit = max(1 << 20, PAD_CELLS * len(text))
+    if len(body) * k > limit:
+        raise FormatError(f"header k={k} pads {len(body)} rows to {len(body) * k} cells; "
+                          f"a file of {len(text)} characters may hold {limit}")
+    numbers = (range(body_start + 1, len(lines) + 1) if len(body) == len(rest)
+               else [i for i, s in enumerate(rest, body_start + 1) if s and s[0] != "#"])
+    labels, items = read_rows(body, n, k, lambda i: _read_example(body[i], n, k, numbers[i]), width=k)
+    return Sample(k, n, items, labels)

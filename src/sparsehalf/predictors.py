@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryAssignment, Sample, distinct_rows, format_instance, parse_instance
+from .core import BinaryAssignment, Sample, distinct_rows, format_instance, parse_instance, read_rows
 from .errors import FormatError
 from .realizations import PARTITIONS, group_rows, part_of_c2, part_order, realize_c2, route_rows
 
@@ -213,12 +213,23 @@ class _Reader:
         return self.pos >= len(self.lines)
 
 
-def _numbers(tokens: list[str], tag: str, reader: _Reader, kind: type = int) -> list:
-    """The tokens as ``kind`` values; FormatError naming the node and the line read last otherwise."""
+def _numbers(tokens: list[str], tag: str, line: int, kind: type = int) -> list:
+    """The tokens as ``kind`` values; FormatError naming the node and the file line otherwise."""
     try:
         return [kind(t) for t in tokens]
     except ValueError:
-        raise FormatError(f"{tag} node, line {reader.pos}: expected {kind.__name__}s, got {' '.join(tokens)!r}") from None
+        raise FormatError(f"{tag} node, line {line}: expected {kind.__name__}s, got {' '.join(tokens)!r}") from None
+
+
+def _read_table_row(line: str, n: int, number: int) -> tuple[int, list[int]]:
+    """(label, nonzeros) of table row ``idx:val ... -> label`` at file line ``number``; FormatError if malformed."""
+    left, sep, right = line.rpartition("->")
+    if not sep:
+        raise FormatError(f"table row missing '->': {line!r}")
+    (label,) = _numbers([right], "table", number)
+    if label not in (-1, 1):
+        raise FormatError(f"table row label must be +-1: {line!r}")
+    return label, parse_instance(left.split(), n, "table row")
 
 
 def _read_node(reader: _Reader) -> TrainedPredictor:
@@ -230,8 +241,8 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
     if tag == "binary":
         if len(header) != 2:
             raise FormatError("binary header is 'binary <n>'")
-        (n,) = _numbers(header[1:], tag, reader)
-        bits = tuple(_numbers(reader.next().split(), tag, reader))
+        (n,) = _numbers(header[1:], tag, reader.pos)
+        bits = tuple(_numbers(reader.next().split(), tag, reader.pos))
         if len(bits) != n:
             raise FormatError(f"binary payload has {len(bits)} weights, expected {n}")
         return BinaryHalfspacePredictor(BinaryAssignment(bits))
@@ -239,41 +250,44 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
     if tag == "table":
         if len(header) != 4:
             raise FormatError("table header is 'table <n> <k> <rows>'")
-        n, k, count = _numbers(header[1:], tag, reader)
-        rows, labels = [], []
-        for _ in range(count):
-            line = reader.next()
+        n, k, count = _numbers(header[1:], tag, reader.pos)
+        if count < 0:
+            raise FormatError(f"table node, line {reader.pos}: negative row count {count}")
+        first = reader.pos
+        lines = reader.lines[first:first + count]
+        reader.pos += len(lines)
+        rows = []  # each row as '<label> <idx>:<val> ...' for read_rows; '' sends it to _read_table_row
+        for line in lines:
             left, sep, right = line.rpartition("->")
-            if not sep:
-                raise FormatError(f"table row missing '->': {line!r}")
-            (label,) = _numbers([right], tag, reader)
-            if label not in (-1, 1):
-                raise FormatError(f"table row label must be +-1: {line!r}")
-            rows.append(parse_instance(left.split(), n, "table row"))
-            labels.append(label)
-        width = max(map(len, rows), default=0)  # the widest row in the file, not the header's k
-        items = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64).reshape(count, width)
+            label = right.split()
+            rows.append(f"{label[0]} {left}" if sep and len(label) == 1 else "")
+        labels, items = read_rows(rows, n, k, lambda i: _read_table_row(lines[i], n, first + i + 1))
+        if len(lines) < count:
+            reader.next()  # unexpected end of predictor file
         try:
-            return MajorityTable(n, k, items, labels)
+            return MajorityTable(n, k, items, labels)  # as wide as the widest row in the file, not the header's k
         except ValueError as exc:
             raise FormatError(f"table: {exc}") from exc
 
     if tag == "matrix":
         if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].lstrip("-").isdigit():
             raise FormatError("matrix header is 'matrix r=<r> <rows> <cols>'")
-        n_rows, n_cols = _numbers(header[2:], tag, reader)
+        n_rows, n_cols = _numbers(header[2:], tag, reader.pos)
         scores = []  # the rows the file holds; the header's dimensions are not trusted to allocate
         for i in range(n_rows):
             vals = reader.next().split()
             if len(vals) != n_cols:
                 raise FormatError(f"matrix row {i + 1} has {len(vals)} entries, expected {n_cols}")
-            scores.append(_numbers(vals, tag, reader, float))
+            row = _numbers(vals, tag, reader.pos, float)
+            if not np.isfinite(row).all():
+                raise FormatError(f"{tag} node, line {reader.pos}: scores must be finite, got {' '.join(vals)!r}")
+            scores.append(row)
         return MatrixPredictor(n_rows, n_cols, np.array(scores).reshape(n_rows, n_cols), int(header[1][2:]))
 
     if tag == "composite":
         if len(header) != 4:
             raise FormatError("composite header is 'composite <router> <n> <children>'")
-        router_name, (n, count) = header[1], _numbers(header[2:], tag, reader)
+        router_name, (n, count) = header[1], _numbers(header[2:], tag, reader.pos)
         if router_name not in PARTITIONS:
             raise FormatError(f"unknown router {router_name!r}")
         keys = _part_keys(router_name, n)

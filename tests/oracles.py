@@ -8,13 +8,15 @@ clause-to-example rules that the library applies to a whole formula matrix
 at once; the hypothesis matrices of the realization suite; the per-instance
 routing functions that the batch versions in ``sparsehalf.realizations``
 replaced; and the per-step matrix exponentiated-gradient loop that
-``sparsehalf.learners.matrix_mw_learn`` replaced.  Nothing here is used by
-the library.
+``sparsehalf.learners.matrix_mw_learn`` replaced; and the line-by-line
+readers of sample files and table nodes that ``sparsehalf.core.read_rows``
+replaced.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -25,10 +27,10 @@ import numpy as np
 
 from sparsehalf import learners
 from sparsehalf.core import BinaryAssignment, Sample
-from sparsehalf.errors import NumericError
+from sparsehalf.errors import FormatError, NumericError
 from sparsehalf.formulas import FormulaKind
 from sparsehalf.learners import LearnerConfig
-from sparsehalf.predictors import MatrixPredictor, TrainedPredictor
+from sparsehalf.predictors import MajorityTable, MatrixPredictor, TrainedPredictor
 from sparsehalf.rng import generator
 
 
@@ -308,6 +310,101 @@ class DictTable(TrainedPredictor):
             inst = " ".join(f"{i}:{v:+d}" for i, v in entries)
             lines.append(f"{inst} -> {self.table[entries]:+d}" if inst else f"-> {self.table[entries]:+d}")
         return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Sample files and table nodes, one line and one token at a time
+
+_HEADER_RE = re.compile(r"#\s*sparse-sample\s+n=(\d+)\s+k=(\d+)\s*$")
+
+
+def parse_instance(tokens: Sequence[str], n: int, where: str) -> list[int]:
+    """The instance written as ``idx:val`` tokens, as signed indices; FormatError if malformed."""
+    signed = []
+    last = 0
+    for tok in tokens:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
+            raise FormatError(f"{where}: expected idx:val token, got {tok!r}")
+        try:
+            idx, val = int(idx_s), int(val_s)
+        except ValueError as exc:
+            raise FormatError(f"{where}: bad entry token {tok!r}") from exc
+        if not last < idx <= n:
+            raise FormatError(f"{where}: indices must be strictly increasing in [1, {n}]")
+        if val not in (-1, 1):
+            raise FormatError(f"{where}: entry values must be +-1: got {val}")
+        signed.append(idx if val > 0 else -idx)
+        last = idx
+    return signed
+
+
+def parse_sample(text: str) -> Sample:
+    """The sample file read line by line and token by token."""
+    lines = text.splitlines()
+    header = None
+    body_start = 0
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        header = _HEADER_RE.match(line.strip())
+        if header is None:
+            raise FormatError(f"line {i + 1}: expected '# sparse-sample n=<N> k=<K>' header")
+        body_start = i + 1
+        break
+    if header is None:
+        raise FormatError("empty sample file: missing header")
+    n, k = int(header.group(1)), int(header.group(2))
+    if not 1 <= n <= np.iinfo(np.int32).max or k > n:
+        raise FormatError(f"header needs 1 <= n < 2^31 and k <= n: got n={n}, k={k}")
+
+    labels: list[int] = []
+    signed: list[int] = []  # the rows, zero-padded to k and laid end to end
+    for offset, line in enumerate(lines[body_start:], start=body_start + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        try:
+            label = int(tokens[0])
+        except ValueError as exc:
+            raise FormatError(f"line {offset}: bad label {tokens[0]!r}") from exc
+        if label not in (-1, 1):
+            raise FormatError(f"line {offset}: label must be +-1, got {label}")
+        row = parse_instance(tokens[1:], n, f"line {offset}")
+        if len(row) > k:
+            raise FormatError(f"line {offset}: more than k={k} nonzeros")
+        labels.append(label)
+        signed += row + [0] * (k - len(row))
+    return Sample(k, n, np.array(signed, dtype=np.int64).reshape(len(labels), k), labels)
+
+
+def parse_table(text: str) -> MajorityTable:
+    """A model file holding one ``table`` node, read row by row."""
+    lines = text.splitlines()
+    n, k, count = (int(field) for field in lines[0].split()[1:])
+    rows, labels = [], []
+    for pos in range(1, count + 1):
+        if pos >= len(lines):
+            raise FormatError("unexpected end of predictor file")
+        line = lines[pos]
+        left, sep, right = line.rpartition("->")
+        if not sep:
+            raise FormatError(f"table row missing '->': {line!r}")
+        try:
+            label = int(right)
+        except ValueError:
+            raise FormatError(f"table node, line {pos + 1}: expected ints, got {right!r}") from None
+        if label not in (-1, 1):
+            raise FormatError(f"table row label must be +-1: {line!r}")
+        rows.append(parse_instance(left.split(), n, "table row"))
+        labels.append(label)
+    width = max(map(len, rows), default=0)
+    items = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64).reshape(count, width)
+    try:
+        return MajorityTable(n, k, items, labels)
+    except ValueError as exc:
+        raise FormatError(f"table: {exc}") from exc
 
 
 class FunctionPredictor(TrainedPredictor):

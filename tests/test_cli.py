@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,19 @@ class TestReadersAllocateWhatTheFileHolds:
     def test_huge_sample_k(self, tmp_path):
         self.assert_eval_usage_error(tmp_path, "binary 3\n+1 +1 +1\n",
                                      "# sparse-sample n=3 k=1000000000000\n+1 1:+1\n")
+
+    def test_huge_sample_k_within_n(self, tmp_path):
+        """k <= n passes the header check, and one row padded to k = 2e9 would take 8 GB; under a 2 GB
+        address-space limit, so that the test cannot exhaust the machine."""
+        model, data = tmp_path / "m", tmp_path / "d"
+        model.write_text("binary 2\n+1 +1\n")
+        data.write_text("# sparse-sample n=2000000000 k=2000000000\n+1 1:+1\n")
+        limit = 2 << 30
+        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "eval", "--model", str(model), "--data", str(data)],
+                              capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: header k=2000000000 pads 1 rows")
 
 
 class TestMatrixGuard:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     FunctionPredictor,
     Halfspace,
@@ -527,3 +528,110 @@ class TestSampleFormat:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+#: tokens that each break one rule of the sample grammar, or that Python's int()
+#: reads while the array reader leaves them to the token-by-token path
+ODD_TOKENS = ("3", "2:", ":1", "2:+1:3", "2:+2", "2:++1", "++1", "+", "-", ":", "2::1", "2:#1", "#", "2#:+1",
+              "+01", "0", "2", "-0", "1_0:+1", "1:+1_0", "000000000002:+1", "123456789012:-1",
+              "12345678901234567890:+1", "2:-01", "+2:+1", "-2:+1", "\u0661:+1", "\uff12:+1", "2:+\u0661",
+              "\u00e9", "2:+1\u00a03:+1", "2:\u2003+1", "\x1f", "\ud800")
+
+
+def outcome(parse, text):
+    """What a reader makes of the text: its result, or its FormatError's message."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@st.composite
+def sample_texts(draw):
+    """A written sample, respaced, with comments, blank lines and CRLF ends, and up to three lines garbled."""
+    sample = draw(samples(min_m=1).filter(lambda s: s.k <= s.n))
+    header, *body = serialize_sample(sample).splitlines()
+    odd = st.one_of(st.sampled_from(ODD_TOKENS + (f"{sample.n + 1}:+1", f"{sample.n}:-1", "1:+1")),
+                    st.text("0123456789+-:#_ \t\u0661\u00a0", min_size=1, max_size=6))
+    for i in draw(st.sets(st.integers(0, len(body) - 1), max_size=3)):
+        tokens = body[i].split()
+        for _ in range(draw(st.integers(1, 2))):
+            where = draw(st.integers(0, len(tokens)))
+            tokens[where:where + draw(st.integers(0, 1))] = [draw(odd)]
+        if draw(st.booleans()):  # indices out of order
+            tokens[1:] = draw(st.permutations(tokens[1:]))
+        body[i] = " ".join(tokens)
+    lines = [header]
+    for line in body:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", "\t# 1:+1"]), max_size=1))
+        gap = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line.replace(" ", gap) + draw(st.sampled_from(["", " "])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+class TestReaderAgainstReference:
+    """parse_sample against the line-by-line reader: the same Sample, or a FormatError worded the same."""
+
+    @given(sample_texts(), st.sampled_from((1, 2, 3, core.CHUNK_LINES)))
+    @settings(max_examples=600, deadline=None)
+    def test_same_sample_or_same_error(self, text, chunk):
+        with mock.patch.object(core, "CHUNK_LINES", chunk):  # chunks split inside the sample
+            assert outcome(parse_sample, text) == outcome(oracles.parse_sample, text)
+
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    @pytest.mark.parametrize("at", ["label", "entry", "last"])
+    def test_each_odd_token(self, token, at):
+        lines = ["+1 1:+1 3:-1", "-1 2:+1", "+1"]
+        if at == "label":
+            lines[1] = f"{token} 2:+1"
+        else:
+            lines[1 if at == "entry" else 2] += f" {token}"
+        text = "# sparse-sample n=4 k=3\n" + "\n".join(lines) + "\n"
+        for chunk in (1, core.CHUNK_LINES):
+            with mock.patch.object(core, "CHUNK_LINES", chunk):
+                assert outcome(parse_sample, text) == outcome(oracles.parse_sample, text)
+
+    @pytest.mark.parametrize("line", ["1:+1 1", "+1 1 1:+1", "+1 1:+1:1 1", "+1 1: +1", "+1 1 :+1", "+1 :1 1",
+                                      "+1 1:+1 1:-1", "+1 2:+1 1:+1", "+1\t1:+1", "+1\x001:+1", "1"])
+    def test_each_odd_line(self, line):
+        """Colons in the wrong tokens, repeated or falling indices, and odd separators."""
+        text = f"# sparse-sample n=4 k=3\n+1 1:+1\n{line}\n-1\n"
+        assert outcome(parse_sample, text) == outcome(oracles.parse_sample, text)
+
+    def test_first_offending_line_is_named(self):
+        text = "# sparse-sample n=4 k=1\n+1 1:+1\n\n# c\n-1 2:+1 3:+1\n+2\n"
+        with pytest.raises(FormatError, match="^line 5: more than k=1 nonzeros$"):
+            parse_sample(text)
+
+    def test_spellings_int_reads_are_still_read(self):
+        text = "# sparse-sample n=12 k=2\n+01 1_0:+1 \uff11\uff12:-1\n1 +3:\u0661\n"
+        assert parse_sample(text) == oracles.parse_sample(text) == Sample(2, 12, [[10, -12], [3, 0]], [1, 1])
+
+    def test_a_wide_k_on_narrow_rows_is_kept(self):
+        rows = sample_exact_sparse(24, 3, 50_000, 1)
+        sample = Sample(24, 24, np.pad(rows, ((0, 0), (0, 21))), np.where(rows[:, 0] > 0, 1, -1))
+        text = serialize_sample(sample)
+        assert sample.items.size > 1 << 20  # above the floor, within PAD_CELLS per character
+        assert parse_sample(text) == sample and serialize_sample(parse_sample(text)) == text
+
+    def test_padding_beyond_the_file_is_refused(self):
+        """600 zero rows padded to k = 2000 would be 1.2M cells from 2 kB of text; the line reader allocated them."""
+        text = "# sparse-sample n=2000 k=2000\n" + "+1\n" * 600
+        assert len(oracles.parse_sample(text)) == 600
+        with pytest.raises(FormatError, match="^header k=2000 pads 600 rows to 1200000 cells"):
+            parse_sample(text)
+
+
+class TestReaderMemory:
+    def test_peak_is_a_small_multiple_of_the_text(self):
+        """The reader tokenizes fixed-size chunks, so its arrays do not grow with the file; the lines and the
+        result do, and the text's own lines are about 4x its size."""
+        rows = sample_exact_sparse(24, 3, 50_000, 0)
+        text = serialize_sample(Sample(3, 24, rows, np.where(rows[:, 0] > 0, 1, -1)))
+        tracemalloc.start()
+        try:
+            parse_sample(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * len(text)

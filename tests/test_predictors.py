@@ -1,11 +1,15 @@
 """Predictor nodes and their line-based text serialization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import DictTable, SparseVector, from_pairs, predict, vectors
+from sparsehalf import core
 from sparsehalf.core import BinaryAssignment, Sample, sample_exact_sparse
 from sparsehalf.errors import FormatError
 from sparsehalf.learners import LearnerConfig, learn_h2, learn_h3, table_majority_learn
@@ -106,6 +110,7 @@ class TestMalformed:
             "table 4 2 1\n1:+1 2\n",  # row missing arrow
             "table 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n",  # repeated row
             "table 4 1 1\n1:+1 2:-1 -> -1\n",  # more than k nonzeros
+            "table 4 1 -1\n",  # negative row count
             "matrix r=none 2 2\n0 0\n0 0\n",  # no realization
             "matrix r=0 2 2\n0 0\n0\n",  # short row
             "composite c9 4 0\n",  # unknown router
@@ -139,6 +144,12 @@ class TestMalformed:
     def test_non_integer_field_names_node_and_line(self, text, where):
         with pytest.raises(FormatError, match=where):
             parse_predictor(text)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "1e999"])
+    def test_non_finite_score(self, entry):
+        """A NaN score would label its cell -1, against sign(0) = +1; the learner never writes one."""
+        with pytest.raises(FormatError, match="^matrix node, line 3: scores must be finite"):
+            parse_predictor(f"matrix r=0 2 2\n0 1\n-1 {entry}\n")
 
 
 @st.composite
@@ -174,3 +185,59 @@ class TestTableAgainstDictOracle:
         expected = oracle.predict_many(queries, sample.n)
         for node in (table, back):
             assert np.array_equal(node.predict_many(queries, sample.n), expected)
+
+
+#: instance tokens and labels that each break one rule of a table row, or that Python's int() reads while the
+#: array reader leaves them to the row-by-row path
+ODD_ENTRIES = ("3", "2:", ":1", "2:+2", "2:++1", "++1", "#", "1_0:+1", "+2:+1", "-2:+1", "\u0661:+1", "->", "-> +1",
+               "x", "5:+1", "1:+1")
+ODD_LABELS = ("", "+01", "1", "0", "2", "-0", "+ 1", "1 2", "1 2:+1", "x", "#1", "\u0661", "\t-1 ", "1:+1", "->")
+
+
+def table_outcome(text):
+    """(rows, labels) of the table both readers read, or their FormatError messages."""
+    def read(parse):
+        try:
+            node = parse(text)
+        except FormatError as exc:
+            return f"FormatError: {exc}"
+        return node.rows.shape, node.rows.tolist(), node.labels.tolist(), serialize_predictor(node)
+    return read(parse_predictor), read(oracles.parse_table)
+
+
+@st.composite
+def table_texts(draw):
+    """A learned table's model text with up to three rows garbled, and sometimes its last row cut."""
+    sample, _ = draw(table_cases().filter(lambda case: len(case[0])))
+    header, *rows = DictTable(sample).model_text().splitlines()
+    for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)):
+        left, _, right = rows[i].rpartition("->")
+        tokens = left.split()
+        if draw(st.booleans()):
+            where = draw(st.integers(0, len(tokens)))
+            tokens[where:where + draw(st.integers(0, 1))] = [draw(st.sampled_from(ODD_ENTRIES))]
+        else:
+            right = draw(st.sampled_from(ODD_LABELS))
+        arrow = draw(st.sampled_from(["->", "->", "- >", ""]))
+        rows[i] = draw(st.sampled_from(["", "\t"])) + " ".join([*tokens, arrow, right.strip()])
+    if rows and draw(st.booleans()):
+        rows.pop()
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestTableReaderAgainstReference:
+    """Table rows go through core.read_rows: the same table as the row-by-row reader, or the same FormatError."""
+
+    @given(table_texts(), st.sampled_from((1, 2, 5, core.CHUNK_LINES)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_table_or_same_error(self, text, chunk):
+        with mock.patch.object(core, "CHUNK_LINES", chunk):
+            ours, reference = table_outcome(text)
+        assert ours == reference
+
+    @pytest.mark.parametrize("odd", [("entry", token) for token in ODD_ENTRIES] + [("label", label) for label in ODD_LABELS])
+    def test_each_odd_row(self, odd):
+        rows = ["1:+1 -> +1", "2:-1 -> -1", "-> +1"]
+        rows[1] = f"2:-1 {odd[1]} -> -1" if odd[0] == "entry" else f"2:-1 -> {odd[1]}"
+        ours, reference = table_outcome("table 4 2 3\n" + "\n".join(rows) + "\n")
+        assert ours == reference
