@@ -139,10 +139,15 @@ def cmd_to_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_sample(path: str) -> Sample:
+    # a non-ASCII byte becomes a lone surrogate: '#' lines may hold it, and no data line reads it as a digit
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        return parse_sample(fh.read())
+
+
 def cmd_learn(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    with open(args.train, "r", encoding="ascii") as fh:
-        sample = parse_sample(fh.read())
+    sample = _read_sample(args.train)
     if args.algo == "erm-binary" and sample.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(sample.n, len(sample))
     cfg = _learner_config(args, args.seed)
@@ -154,8 +159,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     predictor = read_predictor(args.model)
-    with open(args.data, "r", encoding="ascii") as fh:
-        sample = parse_sample(fh.read())
+    sample = _read_sample(args.data)
     error = empirical_error(predictor, sample)
     print(f"err {_fmt(error)} {error.numerator}/{error.denominator}")
     return 0

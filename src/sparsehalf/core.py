@@ -30,10 +30,11 @@ rows to at most ``PAD_CELLS`` int32 cells per character of the file (or
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -449,3 +450,40 @@ def parse_sample(text: str) -> Sample:
                else [i for i, s in enumerate(rest, body_start + 1) if s and s[0] != "#"])
     labels, items = read_rows(body, n, k, lambda i: _read_example(body[i], n, k, numbers[i]), width=k)
     return Sample(k, n, items, labels)
+
+
+# ---------------------------------------------------------------------------
+# Float-matrix text format: certificate blocks and matrix nodes
+
+def format_float_rows(matrix: np.ndarray) -> Iterator[str]:
+    """The rows of a float matrix as lines of ``%.17g`` entries, the text of formatting each entry alone.
+
+    Each distinct value is formatted once, told apart by its bits so that 0.0 and -0.0 stay ``0`` and ``-0``.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits, inverse = np.unique(matrix.view(np.uint64), return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    for row in inverse.reshape(matrix.shape):
+        yield " ".join([text[i] for i in row.tolist()]) + "\n"
+
+
+def read_float_rows(lines: Sequence[str], cols: int, where: Callable[[int], str], values: str) -> np.ndarray:
+    """The matrix of lines of ``cols`` finite floats each; each distinct token goes through ``float`` once.
+
+    Line i's FormatError starts with ``where(i)``, its node or block and file line; ``values`` names the
+    entries.  Non-finite entries are looked for once all rows are read, and nothing is sized by ``cols``.
+    """
+    convert, rows = functools.lru_cache(maxsize=None)(float), []
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise FormatError(f"{where(i)}: matrix row {i + 1} has {len(tokens)} entries, expected {cols}")
+        try:
+            rows.append(list(map(convert, tokens)))
+        except ValueError:
+            raise FormatError(f"{where(i)}: expected floats, got {' '.join(tokens)!r}") from None
+    matrix = np.array(rows, dtype=np.float64).reshape(len(lines), cols)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1)).tolist()
+    if bad:
+        raise FormatError(f"{where(bad[0])}: {values} must be finite, got {' '.join(lines[bad[0]].split())!r}")
+    return matrix

@@ -14,15 +14,21 @@ diagonal entry of both at most beta.  This module provides:
 The certified value is an upper bound on the true minimal beta up to the
 tolerances below.  Dense float64 matrices only, with a 256-dimension guard
 on the certifier.
+
+A certificate file holds ``dim <d>``, ``beta <value>``, then P and N in
+:mod:`sparsehalf.core`'s float-matrix codec: ``%.17g`` per entry, byte for
+byte the text of formatting each entry alone, read back bit for bit.  The
+rows are streamed to the file as they are made; reading does not verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from .core import format_float_rows, read_float_rows
 from .errors import FormatError, GuardError, NumericError
 
 #: dimension guard for the dense eigen/projection paths
@@ -484,18 +490,24 @@ def row_threshold_decomposition(
 # ---------------------------------------------------------------------------
 # Decomposition cache file format
 
+def _decomposition_lines(dec: Decomposition) -> Iterator[str]:
+    yield f"dim {dec.d}\nbeta {dec.beta!r}\nP\n"
+    yield from format_float_rows(dec.P)
+    yield "N\n"
+    yield from format_float_rows(dec.N)
+
+
 def serialize_decomposition(dec: Decomposition) -> str:
-    lines = [f"dim {dec.d}", f"beta {dec.beta!r}", "P"]
-    for row in dec.P:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    lines.append("N")
-    for row in dec.N:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_decomposition_lines(dec))
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    return _decomposition_of(text.splitlines())
+
+
+def _decomposition_of(lines: list[str]) -> Decomposition:
+    numbered = [(number, s) for number, line in enumerate(lines, 1) if (s := line.strip())]
+    numbers, lines = [number for number, _ in numbered], [s for _, s in numbered]
     if len(lines) < 3 or not lines[0].startswith("dim ") or not lines[1].startswith("beta "):
         raise FormatError("expected 'dim <d>' then 'beta <value>' headers")
     try:
@@ -503,31 +515,23 @@ def parse_decomposition(text: str) -> Decomposition:
         beta = float(lines[1].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"bad header: {exc}") from exc
+    if not 0 <= beta < float("inf"):
+        raise FormatError(f"header, line {numbers[1]}: beta must be finite and nonnegative, got {lines[1]!r}")
     if lines[2] != "P" or len(lines) != 4 + 2 * d or lines[3 + d] != "N":
         raise FormatError("expected 'P' and 'N' blocks of d rows each")
-
-    def block(rows: list[str]) -> np.ndarray:
-        out = np.empty((d, d))
-        for i, row in enumerate(rows):
-            vals = row.split()
-            if len(vals) != d:
-                raise FormatError(f"matrix row has {len(vals)} entries, expected {d}")
-            out[i] = [float(v) for v in vals]
-        return out
-
-    P = block(lines[3 : 3 + d])
-    N = block(lines[4 + d : 4 + 2 * d])
+    P = read_float_rows(lines[3:3 + d], d, lambda i: f"P block, line {numbers[3 + i]}", "entries")
+    N = read_float_rows(lines[4 + d:], d, lambda i: f"N block, line {numbers[4 + d + i]}", "entries")
     return Decomposition(P, N, beta)
 
 
 def write_decomposition(path: str, dec: Decomposition) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_decomposition(dec))
+        fh.writelines(_decomposition_lines(dec))
 
 
 def read_decomposition(path: str, shape: tuple[int, int] | None = None) -> Decomposition:
-    with open(path, "r", encoding="ascii") as fh:
-        dec = parse_decomposition(fh.read())
+    with open(path, "r", encoding="ascii") as fh:  # line by line, never the whole text at once
+        dec = _decomposition_of([part for line in fh for part in line.splitlines()])
     if shape is not None:
         dec = replace(dec, shape=shape)
     return dec

@@ -12,16 +12,20 @@ the signed-index form of ``core.Sample``).
 
 Serialization is line-based text: a tagged header per node followed by its
 payload (table rows in the sparse-sample instance syntax, matrices row
-major).  It round-trips byte-for-byte.
+major in the float-matrix codec of :mod:`sparsehalf.core`: ``%.17g`` per
+entry, the same bytes as formatting each entry alone).  It round-trips
+byte-for-byte, and the writer streams the lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .core import BinaryAssignment, Sample, distinct_rows, format_instance, parse_instance, read_rows
+from .core import (BinaryAssignment, Sample, distinct_rows, format_float_rows, format_instance, parse_instance,
+                   read_float_rows, read_rows)
 from .errors import FormatError
 from .realizations import PARTITIONS, group_rows, part_of_c2, part_order, realize_c2, route_rows
 
@@ -170,31 +174,29 @@ def _part_keys(kind: str, n: int) -> dict[str, int]:
     return {_part_key(kind, part): part for part in parts}
 
 
-def _emit(node: TrainedPredictor, out: list[str]) -> None:
+def _node_lines(node: TrainedPredictor) -> Iterator[str]:
+    """The node's model-file lines, each ending in a newline."""
     if isinstance(node, BinaryHalfspacePredictor):
-        out.append(f"binary {node.psi.n}")
-        out.append(" ".join(f"{b:+d}" for b in node.psi.bits))
+        yield f"binary {node.psi.n}\n"
+        yield " ".join(f"{b:+d}" for b in node.psi.bits) + "\n"
     elif isinstance(node, MajorityTable):
-        out.append(f"table {node.n} {node.k} {len(node.rows)}")
+        yield f"table {node.n} {node.k} {len(node.rows)}\n"
         for row, label in zip(node.rows.tolist(), node.labels.tolist()):
-            out.append(f"{format_instance(row)} -> {label:+d}".lstrip())
+            yield f"{format_instance(row)} -> {label:+d}\n".lstrip()
     elif isinstance(node, MatrixPredictor):
-        out.append(f"matrix r={node.realization} {node.n_rows} {node.n_cols}")
-        for row in node.scores:
-            out.append(" ".join(f"{v:.17g}" for v in row))
+        yield f"matrix r={node.realization} {node.n_rows} {node.n_cols}\n"
+        yield from format_float_rows(node.scores)
     elif isinstance(node, CompositePredictor):
-        out.append(f"composite {node.router_name} {node.n} {len(node.children)}")
+        yield f"composite {node.router_name} {node.n} {len(node.children)}\n"
         for part in part_order(node.router_name, node.children):
-            out.append(f"part {_part_key(node.router_name, part)}")
-            _emit(node.children[part], out)
+            yield f"part {_part_key(node.router_name, part)}\n"
+            yield from _node_lines(node.children[part])
     else:
         raise TypeError(f"cannot serialize predictor of type {type(node).__name__}")
 
 
 def serialize_predictor(node: TrainedPredictor) -> str:
-    out: list[str] = []
-    _emit(node, out)
-    return "\n".join(out) + "\n"
+    return "".join(_node_lines(node))
 
 
 class _Reader:
@@ -213,12 +215,12 @@ class _Reader:
         return self.pos >= len(self.lines)
 
 
-def _numbers(tokens: list[str], tag: str, line: int, kind: type = int) -> list:
-    """The tokens as ``kind`` values; FormatError naming the node and the file line otherwise."""
+def _numbers(tokens: list[str], tag: str, line: int) -> list[int]:
+    """The tokens as ints; FormatError naming the node and the file line otherwise."""
     try:
-        return [kind(t) for t in tokens]
+        return [int(t) for t in tokens]
     except ValueError:
-        raise FormatError(f"{tag} node, line {line}: expected {kind.__name__}s, got {' '.join(tokens)!r}") from None
+        raise FormatError(f"{tag} node, line {line}: expected ints, got {' '.join(tokens)!r}") from None
 
 
 def _read_table_row(line: str, n: int, number: int) -> tuple[int, list[int]]:
@@ -273,16 +275,15 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].lstrip("-").isdigit():
             raise FormatError("matrix header is 'matrix r=<r> <rows> <cols>'")
         n_rows, n_cols = _numbers(header[2:], tag, reader.pos)
-        scores = []  # the rows the file holds; the header's dimensions are not trusted to allocate
-        for i in range(n_rows):
-            vals = reader.next().split()
-            if len(vals) != n_cols:
-                raise FormatError(f"matrix row {i + 1} has {len(vals)} entries, expected {n_cols}")
-            row = _numbers(vals, tag, reader.pos, float)
-            if not np.isfinite(row).all():
-                raise FormatError(f"{tag} node, line {reader.pos}: scores must be finite, got {' '.join(vals)!r}")
-            scores.append(row)
-        return MatrixPredictor(n_rows, n_cols, np.array(scores).reshape(n_rows, n_cols), int(header[1][2:]))
+        if min(n_rows, n_cols) < 0:
+            raise FormatError(f"{tag} node, line {reader.pos}: negative dimension in {n_rows}x{n_cols}")
+        first = reader.pos
+        lines = reader.lines[first:first + n_rows]
+        reader.pos += len(lines)
+        scores = read_float_rows(lines, n_cols, lambda i: f"{tag} node, line {first + i + 1}", "scores")
+        if len(lines) < n_rows:
+            reader.next()  # unexpected end of predictor file
+        return MatrixPredictor(n_rows, n_cols, scores, int(header[1][2:]))
 
     if tag == "composite":
         if len(header) != 4:
@@ -312,8 +313,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
 
 
 def parse_predictor(text: str) -> TrainedPredictor:
-    lines = [ln for ln in text.splitlines()]
-    reader = _Reader(lines)
+    reader = _Reader(text.splitlines())
     node = _read_node(reader)
     while not reader.done():
         if reader.next().strip():
@@ -323,7 +323,7 @@ def parse_predictor(text: str) -> TrainedPredictor:
 
 def write_predictor(path: str, node: TrainedPredictor) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_predictor(node))
+        fh.writelines(_node_lines(node))
 
 
 def read_predictor(path: str) -> TrainedPredictor:

@@ -10,7 +10,9 @@ routing functions that the batch versions in ``sparsehalf.realizations``
 replaced; and the per-step matrix exponentiated-gradient loop that
 ``sparsehalf.learners.matrix_mw_learn`` replaced; and the line-by-line
 readers of sample files and table nodes that ``sparsehalf.core.read_rows``
-replaced.  Nothing here is used by the library.
+replaced; and the per-value writer and per-row reader of float matrices
+(certificate blocks, matrix nodes) that ``sparsehalf.core.format_float_rows``
+and ``read_float_rows`` replaced.  Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -405,6 +407,22 @@ def parse_table(text: str) -> MajorityTable:
         return MajorityTable(n, k, items, labels)
     except ValueError as exc:
         raise FormatError(f"table: {exc}") from exc
+
+
+def format_float_rows(matrix: np.ndarray) -> str:
+    """A float matrix's text, each entry formatted on its own with ``f"{v:.17g}"``."""
+    return "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in matrix)
+
+
+def read_float_rows(lines: Sequence[str], cols: int) -> np.ndarray:
+    """A float matrix read back row by row, each token with ``float``."""
+    out = np.empty((len(lines), cols))
+    for i, row in enumerate(lines):
+        vals = row.split()
+        if len(vals) != cols:
+            raise FormatError(f"matrix row has {len(vals)} entries, expected {cols}")
+        out[i] = [float(v) for v in vals]
+    return out
 
 
 class FunctionPredictor(TrainedPredictor):

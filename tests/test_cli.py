@@ -257,6 +257,43 @@ class TestMatrixGuard:
         assert not (tmp_path / "m").exists()
 
 
+class TestSampleBytes:
+    """Sample files are ASCII, but a '#' comment line may hold any bytes."""
+
+    HEADER = b"# sparse-sample n=4 k=2\n"
+    BODY = b"+1 1:+1\n-1 2:-1 3:+1\n"
+
+    def test_comment_with_non_ascii_bytes_is_ignored(self, tmp_path, capsys):
+        plain, commented = tmp_path / "plain.sample", tmp_path / "commented.sample"
+        plain.write_bytes(self.HEADER + self.BODY)
+        commented.write_bytes(self.HEADER + "# café\n".encode("utf-8") + self.BODY + b"#\xff\xfe\n")
+        for data in (plain, commented):
+            assert run("learn", "--algo", "table", "--train", str(data), "--model", str(data) + ".model") == 0
+            assert run("eval", "--model", str(plain) + ".model", "--data", str(data)) == 0
+        assert (tmp_path / "plain.sample.model").read_bytes() == (tmp_path / "commented.sample.model").read_bytes()
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["err 0 0/1", "err 0 0/1"]
+
+    @pytest.mark.parametrize("line,number", [
+        ("-1 2:-1 café\n", 3),  # a non-ASCII token
+        ("+1 \u0661:+1\n", 3),  # an Arabic-Indic digit one, which int() would read as 1
+        ("+1 1:+1\u00a0\n", 3),  # a no-break space, which str.split() would take for a space
+        ("\uff0b1\n", 3),  # a fullwidth plus sign
+    ])
+    @pytest.mark.parametrize("command", ["learn", "eval"])
+    def test_non_ascii_data_line_is_a_format_error_naming_it(self, tmp_path, capsys, command, line, number):
+        model = tmp_path / "m.model"
+        (tmp_path / "ok.sample").write_bytes(self.HEADER + self.BODY)
+        assert run("learn", "--algo", "table", "--train", str(tmp_path / "ok.sample"), "--model", str(model)) == 0
+        data = tmp_path / "bad.sample"
+        data.write_bytes(self.HEADER + b"+1 1:+1\n" + line.encode("utf-8"))
+        argv = (["learn", "--algo", "table", "--train", str(data), "--model", str(tmp_path / "x.model")]
+                if command == "learn" else ["eval", "--model", str(model), "--data", str(data)])
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {number}: ")
+
+
 class TestFrozenOutputs:
     """Outputs recorded before samples and formulas became arrays; they must not change."""
 
@@ -311,6 +348,12 @@ class TestFrozenOutputs:
         assert run("to-sample", "--in", str(formula), "--seed", "6", "--out", str(sample)) == 0
         assert run("learn", "--algo", algo, "--train", str(sample), "--model", str(model)) == 0
         assert model.read_bytes() == (FROZEN / f"{algo}.model").read_bytes()
+
+    def test_certificate_bytes(self, tmp_path):
+        # recorded on one machine: like h3's scores, the 17-digit entries depend on the LAPACK build
+        out = tmp_path / "tn16.cert"
+        assert run("certify-beta", "--matrix", "tn", "--n", "16", "--out", str(out)) == 0
+        assert out.read_bytes() == (FROZEN / "certify_tn16.cert").read_bytes()
 
     def test_h3_predicted_labels(self):
         # labels, not scores: the 17-digit scores depend on the LAPACK build

@@ -635,3 +635,69 @@ class TestReaderMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * len(text)
+
+
+#: bit patterns the float-matrix codec must keep apart or spell exactly: both zeros, the smallest and the largest
+#: subnormal, the smallest normal, +-max, +-inf and a NaN
+SPECIAL_BITS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan,
+                         1.0, 0.1]).view(np.uint64).tolist()
+
+
+@st.composite
+def float_matrices(draw):
+    """A float64 matrix up to 6 x 6 whose entries come from a small pool of bit patterns, so values repeat."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = draw(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS)), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(pool, dtype=np.uint64)[picks].view(np.float64).reshape(rows, cols)
+
+
+def where(i):
+    return f"row {i}"
+
+
+class TestFloatMatrixCodec:
+    @settings(max_examples=400, deadline=None)
+    @given(float_matrices())
+    def test_text_and_read_back_match_the_per_value_codec(self, matrix):
+        text = "".join(core.format_float_rows(matrix))
+        assert text == oracles.format_float_rows(matrix)
+        if np.isfinite(matrix).all():
+            lines = text.splitlines()
+            back = core.read_float_rows(lines, matrix.shape[1], where, "entries")
+            assert back.view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
+            assert back.view(np.uint64).tolist() == oracles.read_float_rows(lines, matrix.shape[1]).view(np.uint64).tolist()
+
+    def test_signed_zeros_stay_apart(self):
+        matrix = np.array([[0.0, -0.0], [-0.0, 0.0]])
+        text = "".join(core.format_float_rows(matrix))
+        assert text == "0 -0\n-0 0\n"
+        back = core.read_float_rows(text.splitlines(), 2, where, "entries")
+        assert np.signbit(back).tolist() == [[False, True], [True, False]]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 4), (0, 3), (2, 0)])
+    def test_shapes(self, shape):
+        matrix = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) / 7
+        text = "".join(core.format_float_rows(matrix))
+        assert text == oracles.format_float_rows(matrix)
+        assert np.array_equal(core.read_float_rows(text.splitlines(), shape[1], where, "entries"), matrix)
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (["1 2", "3"], "^row 1: matrix row 2 has 1 entries, expected 2$"),
+            (["1 2", "3 x"], "^row 1: expected floats, got '3 x'$"),
+            (["nan 2"], "^row 0: entries must be finite, got 'nan 2'$"),
+            (["1  -inf"], "^row 0: entries must be finite, got '1 -inf'$"),
+            (["1 1e999"], "^row 0: entries must be finite, got '1 1e999'$"),
+        ],
+    )
+    def test_malformed_rows(self, lines, message):
+        with pytest.raises(FormatError, match=message):
+            core.read_float_rows(lines, 2, where, "entries")
+
+    def test_untrusted_width_allocates_nothing(self):
+        with pytest.raises(FormatError, match="expected 1000000000000"):
+            core.read_float_rows(["1 2"], 10 ** 12, where, "entries")
+        assert core.read_float_rows([], 10 ** 12, where, "entries").shape == (0, 10 ** 12)

@@ -1,5 +1,8 @@
 """Decomposable-matrix calculus: constructions, verifier, numeric certifier."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from sparsehalf.decompmat import (
     delete_rowcol_decomposition,
     diagonal_decomposition,
     parse_decomposition,
+    read_decomposition,
     row_threshold_decomposition,
     row_threshold_matrix,
     serialize_decomposition,
@@ -20,9 +24,11 @@ from sparsehalf.decompmat import (
     tensor_product,
     triangular_matrix,
     verify_decomposition,
+    write_decomposition,
 )
 from sparsehalf.errors import FormatError, GuardError
 
+FIXTURES = Path(__file__).parent / "fixtures"
 SPECTRAL_BETA_T8 = 1.1435080342292838  # frozen from the eigendecomposition
 
 
@@ -348,3 +354,68 @@ class TestCacheFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_decomposition(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim 1\nbeta 1.0\nP\nx\nN\n0\n", "^P block, line 4: expected floats, got 'x'$"),
+            ("dim 2\nbeta 1.0\nP\nx 0\n0 0\nN\n0 0\n0 0\n", "^P block, line 4: expected floats, got 'x 0'$"),
+            ("dim 1\n\nbeta 1.0\nP\n0\n\nN\n1e\n", "^N block, line 8: expected floats, got '1e'$"),
+            ("dim 1\nbeta 1.0\nP\nnan\nN\n0\n", "^P block, line 4: entries must be finite, got 'nan'$"),
+            ("dim 2\nbeta 1.0\nP\n0 0\n0 0\nN\n0 0\n-inf 0\n", "^N block, line 8: entries must be finite, got .-inf 0.$"),
+            ("dim 1\nbeta nan\nP\n0\nN\n0\n", "^header, line 2: beta must be finite and nonnegative, got 'beta nan'$"),
+            ("dim 1\nbeta -inf\nP\n0\nN\n0\n", "^header, line 2: beta must be finite and nonnegative"),
+            ("dim 1\nbeta inf\nP\n0\nN\n0\n", "^header, line 2: beta must be finite and nonnegative"),
+            ("dim 1\nbeta -1\nP\n0\nN\n0\n", "^header, line 2: beta must be finite and nonnegative"),
+            ("dim 2\nbeta 1.0\nP\n0 0\n0\nN\n0 0\n0 0\n", "^P block, line 5: matrix row 2 has 1 entries, expected 2$"),
+        ],
+    )
+    def test_malformed_entries_name_block_and_line(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            parse_decomposition(text)
+
+    @pytest.mark.parametrize("m", [9, 17, 33])
+    def test_committed_certificates_reserialize_to_their_bytes(self, tmp_path, m):
+        path = FIXTURES / "t_certs" / f"t{m}.cert"
+        dec = read_decomposition(str(path))
+        assert serialize_decomposition(dec) == path.read_text()
+        write_decomposition(str(tmp_path / "t.cert"), dec)
+        assert (tmp_path / "t.cert").read_bytes() == path.read_bytes()
+
+    def test_reads_what_parse_reads(self, tmp_path):
+        path = tmp_path / "t.cert"
+        path.write_text("\n dim 1\r\nbeta 0.5\n\nP\n 0.5 \n\x0cN\n0.5\n\n")
+        dec = read_decomposition(str(path))
+        assert (dec.P.tolist(), dec.N.tolist(), dec.beta) == ([[0.5]], [[0.5]], 0.5)
+        with open(path, encoding="ascii") as fh:  # the same text, newlines translated as the reader does
+            text = fh.read()
+        assert serialize_decomposition(parse_decomposition(text)) == serialize_decomposition(dec)
+
+
+class TestCertificateMemory:
+    """At d = 256 the certificate holds 131 072 values; its text is about 2.6 MB."""
+
+    @pytest.fixture(scope="class")
+    def cert(self, tmp_path_factory):
+        _, dec = certify_min_beta(triangular_matrix(128))
+        path = tmp_path_factory.mktemp("cert") / "t128.cert"
+        write_decomposition(str(path), dec)
+        return dec, path
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_streams_its_rows(self, cert, tmp_path):
+        dec, path = cert
+        assert self.peak(lambda: write_decomposition(str(tmp_path / "again.cert"), dec)) <= 1.5 * path.stat().st_size
+        assert (tmp_path / "again.cert").read_bytes() == path.read_bytes()
+
+    def test_reader_holds_the_lines_not_the_whole_text_twice(self, cert):
+        _, path = cert
+        assert self.peak(lambda: read_decomposition(str(path))) <= 2.8 * path.stat().st_size

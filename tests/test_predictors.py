@@ -145,6 +145,11 @@ class TestMalformed:
         with pytest.raises(FormatError, match=where):
             parse_predictor(text)
 
+    @pytest.mark.parametrize("text", ["matrix r=0 -1 2\n", "matrix r=0 0 -2\n", "matrix r=0 1 -2\n0 0\n"])
+    def test_negative_matrix_dimension(self, text):
+        with pytest.raises(FormatError, match="^matrix node, line 1: negative dimension"):
+            parse_predictor(text)
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "1e999"])
     def test_non_finite_score(self, entry):
         """A NaN score would label its cell -1, against sign(0) = +1; the learner never writes one."""
