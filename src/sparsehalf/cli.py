@@ -67,11 +67,13 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace, outpu
         fh.write("\n")
 
 
-def _print_force_estimate(n: int, rows: int) -> None:
+def _print_force_estimate(n: int, rows: list[int]) -> None:
+    """Price one exhaustive pass over 2^n patterns per entry of ``rows``, each over that many rows."""
     # best_pattern fills one uint64 word of pass bits per row and 64 patterns, at about
     # 1.7e8 words a second (measured at n = 24 on one core of a 2-core AMD EPYC)
-    words = (1 << max(0, n - 6)) * max(rows, 1)
-    print(f"force: exhaustive pass over 2^{n} patterns x {rows} rows, "
+    words = (1 << max(0, n - 6)) * sum(max(r, 1) for r in rows)
+    passes = "exhaustive pass" if len(rows) == 1 else f"{len(rows)} exhaustive passes"
+    print(f"force: {passes} over 2^{n} patterns x {sum(rows)} rows, "
           f"~{words:.3g} row-words (~{words / 1.7e8:.1f} s)", file=sys.stderr)
 
 
@@ -122,7 +124,7 @@ def cmd_val(args: argparse.Namespace) -> int:
     with open(args.infile, "r", encoding="ascii") as fh:
         phi = parse_formula(fh.read())
     if phi.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(phi.n, phi.m)
+        _print_force_estimate(phi.n, [phi.m])
     value, _ = formula_value(phi, force=args.force)
     print(f"val {_fmt(value)} {value.numerator}/{value.denominator}")
     return 0
@@ -149,7 +151,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     sample = _read_sample(args.train)
     if args.algo == "erm-binary" and sample.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(sample.n, len(sample))
+        _print_force_estimate(sample.n, [len(sample)])
     cfg = _learner_config(args, args.seed)
     predictor = make_learner(args.algo, cfg, force=args.force)(sample)
     write_predictor(args.model, predictor)
@@ -177,7 +179,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
         force=args.force,
     )
     if args.algo == "erm-binary" and phi.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(phi.n, math.ceil(cfg.fraction * phi.m))  # ERM sees the subsample
+        _print_force_estimate(phi.n, [math.ceil(cfg.fraction * phi.m)])  # ERM sees the subsample
     verdict = refute(phi, cfg)
     print(f"{verdict.kind} err={_fmt(verdict.error)} "
           f"({verdict.error.numerator}/{verdict.error.denominator})")
@@ -202,7 +204,8 @@ def cmd_game(args: argparse.Namespace) -> int:
         force=args.force,
     )
     if args.algo == "erm-binary" and args.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(args.n, math.ceil(refuter.fraction * game.clause_count))
+        rounds = len(game.modes) * game.trials  # one ERM fit on the subsample per round
+        _print_force_estimate(args.n, [math.ceil(refuter.fraction * game.clause_count)] * rounds)
     stats = refutation_game(game, refuter)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n")
@@ -231,7 +234,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
     if any(s < 0 for s in sizes):
         raise ValueError("sizes must be nonnegative")
     if "erm-binary" in algos and args.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(args.n, max(sizes))
+        _print_force_estimate(args.n, sizes * args.trials)  # one ERM fit per size and trial
     n = args.n
 
     lines = ["algo,n,m,trial,train_err,test_err,wall_ms"]
@@ -259,8 +262,6 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
 def cmd_certify_beta(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    if args.matrix != "tn":
-        raise ValueError(f"unknown matrix family {args.matrix!r}; only 'tn' is supported")
     W = triangular_matrix(args.n)
     beta_hat, dec = certify_min_beta(W)
     write_decomposition(args.out, dec)
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("certify-beta", help="numeric decomposability certificate")
-    p.add_argument("--matrix", default="tn")
+    p.add_argument("--matrix", choices=("tn",), default="tn", help="matrix family: tn, the n x n triangular")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_certify_beta)

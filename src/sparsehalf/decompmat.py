@@ -8,12 +8,16 @@ diagonal entry of both at most beta.  This module provides:
 * closed-form constructions (spectral split, tensor products, principal
   minors, diagonal and all-ones matrices, row-threshold matrices);
 * ``certify_min_beta`` -- a numeric upper-bound certifier that bisects on
-  beta and tests feasibility by Dykstra cyclic projection onto the affine
-  reconstruction set, the two PSD cones, and the diagonal cap.
+  beta and tests feasibility by Dykstra cyclic projection, one loop over
+  three constraint sets: the affine reconstruction set, the PSD cones
+  (P and N together), and the diagonal cap.
 
-The certified value is an upper bound on the true minimal beta up to the
-tolerances below.  Dense float64 matrices only, with a 256-dimension guard
-on the certifier.
+The verifier and the Dykstra feasibility test read the same gaps
+(reconstruction error, smallest eigenvalue, diagonal excess over beta) from
+one function.  Their tolerances, the certifier's iteration budget and its
+bisection resolution are module constants, not keywords.  The certified
+value is an upper bound on the true minimal beta up to those tolerances.
+Dense float64 matrices only, with a 256-dimension guard on the certifier.
 
 A certificate file holds ``dim <d>``, ``beta <value>``, then P and N in
 :mod:`sparsehalf.core`'s float-matrix codec: ``%.17g`` per entry, byte for
@@ -35,6 +39,18 @@ from .errors import FormatError, GuardError, NumericError
 MAX_CERTIFY_DIM = 256
 
 _KRON_ELEMENT_GUARD = 1 << 24
+
+#: the verifier's tolerances: on max|P - N - sym(W)|, on the PSD deficit (the
+#: negated smallest eigenvalue; also the PSD test of a tensor factor), on the
+#: diagonal excess over beta, and on max|P - P^T| and max|N - N^T|
+RECON_TOL, PSD_TOL, DIAG_TOL, SYM_TOL = 1e-9, 1e-8, 1e-9, 1e-12
+
+#: the gap Dykstra must get below for a beta to count as feasible, its
+#: iteration budget per beta, and the width at which the bisection stops
+TOLERANCE, MAX_ITERATIONS, BETA_RESOLUTION = 1e-7, 2000, 1e-3
+
+#: Dykstra iterations between feasibility checks
+_CHECK_EVERY = 20
 
 
 @dataclass(frozen=True)
@@ -111,16 +127,16 @@ def symmetrize(W: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_decomposition(
-    W: np.ndarray,
-    dec: Decomposition,
-    *,
-    recon_tol: float = 1e-9,
-    psd_tol: float = 1e-8,
-    diag_tol: float = 1e-9,
-    sym_tol: float = 1e-12,
-) -> VerifyReport:
-    """Check P - N = sym(W), PSD-ness, and the diagonal cap, within tolerances.
+def _gaps(P: np.ndarray, N: np.ndarray, S: np.ndarray, beta: float) -> tuple[float, float, float]:
+    """(max|P - N - S|, smallest eigenvalue of P and N, largest diagonal entry of either minus beta)."""
+    recon = float(np.abs(P - N - S).max(initial=0.0))
+    min_eigenvalue = float(min(np.linalg.eigvalsh(P).min(), np.linalg.eigvalsh(N).min()))
+    diag_excess = float(max(np.diag(P).max(initial=0.0), np.diag(N).max(initial=0.0)) - beta)
+    return recon, min_eigenvalue, diag_excess
+
+
+def verify_decomposition(W: np.ndarray, dec: Decomposition) -> VerifyReport:
+    """Check P - N = sym(W), PSD-ness, and the diagonal cap, within the module tolerances.
 
     Failures are reported, never raised.
     """
@@ -128,25 +144,19 @@ def verify_decomposition(
     n, m = W.shape
     if n + m != dec.d:
         raise ValueError(f"decomposition size {dec.d} does not match sym({n}x{m}) = {n + m}")
-    S = symmetrize(W)
     sym_error = max(
         float(np.abs(dec.P - dec.P.T).max(initial=0.0)),
         float(np.abs(dec.N - dec.N.T).max(initial=0.0)),
     )
-    recon_error = float(np.abs(dec.P - dec.N - S).max(initial=0.0))
-    min_eigenvalue = float(
-        min(np.linalg.eigvalsh(dec.P).min(), np.linalg.eigvalsh(dec.N).min())
-    )
-    diag_excess = float(
-        max(np.diag(dec.P).max(initial=0.0), np.diag(dec.N).max(initial=0.0)) - dec.beta
-    )
-    ok = (
-        recon_error <= recon_tol
-        and min_eigenvalue >= -psd_tol
-        and diag_excess <= diag_tol
-        and sym_error <= sym_tol
-    )
+    recon_error, min_eigenvalue, diag_excess = _gaps(dec.P, dec.N, symmetrize(W), dec.beta)
+    ok = recon_error <= RECON_TOL and min_eigenvalue >= -PSD_TOL and diag_excess <= DIAG_TOL and sym_error <= SYM_TOL
     return VerifyReport(ok, recon_error, min_eigenvalue, diag_excess, sym_error)
+
+
+def _eigen_part(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """The symmetrized sum of max(lambda, 0) v v^T over the eigenpairs (lambda, v)."""
+    out = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    return (out + out.T) / 2.0
 
 
 def spectral_split(M: np.ndarray, *, shape: tuple[int, int] | None = None) -> Decomposition:
@@ -165,12 +175,8 @@ def spectral_split(M: np.ndarray, *, shape: tuple[int, int] | None = None) -> De
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    pos = np.clip(eigvals, 0.0, None)
-    neg = np.clip(-eigvals, 0.0, None)
-    P = (eigvecs * pos) @ eigvecs.T
-    N = (eigvecs * neg) @ eigvecs.T
-    P = (P + P.T) / 2.0
-    N = (N + N.T) / 2.0
+    P = _eigen_part(eigvals, eigvecs)
+    N = _eigen_part(-eigvals, eigvecs)
     beta = float(max(np.diag(P).max(initial=0.0), np.diag(N).max(initial=0.0), 0.0))
     return Decomposition(P, N, beta, shape=shape)
 
@@ -184,7 +190,7 @@ def tensor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(A, B)
 
 
-def tensor_decomposition(dec: Decomposition, A: np.ndarray, *, psd_tol: float = 1e-8) -> Decomposition:
+def tensor_decomposition(dec: Decomposition, A: np.ndarray) -> Decomposition:
     """Decomposition of W tensor A from a decomposition of W and a PSD factor A.
 
     Uses sym(W) (x) A = sym(W (x) A): tensoring P and N with A keeps them PSD
@@ -197,7 +203,7 @@ def tensor_decomposition(dec: Decomposition, A: np.ndarray, *, psd_tol: float = 
         raise ValueError("tensor factor must be square")
     if np.abs(A - A.T).max(initial=0.0) > 1e-9:
         raise ValueError("tensor factor must be symmetric")
-    if np.linalg.eigvalsh(A).min() < -psd_tol:
+    if np.linalg.eigvalsh(A).min() < -PSD_TOL:
         raise ValueError("tensor factor must be positive semidefinite")
     alpha = float(np.diag(A).max(initial=0.0))
     n, m = dec.shape
@@ -280,39 +286,19 @@ def diagonal_decomposition(D: np.ndarray) -> Decomposition:
 # ---------------------------------------------------------------------------
 # Numeric minimal-beta certifier (Dykstra cyclic projection + bisection)
 
-#: Dykstra iterations between feasibility checks
-_CHECK_EVERY = 20
-
-#: the violation Dykstra must get below for a beta to count as feasible, its
-#: iteration budget per beta, and the width at which the bisection stops
-TOLERANCE, MAX_ITERATIONS, BETA_RESOLUTION = 1e-7, 2000, 1e-3
-
-
 def _project_affine(P: np.ndarray, N: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual = S - (P - N)
     return P + residual / 2.0, N - residual / 2.0
 
 
 def _project_psd(M: np.ndarray) -> np.ndarray:
-    sym = (M + M.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    clipped = np.clip(eigvals, 0.0, None)
-    out = (eigvecs * clipped) @ eigvecs.T
-    return (out + out.T) / 2.0
+    return _eigen_part(*np.linalg.eigh((M + M.T) / 2.0))
 
 
 def _project_diag_cap(M: np.ndarray, beta: float) -> np.ndarray:
     out = M.copy()
-    diag = np.diag(out)
-    np.fill_diagonal(out, np.minimum(diag, beta))
+    np.fill_diagonal(out, np.minimum(np.diag(out), beta))
     return out
-
-
-def _violations(P: np.ndarray, N: np.ndarray, S: np.ndarray, beta: float) -> float:
-    recon = np.abs(P - N - S).max(initial=0.0)
-    diag = max(np.diag(P).max(initial=0.0), np.diag(N).max(initial=0.0)) - beta
-    mineig = min(np.linalg.eigvalsh(P).min(), np.linalg.eigvalsh(N).min())
-    return float(max(recon, diag, -mineig, 0.0))
 
 
 def _dykstra_feasible(
@@ -325,47 +311,32 @@ def _dykstra_feasible(
     Dykstra's corrections make the cyclic projections converge to a point of
     the intersection when one exists; with a finite budget, failure to reach
     the tolerance is reported as infeasible (so the certified beta stays an
-    upper bound).
+    upper bound).  No projection writes in place, so neither the start point
+    nor the previous iterate is copied.
     """
-    P = start[0].copy()
-    N = start[1].copy()
-    d = P.shape[0]
-    # one correction term per constraint set, per matrix it touches
-    inc_aff_P = np.zeros((d, d))
-    inc_aff_N = np.zeros((d, d))
-    inc_psd_P = np.zeros((d, d))
-    inc_psd_N = np.zeros((d, d))
-    inc_cap_P = np.zeros((d, d))
-    inc_cap_N = np.zeros((d, d))
-
-    prev_P = P.copy()
-    prev_N = N.copy()
+    projections = (
+        lambda P, N: _project_affine(P, N, S),
+        lambda P, N: (_project_psd(P), _project_psd(N)),
+        lambda P, N: (_project_diag_cap(P, beta), _project_diag_cap(N, beta)),
+    )
+    P, N = start
+    zero = np.zeros(P.shape)
+    corrections = [(zero, zero)] * len(projections)  # one (P, N) pair per constraint set
+    prev_P, prev_N = P, N
     for iteration in range(1, MAX_ITERATIONS + 1):
-        vP, vN = P + inc_aff_P, N + inc_aff_N
-        P, N = _project_affine(vP, vN, S)
-        inc_aff_P, inc_aff_N = vP - P, vN - N
-
-        vP = P + inc_psd_P
-        P = _project_psd(vP)
-        inc_psd_P = vP - P
-
-        vN = N + inc_psd_N
-        N = _project_psd(vN)
-        inc_psd_N = vN - N
-
-        vP, vN = P + inc_cap_P, N + inc_cap_N
-        P = _project_diag_cap(vP, beta)
-        N = _project_diag_cap(vN, beta)
-        inc_cap_P, inc_cap_N = vP - P, vN - N
+        for k, project in enumerate(projections):
+            vP, vN = P + corrections[k][0], N + corrections[k][1]
+            P, N = project(vP, vN)
+            corrections[k] = (vP - P, vN - N)
 
         if iteration % _CHECK_EVERY == 0 or iteration == MAX_ITERATIONS:
-            gap = _violations(P, N, S, beta)
-            if gap <= TOLERANCE:
+            recon, min_eigenvalue, diag_excess = _gaps(P, N, S, beta)
+            if max(recon, diag_excess, -min_eigenvalue, 0.0) <= TOLERANCE:
                 return True, (P, N)
             delta = max(np.abs(P - prev_P).max(initial=0.0), np.abs(N - prev_N).max(initial=0.0))
             if delta <= TOLERANCE * 1e-2:
                 return False, (P, N)  # stalled short of the intersection
-            prev_P, prev_N = P.copy(), N.copy()
+            prev_P, prev_N = P, N
     return False, (P, N)
 
 
@@ -381,7 +352,7 @@ def _repair(
     The affine correction makes the reconstruction exact up to roundoff, a
     uniform eigenvalue shift (which preserves P - N) removes any residual
     PSD deficit, and whatever the diagonals grew to is folded into the
-    reported beta, so the result verifies at the default tolerances.
+    reported beta, so the result verifies at the module tolerances.
     """
     P = (P + P.T) / 2.0
     N = (N + N.T) / 2.0
@@ -404,7 +375,7 @@ def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
 
     Returns the certified beta (an upper bound on the true minimum, and at
     most the spectral split's) and a repaired decomposition that passes
-    ``verify_decomposition`` at its default tolerances.
+    ``verify_decomposition`` at the module tolerances.
     """
     W = check_sign_matrix(np.asarray(W))
     n, m = W.shape
@@ -413,7 +384,7 @@ def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
     S = symmetrize(W)
     spectral = spectral_split(S, shape=(n, m))
 
-    hi, best_point = spectral.beta, (spectral.P.copy(), spectral.N.copy())
+    hi, best_point = spectral.beta, (spectral.P, spectral.N)
     # tr P + tr N >= ||S||_* for every decomposition, and the trace sum is at
     # most 2 d beta, so no beta below ||S||_* / (2d) is feasible; the spectral
     # split meets the nuclear norm with equality.

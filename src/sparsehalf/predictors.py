@@ -277,13 +277,16 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         n_rows, n_cols = _numbers(header[2:], tag, reader.pos)
         if min(n_rows, n_cols) < 0:
             raise FormatError(f"{tag} node, line {reader.pos}: negative dimension in {n_rows}x{n_cols}")
+        realization = int(header[1][2:])
+        if not -2 <= realization <= 2:
+            raise FormatError(f"{tag} node, line {reader.pos}: r={realization} names no coordinate-sum part -2..2")
         first = reader.pos
         lines = reader.lines[first:first + n_rows]
         reader.pos += len(lines)
         scores = read_float_rows(lines, n_cols, lambda i: f"{tag} node, line {first + i + 1}", "scores")
         if len(lines) < n_rows:
             reader.next()  # unexpected end of predictor file
-        return MatrixPredictor(n_rows, n_cols, scores, int(header[1][2:]))
+        return MatrixPredictor(n_rows, n_cols, scores, realization)
 
     if tag == "composite":
         if len(header) != 4:
@@ -291,6 +294,8 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         router_name, (n, count) = header[1], _numbers(header[2:], tag, reader.pos)
         if router_name not in PARTITIONS:
             raise FormatError(f"unknown router {router_name!r}")
+        if count < 0:
+            raise FormatError(f"{tag} node, line {reader.pos}: negative child count {count}")
         keys = _part_keys(router_name, n)
         children: dict[int, TrainedPredictor] = {}
         for _ in range(count):
@@ -302,7 +307,10 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
                 raise FormatError(f"part key {part_line[1]!r} names no part of the {router_name} partition at n={n}")
             if part in children:
                 raise FormatError(f"part {part_line[1]} appears twice")
+            child_line = reader.pos + 1
             child = _read_node(reader)
+            if router_name == "c2" and isinstance(child, MatrixPredictor) and child.realization != part - 2:
+                raise FormatError(f"matrix node, line {child_line}: r={child.realization} under part {part_line[1]}")
             dims = (child.n_rows, child.n_cols) if isinstance(child, MatrixPredictor) else (child.n, child.n)
             if dims != (n, n):
                 raise FormatError(f"part {part_line[1]}: child of dimension {dims[0]}x{dims[1]} under a composite with n={n}")

@@ -401,6 +401,11 @@ class TestRefuteAndGame:
         assert run("refute", "--in", str(out), "--fraction", "0.5", "--force") == 0
         assert "force: exhaustive pass over 2^25 patterns x 4 rows" in capsys.readouterr().err
 
+    def test_force_estimate_prices_every_round(self, tmp_path, capsys):
+        # two modes x two trials, each ERM fit on ceil(0.5 * 25) = 13 of the 25 clauses
+        assert run("game", "--n", "25", "--delta", "1", "--trials", "2", "--force", "--out", str(tmp_path / "g.csv")) == 0
+        assert "force: 4 exhaustive passes over 2^25 patterns x 52 rows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("delta", ["inf", "nan"])
     def test_non_finite_delta_is_usage_error(self, tmp_path, delta):
         proc = cli_process("game", "--n", "8", "--delta", delta, "--trials", "1", "--out", str(tmp_path / "g.csv"))
@@ -442,6 +447,11 @@ class TestTradeoff:
         run(*args, "--out", str(b))
         strip = lambda p: [",".join(l.split(",")[:-1]) for l in read(p).strip().splitlines()]
         assert strip(a) == strip(b)
+
+    def test_force_estimate_prices_every_fit(self, tmp_path, capsys):
+        assert run("tradeoff", "--n", "25", "--algos", "erm-binary", "--sizes", "0,4,3", "--trials", "2",
+                   "--test-size", "8", "--force", "--out", str(tmp_path / "t.csv")) == 0
+        assert "force: 6 exhaustive passes over 2^25 patterns x 14 rows" in capsys.readouterr().err
 
     def test_bad_algo_is_usage_error(self, tmp_path):
         assert run("tradeoff", "--n", "6", "--algos", "h2", "--sizes", "8", "--out", str(tmp_path / "x.csv")) == 2

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from sparsehalf.decompmat import (
+    DIAG_TOL,
+    PSD_TOL,
+    RECON_TOL,
+    SYM_TOL,
     Decomposition,
     all_ones_decomposition,
     certify_min_beta,
@@ -70,6 +74,36 @@ class TestVerify:
         report = verify_decomposition(np.ones((n, n)), dec)
         assert not report.ok
         assert report.recon_error == 1.0
+
+    @staticmethod
+    def off_by(requirement, t):
+        """The exact all-ones split of the 2 x 2 all-ones matrix, off by t in one requirement only."""
+        dec = all_ones_decomposition(2)
+        P, N, beta, eye = dec.P.copy(), dec.N.copy(), dec.beta, np.eye(4)
+        if requirement == "recon":
+            N = N + t * eye  # P - N misses sym(W) by t on the diagonal; N stays PSD, its diagonal within beta + 1
+            beta += 1.0
+        elif requirement == "psd":
+            P, N = P - t * eye, N - t * eye  # the same shift of both keeps P - N
+        elif requirement == "diag":
+            beta -= t
+        else:
+            P[0, 1] += t  # eigvalsh reads the lower triangle only, and N's matching entry keeps P - N
+            N[0, 1] += t
+        return verify_decomposition(np.ones((2, 2)), Decomposition(P, N, beta, shape=(2, 2)))
+
+    @pytest.mark.parametrize("requirement,tolerance,field,sign", [
+        ("recon", RECON_TOL, "recon_error", 1),
+        ("psd", PSD_TOL, "min_eigenvalue", -1),
+        ("diag", DIAG_TOL, "diag_excess", 1),
+        ("sym", SYM_TOL, "sym_error", 1),
+    ])
+    def test_each_requirement_at_its_tolerance(self, requirement, tolerance, field, sign):
+        assert self.off_by(requirement, 0.0).ok
+        within, past = self.off_by(requirement, 0.99 * tolerance), self.off_by(requirement, 1.01 * tolerance)
+        assert within.ok and not past.ok
+        assert sign * getattr(within, field) == pytest.approx(0.99 * tolerance, rel=1e-3)
+        assert sign * getattr(past, field) == pytest.approx(1.01 * tolerance, rel=1e-3)
 
     def test_spectral_split_passes(self):
         rng = np.random.default_rng(2)
@@ -271,6 +305,24 @@ class TestCertifier:
     def test_dimension_guard(self):
         with pytest.raises(GuardError):
             certify_min_beta(np.ones((200, 200)))
+
+    def test_dykstra_certificate_bytes(self, monkeypatch):
+        # recorded with BLAS on one thread: the 17-digit entries depend on the LAPACK build
+        import sparsehalf.decompmat as decompmat
+
+        runs = []
+        original = decompmat._dykstra_feasible
+
+        def recorded(*args):
+            feasible, point = original(*args)
+            runs.append(feasible)
+            return feasible, point
+
+        monkeypatch.setattr(decompmat, "_dykstra_feasible", recorded)
+        W = np.array([[1, 1, -1, -1], [-1, 1, -1, -1], [-1, 1, 1, 1], [-1, -1, -1, 1], [1, -1, 1, -1]])
+        _, dec = certify_min_beta(W)
+        assert True in runs and False in runs  # the bisection moves both ends through Dykstra
+        assert serialize_decomposition(dec) == (FIXTURES / "frozen" / "certify_dykstra_5x4.cert").read_text()
 
 
 class TestRowThreshold:

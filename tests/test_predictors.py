@@ -145,6 +145,20 @@ class TestMalformed:
         with pytest.raises(FormatError, match=where):
             parse_predictor(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("matrix r=9 1 1\n0\n", "^matrix node, line 1: r=9 names no coordinate-sum part"),
+            ("composite c2 2 1\npart r=1\nmatrix r=-3 2 2\n0 0\n0 0\n", "^matrix node, line 3: r=-3 names no"),
+            ("composite c2 2 1\npart r=0\nmatrix r=2 2 2\n0 0\n0 0\n", "^matrix node, line 3: r=2 under part r=0$"),
+            ("composite c2 3 -1\n", "^composite node, line 1: negative child count -1$"),
+        ],
+    )
+    def test_realization_and_child_count(self, text, message):
+        """A wrong r would fail every prediction, a negative count would read as an empty model."""
+        with pytest.raises(FormatError, match=message):
+            parse_predictor(text)
+
     @pytest.mark.parametrize("text", ["matrix r=0 -1 2\n", "matrix r=0 0 -2\n", "matrix r=0 1 -2\n0 0\n"])
     def test_negative_matrix_dimension(self, text):
         with pytest.raises(FormatError, match="^matrix node, line 1: negative dimension"):
