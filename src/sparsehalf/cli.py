@@ -1,8 +1,9 @@
 """Command-line front door: formula tooling, training, refutation, experiments.
 
-Every command is deterministic given its full flag set including seeds, and
-every file-producing command writes a JSON run manifest next to its output
-(same path plus ``.manifest.json``).  Exit codes: 0 success, 2 usage or bad
+Every command is deterministic given its full flag set including seeds.  A
+file-producing command returns the paths it wrote, and ``main`` writes one
+JSON run manifest next to the first of them (same path plus
+``.manifest.json``).  Exit codes: 0 success, 2 usage or bad
 input, 3 size-guard violation, 4 numerical failure.  Guards on exhaustive
 paths can be overridden with ``--force``, which prints a cost estimate first.
 """
@@ -52,17 +53,17 @@ _KIND_FLAGS = {"3cnf": FormulaKind.CNF, "3maj": FormulaKind.MAJ}
 TRADEOFF_ALGOS = ("table", "h3", "erm-binary")
 
 
-def _write_manifest(out_path: str, command: str, args: argparse.Namespace, outputs: list[str], wall_s: float) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float) -> None:
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "flags": flags,
         "seeds": {k: v for k, v in flags.items() if "seed" in k},
         "version": __version__,
         "wall_clock_s": round(wall_s, 6),
         "outputs": outputs,
     }
-    with open(out_path + ".manifest.json", "w", encoding="ascii") as fh:
+    with open(outputs[0] + ".manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -99,8 +100,7 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_gen_formula(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
     kind = _KIND_FLAGS[args.kind]
     outputs = [args.out]
     if args.mode == "planted":
@@ -116,29 +116,25 @@ def cmd_gen_formula(args: argparse.Namespace) -> int:
     phi = sample_formula(cfg, kind)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(serialize_formula(phi))
-    _write_manifest(args.out, "gen-formula", args, outputs, time.perf_counter() - start)
-    return 0
+    return outputs
 
 
-def cmd_val(args: argparse.Namespace) -> int:
+def cmd_val(args: argparse.Namespace) -> None:
     with open(args.infile, "r", encoding="ascii") as fh:
         phi = parse_formula(fh.read())
     if phi.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(phi.n, [phi.m])
     value, _ = formula_value(phi, force=args.force)
     print(f"val {_fmt(value)} {value.numerator}/{value.denominator}")
-    return 0
 
 
-def cmd_to_sample(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_to_sample(args: argparse.Namespace) -> list[str]:
     with open(args.infile, "r", encoding="ascii") as fh:
         phi = parse_formula(fh.read())
     sample = formula_to_sample(phi, args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(serialize_sample(sample))
-    _write_manifest(args.out, "to-sample", args, [args.out], time.perf_counter() - start)
-    return 0
+    return [args.out]
 
 
 def _read_sample(path: str) -> Sample:
@@ -147,27 +143,24 @@ def _read_sample(path: str) -> Sample:
         return parse_sample(fh.read())
 
 
-def cmd_learn(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_learn(args: argparse.Namespace) -> list[str]:
     sample = _read_sample(args.train)
     if args.algo == "erm-binary" and sample.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(sample.n, [len(sample)])
     cfg = _learner_config(args, args.seed)
     predictor = make_learner(args.algo, cfg, force=args.force)(sample)
     write_predictor(args.model, predictor)
-    _write_manifest(args.model, "learn", args, [args.model], time.perf_counter() - start)
-    return 0
+    return [args.model]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     predictor = read_predictor(args.model)
     sample = _read_sample(args.data)
     error = empirical_error(predictor, sample)
     print(f"err {_fmt(error)} {error.numerator}/{error.denominator}")
-    return 0
 
 
-def cmd_refute(args: argparse.Namespace) -> int:
+def cmd_refute(args: argparse.Namespace) -> None:
     with open(args.infile, "r", encoding="ascii") as fh:
         phi = parse_formula(fh.read())
     cfg = RefuterConfig(
@@ -183,11 +176,9 @@ def cmd_refute(args: argparse.Namespace) -> int:
     verdict = refute(phi, cfg)
     print(f"{verdict.kind} err={_fmt(verdict.error)} "
           f"({verdict.error.numerator}/{verdict.error.denominator})")
-    return 0
 
 
-def cmd_game(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_game(args: argparse.Namespace) -> list[str]:
     game = GameConfig(
         n=args.n,
         delta=args.delta,
@@ -209,23 +200,19 @@ def cmd_game(args: argparse.Namespace) -> int:
     stats = refutation_game(game, refuter)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n")
+        fixed = f"{game.n},{_fmt(game.delta)},{_fmt(game.mu)},{_fmt(refuter.fraction)}"  # the same in every round
         for row in stats.rows:
-            fh.write(
-                f"{row.mode},{row.trial},{row.n},{_fmt(row.delta)},{_fmt(row.mu)},"
-                f"{_fmt(row.fraction)},{_fmt(row.error)},{row.verdict},{row.wall_ms:.3f}\n"
-            )
-    _write_manifest(args.out, "game", args, [args.out], time.perf_counter() - start)
+            fh.write(f"{row.mode},{row.trial},{fixed},{_fmt(row.error)},{row.verdict},{row.wall_ms:.3f}\n")
     for mode in game.modes:
         print(
             f"{mode}: exceptional_rate={stats.rate(mode, 'exceptional'):.3f} "
             f"typical_rate={stats.rate(mode, 'typical'):.3f} "
             f"mean_err={stats.mean_error(mode):.4f}"
         )
-    return 0
+    return [args.out]
 
 
-def cmd_tradeoff(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
     algos = args.algos.split(",")
     for algo in algos:
         if algo not in TRADEOFF_ALGOS:
@@ -256,12 +243,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
                 lines.append(f"{algo},{n},{m},{trial},{train_err},{test_err},{wall_ms:.3f}")
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_manifest(args.out, "tradeoff", args, [args.out], time.perf_counter() - start)
-    return 0
+    return [args.out]
 
 
-def cmd_certify_beta(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def cmd_certify_beta(args: argparse.Namespace) -> list[str]:
     W = triangular_matrix(args.n)
     beta_hat, dec = certify_min_beta(W)
     write_decomposition(args.out, dec)
@@ -269,9 +254,8 @@ def cmd_certify_beta(args: argparse.Namespace) -> int:
     report = verify_decomposition(W, loaded)
     if not report.ok:
         raise NumericError(f"written certificate does not re-verify: {report}")
-    _write_manifest(args.out, "certify-beta", args, [args.out], time.perf_counter() - start)
     print(f"beta_hat {_fmt(beta_hat)}")
-    return 0
+    return [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +352,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, outputs, time.perf_counter() - start)
+        return 0
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -406,17 +406,6 @@ def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
     return dec.beta, dec
 
 
-_T_CERT_CACHE: dict[int, Decomposition] = {}
-
-
-def t_certificate(n: int) -> Decomposition:
-    """Certified decomposition of the n x n triangular sign matrix, memoized."""
-    if n not in _T_CERT_CACHE:
-        _, dec = certify_min_beta(triangular_matrix(n))
-        _T_CERT_CACHE[n] = dec
-    return _T_CERT_CACHE[n]
-
-
 def row_threshold_matrix(thresholds: Iterable[int]) -> np.ndarray:
     t = list(int(v) for v in thresholds)
     n = len(t)
@@ -441,14 +430,15 @@ def row_threshold_decomposition(
     the principal minor of the tensored decomposition is just an index lookup
     into the base certificate.  Selecting rows in their original order folds
     the sort and un-permute steps into the same lookup.  beta is the base
-    certificate's beta.
+    certificate's beta; by default the base is ``certify_min_beta`` of T,
+    computed on each call (milliseconds, with no Dykstra run).
     """
     t = [int(v) for v in thresholds]
     W = row_threshold_matrix(t)
     n = len(t)
     m = n + 1
     if base is None:
-        base = t_certificate(m)
+        base = certify_min_beta(triangular_matrix(m))[1]
     if base.shape is None or base.shape != (m, m) or base.d != 2 * m:
         raise ValueError(f"base certificate must decompose the {m}x{m} triangular matrix")
     # symmetrization coordinates in the base: row block for level t_i, then column blocks
@@ -459,7 +449,7 @@ def row_threshold_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# Decomposition cache file format
+# Certificate file format
 
 def _decomposition_lines(dec: Decomposition) -> Iterator[str]:
     yield f"dim {dec.d}\nbeta {dec.beta!r}\nP\n"

@@ -82,19 +82,13 @@ class Verdict:
     kind: str
     error: Fraction
 
-    @property
-    def exceptional(self) -> bool:
-        return self.kind == EXCEPTIONAL
-
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round's outcome; the game's n, delta, mu and fraction are the same in every round."""
+
     mode: str
     trial: int
-    n: int
-    delta: float
-    mu: float
-    fraction: float
     error: Fraction
     verdict: str
     wall_ms: float
@@ -175,17 +169,5 @@ def refutation_game(game: GameConfig, refuter: RefuterConfig) -> GameStats:
             phi = _round_formula(mode, game, round_seed)
             verdict = refute(phi, replace(refuter, seed=derive_seed(round_seed, 12)))
             wall_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                RoundRecord(
-                    mode=mode,
-                    trial=trial,
-                    n=game.n,
-                    delta=game.delta,
-                    mu=game.mu,
-                    fraction=refuter.fraction,
-                    error=verdict.error,
-                    verdict=verdict.kind,
-                    wall_ms=wall_ms,
-                )
-            )
+            rows.append(RoundRecord(mode, trial, verdict.error, verdict.kind, wall_ms))
     return GameStats(tuple(rows))

@@ -43,7 +43,6 @@ from sparsehalf.decompmat import (
     row_threshold_decomposition,
     spectral_split,
     symmetrize,
-    t_certificate,
     tensor_decomposition,
     triangular_matrix,
     verify_decomposition,
@@ -308,7 +307,8 @@ def test_criterion_11_tradeoff_crossover(tmp_path):
         "--trials", "10", "--seed", "2024", "--test-size", "4096", "--out", str(out),
     ])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     by = defaultdict(dict)
     for row in rows:
         by[(int(row["m"]), int(row["trial"]))][row["algo"]] = float(row["test_err"])

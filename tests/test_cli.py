@@ -12,7 +12,7 @@ import pytest
 
 from oracles import eval_clause
 from sparsehalf import learners
-from sparsehalf.cli import main
+from sparsehalf.cli import build_parser, main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
 from sparsehalf.formulas import parse_formula
@@ -476,6 +476,42 @@ class TestCertifyBeta:
 
     def test_guard(self, tmp_path):
         assert run("certify-beta", "--matrix", "tn", "--n", "200", "--out", str(tmp_path / "x")) == 3
+
+
+MANIFEST_CASES = {
+    "gen-formula-uniform": ["gen-formula", "--kind", "3maj", "--n", "8", "--clauses", "20", "--seed", "1",
+                            "--out", "{out}/f.maj3"],
+    "gen-formula-planted": ["gen-formula", "--kind", "3cnf", "--n", "8", "--clauses", "20", "--mode", "planted",
+                            "--seed", "1", "--out", "{out}/f.cnf"],
+    "to-sample": ["to-sample", "--in", "{in}/f.maj3", "--seed", "2", "--out", "{out}/f.sample"],
+    "learn": ["learn", "--algo", "table", "--train", "{in}/f.sample", "--model", "{out}/f.model", "--seed", "3"],
+    "game": ["game", "--n", "8", "--delta", "2", "--trials", "1", "--seed", "4", "--out", "{out}/g.csv"],
+    "tradeoff": ["tradeoff", "--n", "6", "--algos", "table", "--sizes", "16", "--test-size", "32",
+                 "--out", "{out}/t.csv"],
+    "certify-beta": ["certify-beta", "--n", "4", "--out", "{out}/t4.cert"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_names_command_outputs_and_flags(tmp_path, case, capsys):
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    assert run("gen-formula", "--kind", "3maj", "--n", "8", "--clauses", "20", "--out", str(inputs / "f.maj3")) == 0
+    assert run("to-sample", "--in", str(inputs / "f.maj3"), "--out", str(inputs / "f.sample")) == 0
+    argv = [a.format(**{"in": inputs, "out": outputs}) for a in MANIFEST_CASES[case]]
+    assert run(*argv) == 0
+    capsys.readouterr()
+    first = next(a for a in argv if a.startswith(str(outputs)))
+    manifest = json.loads(read(Path(first + ".manifest.json")))
+    assert manifest["command"] == argv[0]
+    assert manifest["outputs"][0] == first
+    written = {str(p) for p in outputs.iterdir()} - {first + ".manifest.json"}
+    assert sorted(manifest["outputs"]) == sorted(written)
+    if case == "gen-formula-planted":
+        assert manifest["outputs"] == [first, first + ".psi"]
+    parsed = vars(build_parser().parse_args(argv))
+    assert manifest["flags"] == {k: v for k, v in parsed.items() if k not in ("func", "command")}
 
 
 class TestEntryPoints:

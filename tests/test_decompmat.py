@@ -23,7 +23,6 @@ from sparsehalf.decompmat import (
     serialize_decomposition,
     spectral_split,
     symmetrize,
-    t_certificate,
     tensor_decomposition,
     tensor_product,
     triangular_matrix,
@@ -350,7 +349,7 @@ class TestRowThreshold:
 
     def test_random_thresholds_inherit_base_beta(self):
         rng = np.random.default_rng(12)
-        base = t_certificate(17)
+        base = certify_min_beta(triangular_matrix(17))[1]
         for _ in range(5):
             t = [int(v) for v in rng.integers(0, 17, size=16)]
             W, dec = row_threshold_decomposition(t)
@@ -361,7 +360,7 @@ class TestRowThreshold:
         # the fused index lookup equals the literal tensor + minor route
         t = [2, 0, 1]
         m = 4
-        base = t_certificate(m)
+        base = certify_min_beta(triangular_matrix(m))[1]
         W, fused = row_threshold_decomposition(t, base=base)
         big = tensor_decomposition(base, np.ones((m, m)))
         # delete all tensor rows/cols except the ones the carving keeps,
@@ -383,6 +382,13 @@ class TestRowThreshold:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             row_threshold_decomposition([0, 5, 0, 0])
+
+    def test_default_base_is_computed_without_hidden_state(self):
+        t = [3, 0, 8, 5, 1, 8, 2, 6]
+        _, given = row_threshold_decomposition(t, base=certify_min_beta(triangular_matrix(len(t) + 1))[1])
+        first = serialize_decomposition(row_threshold_decomposition(t)[1])
+        assert first == serialize_decomposition(given)
+        assert serialize_decomposition(row_threshold_decomposition(t)[1]) == first
 
 
 class TestCacheFormat:
@@ -428,7 +434,17 @@ class TestCacheFormat:
 
     @pytest.mark.parametrize("m", [9, 17, 33])
     def test_committed_certificates_reserialize_to_their_bytes(self, tmp_path, m):
-        path = FIXTURES / "t_certs" / f"t{m}.cert"
+        # T_m certificates are computed, not committed: write one as certify-beta would, then read it back
+        path = tmp_path / f"t{m}.cert"
+        write_decomposition(str(path), certify_min_beta(triangular_matrix(m))[1])
+        dec = read_decomposition(str(path))
+        assert serialize_decomposition(dec) == path.read_text()
+        write_decomposition(str(tmp_path / "again.cert"), dec)
+        assert (tmp_path / "again.cert").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name", ["certify_tn16.cert", "certify_dykstra_5x4.cert"])
+    def test_frozen_certificates_reserialize_to_their_bytes(self, tmp_path, name):
+        path = FIXTURES / "frozen" / name
         dec = read_decomposition(str(path))
         assert serialize_decomposition(dec) == path.read_text()
         write_decomposition(str(tmp_path / "t.cert"), dec)

@@ -1,13 +1,21 @@
-"""Committed artifacts: cached triangular certificates and the tradeoff pilot."""
+"""The T_n certificate behind the row-threshold construction, and the committed tradeoff pilot.
+
+T_n's certificate is computed, not committed: ``certify_min_beta`` gives it
+in milliseconds, and ``row_threshold_decomposition`` takes it as its default
+base.
+"""
 
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsehalf.decompmat import (
-    read_decomposition,
+    certify_min_beta,
     row_threshold_decomposition,
+    spectral_split,
+    symmetrize,
     triangular_matrix,
     verify_decomposition,
 )
@@ -17,25 +25,27 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 @pytest.mark.parametrize("m", [9, 17, 33])
 def test_cached_triangular_certificates_reverify(m):
-    dec = read_decomposition(str(FIXTURES / "t_certs" / f"t{m}.cert"), shape=(m, m))
-    assert verify_decomposition(triangular_matrix(m), dec).ok
+    W = triangular_matrix(m)
+    beta, dec = certify_min_beta(W)
+    assert verify_decomposition(W, dec).ok
+    assert dec.beta == beta
+    assert beta <= spectral_split(symmetrize(W), shape=(m, m)).beta + 1e-9
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_cached_certificates_drive_row_threshold(n):
-    import numpy as np
-
-    base = read_decomposition(str(FIXTURES / "t_certs" / f"t{n + 1}.cert"), shape=(n + 1, n + 1))
+    base_beta, _ = certify_min_beta(triangular_matrix(n + 1))
     rng = np.random.default_rng(n)
     thresholds = [int(v) for v in rng.integers(0, n + 1, size=n)]
-    W, dec = row_threshold_decomposition(thresholds, base=base)
-    assert dec.beta == base.beta
+    W, dec = row_threshold_decomposition(thresholds)
+    assert dec.beta == base_beta
     assert verify_decomposition(W, dec).ok
 
 
 def test_pilot_record_supports_frozen_thresholds():
     # the committed pilot run behind the tradeoff acceptance thresholds
-    rows = list(csv.DictReader((FIXTURES / "pilot" / "tradeoff_pilot.csv").open()))
+    with (FIXTURES / "pilot" / "tradeoff_pilot.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     by = {}
     for row in rows:
         by[(row["algo"], int(row["m"]), int(row["trial"]))] = float(row["test_err"])
