@@ -19,13 +19,13 @@ import time
 from . import __version__
 from .core import (
     EXHAUSTIVE_N_LIMIT,
+    BinaryAssignment,
     Sample,
     empirical_error,
     parse_sample,
     sample_exact_sparse,
     serialize_sample,
 )
-from .core import BinaryAssignment
 from .decompmat import (
     certify_min_beta,
     read_decomposition,
@@ -101,27 +101,29 @@ def _fmt(x: float) -> str:
 # Commands
 
 def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
-    kind = _KIND_FLAGS[args.kind]
-    outputs = [args.out]
+    psi = None
     if args.mode == "planted":
         bits = generator(args.seed, 0).integers(0, 2, size=args.n) * 2 - 1
         psi = BinaryAssignment(tuple(int(b) for b in bits))
-        cfg = FormulaSourceConfig(args.n, args.clauses, mode="planted", psi=psi, seed=derive_seed(args.seed, 1))
-        psi_path = args.out + ".psi"
-        with open(psi_path, "w", encoding="ascii") as fh:
-            fh.write(" ".join(f"{b:+d}" for b in psi.bits) + "\n")
-        outputs.append(psi_path)
-    else:
-        cfg = FormulaSourceConfig(args.n, args.clauses, mode="uniform", seed=derive_seed(args.seed, 1))
-    phi = sample_formula(cfg, kind)
+    cfg = FormulaSourceConfig(args.n, args.clauses, mode=args.mode, psi=psi, seed=derive_seed(args.seed, 1))
+    phi = sample_formula(cfg, _KIND_FLAGS[args.kind])  # before any file is written, so a refusal leaves none
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(serialize_formula(phi))
-    return outputs
+    if psi is None:
+        return [args.out]
+    with open(args.out + ".psi", "w", encoding="ascii") as fh:
+        fh.write(" ".join(f"{b:+d}" for b in psi.bits) + "\n")
+    return [args.out, args.out + ".psi"]
+
+
+def _read_text(path: str) -> str:
+    # a non-ASCII byte becomes a lone surrogate: comment lines may hold it, and no data line reads it as a number
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        return fh.read()
 
 
 def cmd_val(args: argparse.Namespace) -> None:
-    with open(args.infile, "r", encoding="ascii") as fh:
-        phi = parse_formula(fh.read())
+    phi = parse_formula(_read_text(args.infile))
     if phi.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(phi.n, [phi.m])
     value, _ = formula_value(phi, force=args.force)
@@ -129,22 +131,14 @@ def cmd_val(args: argparse.Namespace) -> None:
 
 
 def cmd_to_sample(args: argparse.Namespace) -> list[str]:
-    with open(args.infile, "r", encoding="ascii") as fh:
-        phi = parse_formula(fh.read())
-    sample = formula_to_sample(phi, args.seed)
+    sample = formula_to_sample(parse_formula(_read_text(args.infile)), args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(serialize_sample(sample))
     return [args.out]
 
 
-def _read_sample(path: str) -> Sample:
-    # a non-ASCII byte becomes a lone surrogate: '#' lines may hold it, and no data line reads it as a digit
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return parse_sample(fh.read())
-
-
 def cmd_learn(args: argparse.Namespace) -> list[str]:
-    sample = _read_sample(args.train)
+    sample = parse_sample(_read_text(args.train))
     if args.algo == "erm-binary" and sample.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(sample.n, [len(sample)])
     cfg = _learner_config(args, args.seed)
@@ -155,14 +149,13 @@ def cmd_learn(args: argparse.Namespace) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> None:
     predictor = read_predictor(args.model)
-    sample = _read_sample(args.data)
+    sample = parse_sample(_read_text(args.data))
     error = empirical_error(predictor, sample)
     print(f"err {_fmt(error)} {error.numerator}/{error.denominator}")
 
 
 def cmd_refute(args: argparse.Namespace) -> None:
-    with open(args.infile, "r", encoding="ascii") as fh:
-        phi = parse_formula(fh.read())
+    phi = parse_formula(_read_text(args.infile))
     cfg = RefuterConfig(
         fraction=args.fraction,
         threshold=args.threshold,

@@ -71,8 +71,8 @@ def table_majority_learn(sample: Sample) -> MajorityTable:
     return MajorityTable(sample.n, sample.k, distinct, np.where(votes >= 0, 1, -1))
 
 
-def _eg_margins(C: np.ndarray, tau: float, d: int) -> tuple[np.ndarray, float]:
-    """Margins and capped trace of the exponentiated-gradient iterate.
+def _eg_margins(C: np.ndarray, tau: float, d: int) -> np.ndarray:
+    """Margins of the exponentiated-gradient iterate.
 
     The PSD pair is exp(sym(C)) and exp(-sym(C)) rescaled to the trace cap;
     via the SVD C = U S V^T the margin block is 2c U sinh(S) V^T and the raw
@@ -86,14 +86,12 @@ def _eg_margins(C: np.ndarray, tau: float, d: int) -> tuple[np.ndarray, float]:
     if smax < 600.0:
         trace_raw = 2.0 * (2.0 * np.cosh(S).sum() + (d - 2 * K))
         scale = 1.0 if trace_raw <= tau else tau / trace_raw
-        margins = (U * (2.0 * scale * np.sinh(S))) @ Vt
-        return margins, float(min(trace_raw, tau))
+        return (U * (2.0 * scale * np.sinh(S))) @ Vt
     with np.errstate(over="ignore", invalid="ignore"):
         up = np.exp(S - smax)
         down = np.exp(-S - smax)
         scaled_trace = 2.0 * ((up + down).sum() + (d - 2 * K) * math.exp(-smax))
-        margins = (U * (tau * (up - down) / scaled_trace)) @ Vt
-    return margins, tau
+        return (U * (tau * (up - down) / scaled_trace)) @ Vt
 
 
 def matrix_mw_learn(
@@ -134,7 +132,6 @@ def matrix_mw_learn(
 
     C = np.zeros((n_rows, n_cols))
     margin_sum = np.zeros((n_rows, n_cols))
-    max_trace = 0.0
     margins: np.ndarray | None = None
     dwell = 0  # steps taken on the current margins and not yet in margin_sum
     flat = (rows.astype(np.intp) - 1) * n_cols + (cols - 1)
@@ -151,10 +148,9 @@ def matrix_mw_learn(
             if margins is None:
                 if not np.isfinite(C).all():
                     raise NumericError(f"non-finite accumulator in epoch {epoch + 1}; reduce eta")
-                margins, trace_now = _eg_margins(C, tau, d)
+                margins = _eg_margins(C, tau, d)
                 if not np.isfinite(margins).all():
                     raise NumericError(f"non-finite margins in epoch {epoch + 1}; reduce eta")
-                max_trace = max(max_trace, trace_now)
             hits = np.flatnonzero(lab[pos:] * margins.take(at[pos:]) < 1.0)
             if not hits.size:
                 dwell += m - pos
@@ -169,7 +165,7 @@ def matrix_mw_learn(
         margin_sum += dwell * margins
     steps = cfg.epochs * m
     scores = margin_sum / steps if steps else margin_sum
-    return MatrixPredictor(n_rows, n_cols, scores, realization, max_trace=max_trace, trace_cap=tau)
+    return MatrixPredictor(n_rows, n_cols, scores, realization)
 
 
 def partition_learn(

@@ -89,16 +89,13 @@ class MatrixPredictor(TrainedPredictor):
     """sign of a real score matrix read at an instance's cell (0 -> +1).
 
     ``realization`` names the coordinate-sum part r whose cell map the matrix
-    was trained under.  ``max_trace`` is a training diagnostic (largest
-    capped trace seen).
+    was trained under.
     """
 
     n_rows: int
     n_cols: int
     scores: np.ndarray
     realization: int
-    max_trace: float = 0.0
-    trace_cap: float = float("inf")
 
     def __post_init__(self) -> None:
         scores = np.array(self.scores, dtype=float)

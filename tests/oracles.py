@@ -464,9 +464,7 @@ def matrix_mw_learn_stepwise(
     C = np.zeros((n_rows, n_cols))
     margin_sum = np.zeros((n_rows, n_cols))
     steps = 0
-    max_trace = 0.0
     margins: np.ndarray | None = None
-    trace_now = 0.0
     rng = generator(cfg.seed)
 
     for epoch in range(cfg.epochs):
@@ -476,15 +474,13 @@ def matrix_mw_learn_stepwise(
             if margins is None:
                 if not np.isfinite(C).all():
                     raise NumericError(f"non-finite accumulator in epoch {epoch + 1}; reduce eta")
-                margins, trace_now = learners._eg_margins(C, tau, d)
+                margins = learners._eg_margins(C, tau, d)
                 if not np.isfinite(margins).all():
                     raise NumericError(f"non-finite margins in epoch {epoch + 1}; reduce eta")
             margin_sum += margins
             steps += 1
-            if trace_now > max_trace:
-                max_trace = trace_now
             if label * margins[row - 1, col - 1] < 1.0:
                 C[row - 1, col - 1] += 0.5 * cfg.eta * label
                 margins = None  # iterate changed, recompute lazily
     scores = margin_sum / steps if steps else margin_sum
-    return MatrixPredictor(n_rows, n_cols, scores, realization, max_trace=max_trace, trace_cap=tau)
+    return MatrixPredictor(n_rows, n_cols, scores, realization)

@@ -75,6 +75,12 @@ class TestGenFormula:
         assert manifest["flags"]["seed"] == 3
         assert str(planted) in manifest["outputs"]
 
+    def test_refused_planted_formula_writes_no_file(self, tmp_path, capsys):
+        assert run("gen-formula", "--kind", "3maj", "--n", "2", "--clauses", "5", "--mode", "planted",
+                   "--out", str(tmp_path / "f.maj3")) == 2
+        assert "need n >= 3 variables" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cnf_generation(self, tmp_path, capsys):
         out = tmp_path / "f.cnf"
         assert run("gen-formula", "--kind", "3cnf", "--n", "8", "--clauses", "20", "--seed", "0", "--out", str(out)) == 0
@@ -292,6 +298,33 @@ class TestSampleBytes:
         capsys.readouterr()
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith(f"error: line {number}: ")
+
+
+class TestFormulaBytes:
+    """Formula files are read like samples: a comment line may hold any bytes."""
+
+    TEXT = b"p maj3 4 2\n1 -2 3 0\n"
+    EXTRA = {"val": [], "to-sample": ["--out", "{path}.sample"], "refute": []}
+
+    @pytest.mark.parametrize("command", sorted(EXTRA))
+    def test_comment_with_non_ascii_bytes_is_ignored(self, tmp_path, capsys, command):
+        plain, commented = tmp_path / "plain.maj3", tmp_path / "commented.maj3"
+        plain.write_bytes(self.TEXT + b"-1 2 4 0\n")
+        commented.write_bytes("c café\n".encode("utf-8") + self.TEXT + b"-1 2 4 0\nc \xff\xfe\n")
+        for path in (plain, commented):
+            assert run(command, "--in", str(path), *[a.format(path=path) for a in self.EXTRA[command]]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:len(out) // 2] == out[len(out) // 2:]
+        if command == "to-sample":
+            assert (tmp_path / "plain.maj3.sample").read_bytes() == (tmp_path / "commented.maj3.sample").read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(EXTRA))
+    def test_non_ascii_literal_is_a_format_error_naming_it(self, tmp_path, capsys, command):
+        data = tmp_path / "bad.maj3"
+        data.write_bytes(self.TEXT + "-1 2 é 0\n".encode("utf-8"))
+        assert run(command, "--in", str(data), *[a.format(path=data) for a in self.EXTRA[command]]) == 2
+        assert capsys.readouterr().err == "error: line 3: bad literal '\\udcc3\\udca9'\n"
+        assert list(tmp_path.iterdir()) == [data]
 
 
 class TestFrozenOutputs:
@@ -528,8 +561,9 @@ class TestEntryPoints:
         assert "sparsehalf" in proc.stdout
 
     def test_import_loads_no_process_pool(self):
-        # the pool modules load inside learn_h3 only, so --version stays as quick as before
-        code = "import sys, sparsehalf.cli; print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        # the pool modules load inside learn_h3 only, so --version stays as quick as before; scipy is a test dependency
+        code = ("import sys, sparsehalf.cli; "
+                "print([m for m in ('concurrent.futures', 'multiprocessing', 'scipy') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout == "[]\n"
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import oracles
 from oracles import (
@@ -101,6 +102,36 @@ def eg_case(seed, dims, m, mirrored=False):
     return cells
 
 
+def dense_eg_margins(C, tau):
+    """Margins c (expm(S) - expm(-S))[:r, r:] and capped trace c tr(expm(S) + expm(-S)), S = sym(C).
+
+    sym(C) is the symmetric (r + c) x (r + c) matrix with C above the diagonal
+    blocks, and c = min(1, tau / tr(expm(S) + expm(-S))) rescales the PSD pair
+    to the trace cap.
+    """
+    r, k = C.shape
+    S = np.block([[np.zeros((r, r)), C], [C.T, np.zeros((k, k))]])
+    P, N = expm(S), expm(-S)
+    c = min(1.0, tau / np.trace(P + N))
+    return c * (P - N)[:r, r:], c * np.trace(P + N), c
+
+
+@pytest.mark.parametrize("shape,scale,beta,binds", [
+    ((4, 4), 0.1, 4.0, False),
+    ((3, 5), 0.3, 2.0, False),
+    ((4, 4), 2.0, 0.5, True),  # beta < 1 puts the cap below the trace 2d of the zero iterate
+    ((5, 3), 3.0, 4.0, True),
+], ids=["free-square", "free-rectangular", "binds-square", "binds-rectangular"])
+def test_eg_margins_match_dense_reference(shape, scale, beta, binds):
+    C = scale * np.random.default_rng(sum(shape)).standard_normal(shape)
+    d = sum(shape)
+    tau = 2.0 * beta * d
+    want, capped_trace, c = dense_eg_margins(C, tau)
+    assert (c < 1.0) == binds
+    assert capped_trace <= tau * (1 + 1e-12)
+    assert np.allclose(learners._eg_margins(C, tau, d), want, rtol=1e-9, atol=1e-12)
+
+
 class TestMatrixMwLearn:
     def test_realizable_row_threshold(self):
         rng = np.random.default_rng(0)
@@ -125,14 +156,25 @@ class TestMatrixMwLearn:
             worst = max(worst, err)
         assert worst <= 0.5 + 0.15
 
-    def test_trace_cap_respected(self):
+    def test_every_iterate_is_rescaled_to_the_cap(self, monkeypatch):
+        eg_margins, seen = learners._eg_margins, []
+
+        def recorded(C, tau, d):
+            margins = eg_margins(C, tau, d)
+            seen.append((C.copy(), tau, margins))
+            return margins
+
+        monkeypatch.setattr(learners, "_eg_margins", recorded)
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 2, 64) * 2 - 1
         cells = grid_cells(labels, 8)
         cfg = LearnerConfig(seed=3, epochs=5, beta=0.5)  # small cap rescales often
-        pred = matrix_mw_learn(cells, (8, 8), cfg, 0)
-        assert pred.trace_cap == pytest.approx(2 * 0.5 * 16)
-        assert pred.max_trace <= pred.trace_cap + 1e-6
+        matrix_mw_learn(cells, (8, 8), cfg, 0)
+        assert len(seen) > 1 and {tau for _, tau, _ in seen} == {2 * 0.5 * 16}
+        for C, tau, margins in seen[::8]:  # each iterate is the dense one rescaled to the cap; expm is slow
+            want, capped_trace, _ = dense_eg_margins(C, tau)
+            assert capped_trace <= tau * (1 + 1e-12)
+            assert np.allclose(margins, want, rtol=1e-9, atol=1e-12)
 
     def test_deterministic_given_config(self):
         cells = [(1, 2, 1), (2, 1, -1), (1, 1, 1)]
@@ -158,7 +200,6 @@ class TestMatrixMwLearn:
         assert np.allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12)
         sure = np.abs(ref.scores) > 1e-9
         assert np.array_equal(np.sign(got.scores[sure]), np.sign(ref.scores[sure]))
-        assert (got.max_trace, got.trace_cap) == (ref.max_trace, ref.trace_cap)
 
     def test_non_finite_step_reports_epoch(self):
         stepwise = oracles.matrix_mw_learn_stepwise

@@ -65,7 +65,7 @@ def test_eg_steps_and_svds_counters(monkeypatch):
     # average over all steps reads the step count
     C = np.zeros((2, 2))
     C[0, 0] = 0.5 * cfg.eta
-    after, _ = learners._eg_margins(C, pred.trace_cap, 4)
+    after = learners._eg_margins(C, 2 * 4.0 * 4, 4)  # the default cap 2 * beta * (rows + cols), beta = 4 log2(2)
     steps = steps_of({"cells": cells, "cfg": cfg}, pred)
     assert steps == 15
     assert pred.scores[0, 0] == pytest.approx(after[0, 0] * (steps - 1) / steps, rel=1e-12)
