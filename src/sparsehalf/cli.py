@@ -23,6 +23,7 @@ from .core import (
     Sample,
     empirical_error,
     parse_sample,
+    read_text,
     sample_exact_sparse,
     serialize_sample,
 )
@@ -116,14 +117,8 @@ def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
     return [args.out, args.out + ".psi"]
 
 
-def _read_text(path: str) -> str:
-    # a non-ASCII byte becomes a lone surrogate: comment lines may hold it, and no data line reads it as a number
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return fh.read()
-
-
 def cmd_val(args: argparse.Namespace) -> None:
-    phi = parse_formula(_read_text(args.infile))
+    phi = parse_formula(read_text(args.infile))
     if phi.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(phi.n, [phi.m])
     value, _ = formula_value(phi, force=args.force)
@@ -131,14 +126,14 @@ def cmd_val(args: argparse.Namespace) -> None:
 
 
 def cmd_to_sample(args: argparse.Namespace) -> list[str]:
-    sample = formula_to_sample(parse_formula(_read_text(args.infile)), args.seed)
+    sample = formula_to_sample(parse_formula(read_text(args.infile)), args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(serialize_sample(sample))
     return [args.out]
 
 
 def cmd_learn(args: argparse.Namespace) -> list[str]:
-    sample = parse_sample(_read_text(args.train))
+    sample = parse_sample(read_text(args.train))
     if args.algo == "erm-binary" and sample.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(sample.n, [len(sample)])
     cfg = _learner_config(args, args.seed)
@@ -149,13 +144,13 @@ def cmd_learn(args: argparse.Namespace) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> None:
     predictor = read_predictor(args.model)
-    sample = parse_sample(_read_text(args.data))
+    sample = parse_sample(read_text(args.data))
     error = empirical_error(predictor, sample)
     print(f"err {_fmt(error)} {error.numerator}/{error.denominator}")
 
 
 def cmd_refute(args: argparse.Namespace) -> None:
-    phi = parse_formula(_read_text(args.infile))
+    phi = parse_formula(read_text(args.infile))
     cfg = RefuterConfig(
         fraction=args.fraction,
         threshold=args.threshold,
@@ -213,6 +208,8 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
     sizes = [int(s) for s in args.sizes.split(",")]
     if any(s < 0 for s in sizes):
         raise ValueError("sizes must be nonnegative")
+    if args.test_size < 1:
+        raise ValueError(f"--test-size must be at least 1: got {args.test_size}")
     if "erm-binary" in algos and args.n > EXHAUSTIVE_N_LIMIT and args.force:
         _print_force_estimate(args.n, sizes * args.trials)  # one ERM fit per size and trial
     n = args.n

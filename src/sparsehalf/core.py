@@ -23,9 +23,10 @@ tokenizes the text's bytes with numpy, ``CHUNK_LINES`` lines at a time.  A
 line whose tokens, apart by spaces and tabs, are ``[+-]D`` and then
 ``[+-]D:[+-]D`` ones (D: 1 to 18 ASCII digits) is read there; any other
 line is read token by token with Python's ``int``, which also words the
-error of a malformed line, with its line number.  A header's k may pad the
-rows to at most ``PAD_CELLS`` int32 cells per character of the file (or
-2^20 cells in all).
+error of a malformed line, with its line number; so are the table rows of
+model files, as sample lines.  A header's k may pad the rows to at most
+``PAD_CELLS`` int32 cells per character of the file (or 2^20 cells in
+all).  Every input file is decoded as :func:`read_text` decodes it.
 """
 
 from __future__ import annotations
@@ -271,6 +272,12 @@ def sample_exact_sparse(n: int, k: int, count: int, seed: int) -> np.ndarray:
 _HEADER_RE = re.compile(r"#\s*sparse-sample\s+n=(\d+)\s+k=(\d+)\s*$")
 
 
+def read_text(path: str) -> str:
+    """An input file's text, as ASCII with each other byte a lone surrogate: a comment may hold it, no number reads it."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        return fh.read()
+
+
 def format_instance(row: Sequence[int]) -> str:
     """One signed-index row written as ``idx:val`` tokens; the zero vector is empty."""
     return " ".join(f"{v}:+1" if v > 0 else f"{-v}:-1" for v in row if v)
@@ -283,27 +290,6 @@ def serialize_sample(sample: Sample) -> str:
     for label, row in zip(sample.y.tolist(), sample.items.tolist()):
         lines.append(f"{label:+d} {format_instance(row)}".rstrip())
     return "\n".join(lines) + "\n"
-
-
-def parse_instance(tokens: Sequence[str], n: int, where: str) -> list[int]:
-    """The instance written as ``idx:val`` tokens, as signed indices; FormatError if malformed."""
-    signed = []
-    last = 0
-    for tok in tokens:
-        idx_s, sep, val_s = tok.partition(":")
-        if not sep:
-            raise FormatError(f"{where}: expected idx:val token, got {tok!r}")
-        try:
-            idx, val = int(idx_s), int(val_s)
-        except ValueError as exc:
-            raise FormatError(f"{where}: bad entry token {tok!r}") from exc
-        if not last < idx <= n:
-            raise FormatError(f"{where}: indices must be strictly increasing in [1, {n}]")
-        if val not in (-1, 1):
-            raise FormatError(f"{where}: entry values must be +-1: got {val}")
-        signed.append(idx if val > 0 else -idx)
-        last = idx
-    return signed
 
 
 #: read_rows tokenizes CHUNK_LINES lines at a time, so that its per-byte
@@ -378,7 +364,7 @@ def _read_chunk(lines: Sequence[str], n: int, k: int) -> tuple[np.ndarray, np.nd
     return labels, rows, unread
 
 
-def read_rows(lines: Sequence[str], n: int, k: int, read_line: Callable[[int], tuple[int, list[int]]],
+def read_rows(lines: Sequence[str], n: int, k: int, where: Callable[[int], str],
               width: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(int8 labels, int32 signed-index rows) of ``<label> <idx>:<val> ...`` lines.
 
@@ -387,15 +373,16 @@ def read_rows(lines: Sequence[str], n: int, k: int, read_line: Callable[[int], t
     tokens, apart by spaces and tabs, are a label, then at most k ``idx:val``
     tokens; every number is ``[+-]`` and 1 to 18 ASCII digits, the label and
     each val are +-1, and the indices rise strictly within [1, n].  Each other
-    line i goes to ``read_line(i)``, in order, which raises the line's
-    FormatError or returns its (label, nonzeros).  Rows are zero-padded to
-    the widest row, and to at least ``width``.
+    line i is read token by token, in order, and a malformed one raises its
+    FormatError, which starts with ``where(i)``: its file line, or its node
+    and file line.  Rows are zero-padded to the widest row, and to at least
+    ``width``.
     """
     labels, chunks, slow = [], [], {}
     for start in range(0, len(lines), CHUNK_LINES):
         y, rows, unread = _read_chunk(lines[start:start + CHUNK_LINES], n, k)
         for i in np.flatnonzero(unread).tolist():
-            y[i], slow[start + i] = read_line(start + i)
+            y[i], slow[start + i] = _read_example(lines[start + i], n, k, where(start + i))
         labels.append(y)
         chunks.append(rows)
     width = max([width, *(rows.shape[1] for rows in chunks), *map(len, slow.values())])
@@ -407,18 +394,32 @@ def read_rows(lines: Sequence[str], n: int, k: int, read_line: Callable[[int], t
     return np.concatenate([np.zeros(0, dtype=np.int8), *labels]), items
 
 
-def _read_example(line: str, n: int, k: int, number: int) -> tuple[int, list[int]]:
-    """(label, nonzeros) of example line ``number``, token by token; FormatError if malformed."""
-    tokens = line.split()
+def _read_example(line: str, n: int, k: int, where: str) -> tuple[int, list[int]]:
+    """(label, nonzeros) of ``<label> <idx>:<val> ...``, token by token; FormatError starting with ``where``."""
+    label_token, *tokens = line.split()
     try:
-        label = int(tokens[0])
+        label = int(label_token)
     except ValueError as exc:
-        raise FormatError(f"line {number}: bad label {tokens[0]!r}") from exc
+        raise FormatError(f"{where}: bad label {label_token!r}") from exc
     if label not in (-1, 1):
-        raise FormatError(f"line {number}: label must be +-1, got {label}")
-    row = parse_instance(tokens[1:], n, f"line {number}")
+        raise FormatError(f"{where}: label must be +-1, got {label}")
+    row, last = [], 0
+    for tok in tokens:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
+            raise FormatError(f"{where}: expected idx:val token, got {tok!r}")
+        try:
+            idx, val = int(idx_s), int(val_s)
+        except ValueError as exc:
+            raise FormatError(f"{where}: bad entry token {tok!r}") from exc
+        if not last < idx <= n:
+            raise FormatError(f"{where}: indices must be strictly increasing in [1, {n}]")
+        if val not in (-1, 1):
+            raise FormatError(f"{where}: entry values must be +-1: got {val}")
+        row.append(idx if val > 0 else -idx)
+        last = idx
     if len(row) > k:
-        raise FormatError(f"line {number}: more than k={k} nonzeros")
+        raise FormatError(f"{where}: more than k={k} nonzeros")
     return label, row
 
 
@@ -448,7 +449,7 @@ def parse_sample(text: str) -> Sample:
                           f"a file of {len(text)} characters may hold {limit}")
     numbers = (range(body_start + 1, len(lines) + 1) if len(body) == len(rest)
                else [i for i, s in enumerate(rest, body_start + 1) if s and s[0] != "#"])
-    labels, items = read_rows(body, n, k, lambda i: _read_example(body[i], n, k, numbers[i]), width=k)
+    labels, items = read_rows(body, n, k, lambda i: f"line {numbers[i]}", width=k)
     return Sample(k, n, items, labels)
 
 

@@ -100,7 +100,7 @@ class VerifyReport:
     diag_excess: float
     sym_error: float
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
+    def __str__(self) -> str:
         status = "pass" if self.ok else "FAIL"
         return (
             f"{status}: recon={self.recon_error:.3e} min_eig={self.min_eigenvalue:.3e} "
@@ -471,11 +471,13 @@ def _decomposition_of(lines: list[str]) -> Decomposition:
     numbers, lines = [number for number, _ in numbered], [s for _, s in numbered]
     if len(lines) < 3 or not lines[0].startswith("dim ") or not lines[1].startswith("beta "):
         raise FormatError("expected 'dim <d>' then 'beta <value>' headers")
-    try:
-        d = int(lines[0].split()[1])
-        beta = float(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad header: {exc}") from exc
+    header = []
+    for line, number, convert in zip(lines, numbers, (int, float)):  # 'dim <d>', then 'beta <value>'
+        try:
+            header.append(convert(line.split()[1]))
+        except ValueError:
+            raise FormatError(f"header, line {number}: bad value in {line!r}") from None
+    d, beta = header
     if not 0 <= beta < float("inf"):
         raise FormatError(f"header, line {numbers[1]}: beta must be finite and nonnegative, got {lines[1]!r}")
     if lines[2] != "P" or len(lines) != 4 + 2 * d or lines[3 + d] != "N":
@@ -491,7 +493,7 @@ def write_decomposition(path: str, dec: Decomposition) -> None:
 
 
 def read_decomposition(path: str, shape: tuple[int, int] | None = None) -> Decomposition:
-    with open(path, "r", encoding="ascii") as fh:  # line by line, never the whole text at once
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:  # as read_text does, line by line
         dec = _decomposition_of([part for line in fh for part in line.splitlines()])
     if shape is not None:
         dec = replace(dec, shape=shape)

@@ -24,8 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (BinaryAssignment, Sample, distinct_rows, format_float_rows, format_instance, parse_instance,
-                   read_float_rows, read_rows)
+from .core import (BinaryAssignment, Sample, distinct_rows, format_float_rows, format_instance, read_float_rows,
+                   read_rows, read_text)
 from .errors import FormatError
 from .realizations import PARTITIONS, group_rows, part_of_c2, part_order, realize_c2, route_rows
 
@@ -220,17 +220,6 @@ def _numbers(tokens: list[str], tag: str, line: int) -> list[int]:
         raise FormatError(f"{tag} node, line {line}: expected ints, got {' '.join(tokens)!r}") from None
 
 
-def _read_table_row(line: str, n: int, number: int) -> tuple[int, list[int]]:
-    """(label, nonzeros) of table row ``idx:val ... -> label`` at file line ``number``; FormatError if malformed."""
-    left, sep, right = line.rpartition("->")
-    if not sep:
-        raise FormatError(f"table row missing '->': {line!r}")
-    (label,) = _numbers([right], "table", number)
-    if label not in (-1, 1):
-        raise FormatError(f"table row label must be +-1: {line!r}")
-    return label, parse_instance(left.split(), n, "table row")
-
-
 def _read_node(reader: _Reader) -> TrainedPredictor:
     header = reader.next().split()
     if not header:
@@ -244,7 +233,10 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         bits = tuple(_numbers(reader.next().split(), tag, reader.pos))
         if len(bits) != n:
             raise FormatError(f"binary payload has {len(bits)} weights, expected {n}")
-        return BinaryHalfspacePredictor(BinaryAssignment(bits))
+        try:
+            return BinaryHalfspacePredictor(BinaryAssignment(bits))
+        except ValueError as exc:
+            raise FormatError(f"{tag} node, line {reader.pos}: {exc}") from None
 
     if tag == "table":
         if len(header) != 4:
@@ -255,12 +247,17 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         first = reader.pos
         lines = reader.lines[first:first + count]
         reader.pos += len(lines)
-        rows = []  # each row as '<label> <idx>:<val> ...' for read_rows; '' sends it to _read_table_row
+        rows = []  # each row 'L -> y' as the sample line 'y L', up to the first that is not of that form
         for line in lines:
             left, sep, right = line.rpartition("->")
             label = right.split()
-            rows.append(f"{label[0]} {left}" if sep and len(label) == 1 else "")
-        labels, items = read_rows(rows, n, k, lambda i: _read_table_row(lines[i], n, first + i + 1))
+            if not sep or len(label) != 1:
+                break
+            rows.append(f"{label[0]} {left}")
+        labels, items = read_rows(rows, n, k, lambda i: f"{tag} node, line {first + i + 1}")
+        if len(rows) < len(lines):
+            raise FormatError(f"{tag} node, line {first + len(rows) + 1}: "
+                              f"expected '<idx>:<val> ... -> <label>', got {lines[len(rows)]!r}")
         if len(lines) < count:
             reader.next()  # unexpected end of predictor file
         try:
@@ -332,5 +329,4 @@ def write_predictor(path: str, node: TrainedPredictor) -> None:
 
 
 def read_predictor(path: str) -> TrainedPredictor:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_predictor(fh.read())
+    return parse_predictor(read_text(path))

@@ -71,6 +71,8 @@ class GameConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        if len(set(self.modes)) < len(self.modes):
+            raise ValueError(f"a mode is played once per game: got {','.join(self.modes)}")
 
     @property
     def clause_count(self) -> int:

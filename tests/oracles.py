@@ -382,24 +382,28 @@ def parse_sample(text: str) -> Sample:
 
 
 def parse_table(text: str) -> MajorityTable:
-    """A model file holding one ``table`` node, read row by row."""
+    """A model file holding one ``table`` node, read row by row: arrow, label, ``idx:val`` tokens, k limit."""
     lines = text.splitlines()
     n, k, count = (int(field) for field in lines[0].split()[1:])
     rows, labels = [], []
     for pos in range(1, count + 1):
         if pos >= len(lines):
             raise FormatError("unexpected end of predictor file")
-        line = lines[pos]
-        left, sep, right = line.rpartition("->")
-        if not sep:
-            raise FormatError(f"table row missing '->': {line!r}")
+        where = f"table node, line {pos + 1}"
+        left, sep, right = lines[pos].rpartition("->")
+        if not sep or len(right.split()) != 1:
+            raise FormatError(f"{where}: expected '<idx>:<val> ... -> <label>', got {lines[pos]!r}")
+        (label_token,) = right.split()
         try:
-            label = int(right)
+            label = int(label_token)
         except ValueError:
-            raise FormatError(f"table node, line {pos + 1}: expected ints, got {right!r}") from None
+            raise FormatError(f"{where}: bad label {label_token!r}") from None
         if label not in (-1, 1):
-            raise FormatError(f"table row label must be +-1: {line!r}")
-        rows.append(parse_instance(left.split(), n, "table row"))
+            raise FormatError(f"{where}: label must be +-1, got {label}")
+        row = parse_instance(left.split(), n, where)
+        if len(row) > k:
+            raise FormatError(f"{where}: more than k={k} nonzeros")
+        rows.append(row)
         labels.append(label)
     width = max(map(len, rows), default=0)
     items = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64).reshape(count, width)

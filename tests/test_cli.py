@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import eval_clause
-from sparsehalf import learners
+from sparsehalf import cli, learners
 from sparsehalf.cli import build_parser, main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
@@ -327,6 +327,22 @@ class TestFormulaBytes:
         assert list(tmp_path.iterdir()) == [data]
 
 
+class TestModelBytes:
+    """Model files are decoded like samples: a non-ASCII byte is a FormatError naming its node and line."""
+
+    @pytest.mark.parametrize("model,message", [
+        ("table 4 2 2\n1:+1 -> +1\n2:-1 é -> -1\n", "table node, line 3: expected idx:val token, got '\\udcc3\\udca9'"),
+        ("matrix r=0 2 2\n0 0\n0 é\n", "matrix node, line 3: expected floats, got '0 \\udcc3\\udca9'"),
+        ("table 4 2é 1\n1:+1 -> +1\n", "table node, line 1: expected ints, got '4 2\\udcc3\\udca9 1'"),
+    ], ids=["table-row", "matrix-row", "node-header"])
+    def test_non_ascii_byte_is_a_format_error_naming_its_line(self, tmp_path, capsys, model, message):
+        path, data = tmp_path / "m", tmp_path / "d"
+        path.write_bytes(model.encode("utf-8"))
+        data.write_text("# sparse-sample n=4 k=2\n+1 1:+1\n")
+        assert run("eval", "--model", str(path), "--data", str(data)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestFrozenOutputs:
     """Outputs recorded before samples and formulas became arrays; they must not change."""
 
@@ -446,6 +462,13 @@ class TestRefuteAndGame:
         assert "error: clause density must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_repeated_mode_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run("game", "--n", "8", "--delta", "4", "--trials", "1", "--modes", "planted,planted",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "error: a mode is played once per game: got planted,planted\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_refute_cnf_is_usage_error(self, tmp_path):
         out = tmp_path / "f.cnf"
         run("gen-formula", "--kind", "3cnf", "--n", "8", "--clauses", "20", "--seed", "0", "--out", str(out))
@@ -485,6 +508,16 @@ class TestTradeoff:
         assert run("tradeoff", "--n", "25", "--algos", "erm-binary", "--sizes", "0,4,3", "--trials", "2",
                    "--test-size", "8", "--force", "--out", str(tmp_path / "t.csv")) == 0
         assert "force: 6 exhaustive passes over 2^25 patterns x 14 rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_empty_test_sample_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, size):
+        def draw(*args):
+            raise AssertionError("drew a sample")
+        monkeypatch.setattr(cli, "sample_exact_sparse", draw)
+        assert run("tradeoff", "--n", "6", "--algos", "table", "--sizes", "8", "--test-size", size,
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert capsys.readouterr().err == f"error: --test-size must be at least 1: got {size}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_algo_is_usage_error(self, tmp_path):
         assert run("tradeoff", "--n", "6", "--algos", "h2", "--sizes", "8", "--out", str(tmp_path / "x.csv")) == 2

@@ -426,11 +426,25 @@ class TestCacheFormat:
             ("dim 1\nbeta inf\nP\n0\nN\n0\n", "^header, line 2: beta must be finite and nonnegative"),
             ("dim 1\nbeta -1\nP\n0\nN\n0\n", "^header, line 2: beta must be finite and nonnegative"),
             ("dim 2\nbeta 1.0\nP\n0 0\n0\nN\n0 0\n0 0\n", "^P block, line 5: matrix row 2 has 1 entries, expected 2$"),
+            ("dim x\nbeta 1.0\nP\n0\nN\n0\n", "^header, line 1: bad value in 'dim x'$"),
+            ("\ndim 1\nbeta x\nP\n0\nN\n0\n", "^header, line 3: bad value in 'beta x'$"),
         ],
     )
     def test_malformed_entries_name_block_and_line(self, text, message):
         with pytest.raises(FormatError, match=message):
             parse_decomposition(text)
+
+    @pytest.mark.parametrize("text,message", [
+        (b"dim 1\nbeta 0.5\nP\n0.5\xc3\xa9\nN\n0.5\n", "P block, line 4: expected floats, got '0.5\\udcc3\\udca9'"),
+        (b"dim 1\nbeta \xc3\xa9\nP\n0.5\nN\n0.5\n", "header, line 2: bad value in 'beta \\udcc3\\udca9'"),
+    ], ids=["P-row", "beta-line"])
+    def test_non_ascii_byte_is_a_format_error_naming_its_line(self, tmp_path, text, message):
+        """Certificates are decoded like samples: a non-ASCII byte is a lone surrogate that no value reads."""
+        path = tmp_path / "t.cert"
+        path.write_bytes(text)
+        with pytest.raises(FormatError) as excinfo:
+            read_decomposition(str(path))
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("m", [9, 17, 33])
     def test_committed_certificates_reserialize_to_their_bytes(self, tmp_path, m):

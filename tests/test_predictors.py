@@ -148,6 +148,27 @@ class TestMalformed:
     @pytest.mark.parametrize(
         "text,message",
         [
+            ("binary 2\n+1 0\n", "binary node, line 2: assignment entries must be +-1"),
+            ("binary 0\n\n", "binary node, line 2: assignment must be nonempty"),
+            ("table 4 2 2\n1:+1 -> +1\n1:+1 2\n", "table node, line 3: expected '<idx>:<val> ... -> <label>', got '1:+1 2'"),
+            ("table 4 2 2\n1:+1 -> +1\n2:+1 -> +1 -1\n",
+             "table node, line 3: expected '<idx>:<val> ... -> <label>', got '2:+1 -> +1 -1'"),
+            ("table 4 1 1\n1:+1 2:-1 -> -1\n", "table node, line 2: more than k=1 nonzeros"),
+            ("table 4 2 3\n1:+1 -> +1\n2:+1 -> 0\n", "table node, line 3: label must be +-1, got 0"),  # before the end
+            ("table 4 2 3\n1:+1 -> x\n2:+1\n", "table node, line 2: bad label 'x'"),  # before the arrowless row
+            ("table 4 2 2\n1:+1 -> +1\n2:+1 2:-1 -> +1\n", "table node, line 3: indices must be strictly increasing in [1, 4]"),
+        ],
+        ids=["weight-0", "no-weights", "no-arrow", "two-labels", "wider-than-k", "label-0", "bad-label-first",
+             "indices-repeat"],
+    )
+    def test_row_and_weight_errors_name_node_and_line(self, text, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_predictor(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
             ("matrix r=9 1 1\n0\n", "^matrix node, line 1: r=9 names no coordinate-sum part"),
             ("composite c2 2 1\npart r=1\nmatrix r=-3 2 2\n0 0\n0 0\n", "^matrix node, line 3: r=-3 names no"),
             ("composite c2 2 1\npart r=0\nmatrix r=2 2 2\n0 0\n0 0\n", "^matrix node, line 3: r=2 under part r=0$"),

@@ -116,6 +116,10 @@ class TestGame:
         stats = refutation_game(game, RefuterConfig(fraction=0.5, learner="erm-binary"))
         assert stats.rate("planted", "exceptional") >= 0.75
 
+    def test_repeated_mode_is_refused(self):
+        with pytest.raises(ValueError, match="^a mode is played once per game: got planted,uniform,planted$"):
+            GameConfig(n=8, delta=4, trials=1, modes=("planted", "uniform", "planted"))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GameConfig(n=8, delta=0.5, trials=1)
