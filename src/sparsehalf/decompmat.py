@@ -472,9 +472,12 @@ def _decomposition_of(lines: list[str]) -> Decomposition:
     if len(lines) < 3 or not lines[0].startswith("dim ") or not lines[1].startswith("beta "):
         raise FormatError("expected 'dim <d>' then 'beta <value>' headers")
     header = []
-    for line, number, convert in zip(lines, numbers, (int, float)):  # 'dim <d>', then 'beta <value>'
+    for line, number, (key, convert) in zip(lines, numbers, (("dim <d>", int), ("beta <value>", float))):
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise FormatError(f"header, line {number}: expected '{key}', got {line!r}")
         try:
-            header.append(convert(line.split()[1]))
+            header.append(convert(tokens[1]))
         except ValueError:
             raise FormatError(f"header, line {number}: bad value in {line!r}") from None
     d, beta = header

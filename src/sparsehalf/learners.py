@@ -4,7 +4,8 @@
 with unseen instances defaulting to +1.  ``matrix_mw_learn`` learns +-1 cell
 labels of an n x m matrix through a trace-capped positive semidefinite pair,
 updated by matrix exponentiated gradient on the hinge loss and converted
-online-to-batch by averaging the per-iterate margins.  ``partition_learn``
+online-to-batch by averaging the per-iterate margins; the iterate changes
+once per block of ``LearnerConfig.batch`` steps.  ``partition_learn``
 splits a sample along the parts of a named partition, trains one sub-learner
 per part, and routes predictions.  ``learn_h2``/``learn_h3`` compose these
 into the efficient learners for at-most-2-sparse and at-most-3-sparse
@@ -48,18 +49,22 @@ class LearnerConfig:
 
     ``beta`` is the decomposability budget; when unset the matrix parts use
     ``4 * log2(n)``.  The trace cap is ``2 * beta * (rows + cols)``.
+    ``batch`` is the block of steps whose hinge violations share one iterate.
     """
 
     seed: int = 0
     beta: float | None = None
     eta: float = 0.5
     epochs: int = 10
+    batch: int = 64
 
     def __post_init__(self) -> None:
         if self.beta is not None and not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be finite and positive: got {self.beta}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
         if not 0 < self.eta < math.inf:
             raise ValueError(f"eta must be finite and positive: got {self.eta}")
 
@@ -94,6 +99,25 @@ def _eg_margins(C: np.ndarray, tau: float, d: int) -> np.ndarray:
         return (U * (tau * (up - down) / scaled_trace)) @ Vt
 
 
+def _cross_component(flat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Cells whose row and column lie in different components of the graph of training cells.
+
+    ``flat`` holds the 0-based flat indices of the training cells, the edges of
+    a bipartite graph on rows and columns.  sym(C) is block diagonal over its
+    components at every iterate, so these cells' margins are exactly 0; in
+    floating point they come out as round-off that depends on the BLAS kernel.
+    """
+    seen = np.zeros(dims[0] * dims[1])
+    seen[flat] = 1.0
+    seen = seen.reshape(dims)
+    linked = (seen @ seen.T + np.eye(dims[0]) > 0).astype(float)  # rows that share a column
+    while True:  # squaring doubles the path length each time; 0/1 products are exact
+        wider = (linked @ linked > 0).astype(float)
+        if np.array_equal(wider, linked):
+            return linked @ seen == 0
+        linked = wider
+
+
 def matrix_mw_learn(
     cells: np.ndarray | Sequence[tuple[int, int, int]],
     dims: tuple[int, int],
@@ -109,9 +133,20 @@ def matrix_mw_learn(
     capped at tau; each example incurs the hinge loss on the (P - N) margin
     at its cell, the accumulated negative gradient is exponentiated
     spectrally and rescaled to the cap when exceeded.  The returned predictor
-    is the sign of the margins averaged over all iterates (0 -> +1).
+    is the sign of the margins averaged over all iterates (0 -> +1).  Cells
+    whose row and column no chain of training cells connects score exactly 0.
     The example order is reshuffled every epoch from the config seed, so the
     procedure is deterministic given (cells, cfg).
+
+    Mini-batch: each epoch's shuffled steps fall in blocks of ``cfg.batch``
+    (the last one shorter).  Every step of a block sees the margins of the
+    iterate at the block's start; the block's hinge violations are added to
+    the accumulator in step order and the iterate changes once, at the
+    block's end.  ``batch=1`` is the plain online learner.  The default, 64,
+    is the largest B of 1, 16, 64 and 256 whose mean test error stayed
+    within max(0.005, 0.05 x B = 1's) of B = 1's in every cell of the sweep
+    in ``results/learner_params/`` (h3, n = 16 to 48, m = 4 to 32 n^2,
+    with and without label noise), where it made 10 to 36 times fewer SVDs.
     """
     n_rows, n_cols = dims
     if n_rows < 1 or n_cols < 1:
@@ -135,11 +170,12 @@ def matrix_mw_learn(
     margins: np.ndarray | None = None
     dwell = 0  # steps taken on the current margins and not yet in margin_sum
     flat = (rows.astype(np.intp) - 1) * n_cols + (cols - 1)
-    m = len(cells)
+    m, batch = len(cells), cfg.batch
     rng = generator(cfg.seed)
 
-    # The iterate, and so the margins, change only at a hinge violation: each
-    # pass of the inner loop jumps to the next violation in the shuffled order.
+    # The iterate, and so the margins, change only after a block with a hinge
+    # violation: each pass of the inner loop jumps to the next violation j in
+    # the shuffled order and applies all violations of j's block at once.
     for epoch in range(cfg.epochs):
         order = rng.permutation(m)
         at, lab = flat[order], labels[order]
@@ -156,15 +192,18 @@ def matrix_mw_learn(
                 dwell += m - pos
                 break
             j = pos + int(hits[0])
-            margin_sum += (dwell + j + 1 - pos) * margins
+            end = min((j // batch + 1) * batch, m)  # the end of j's block
+            block = pos + hits[:np.searchsorted(hits, end - pos)]  # the violations in [j, end)
+            margin_sum += (dwell + end - pos) * margins
             dwell = 0
-            C.flat[at[j]] += 0.5 * cfg.eta * lab[j]
+            np.add.at(C.reshape(-1), at[block], 0.5 * cfg.eta * lab[block])  # repeated cells add up in step order
             margins = None  # iterate changed, recompute lazily
-            pos = j + 1
+            pos = end
     if dwell:
         margin_sum += dwell * margins
     steps = cfg.epochs * m
     scores = margin_sum / steps if steps else margin_sum
+    scores[_cross_component(flat, dims)] = 0.0
     return MatrixPredictor(n_rows, n_cols, scores, realization)
 
 

@@ -12,17 +12,21 @@ replaced; and the per-step matrix exponentiated-gradient loop that
 readers of sample files and table nodes that ``sparsehalf.core.read_rows``
 replaced; and the per-value writer and per-row reader of float matrices
 (certificate blocks, matrix nodes) that ``sparsehalf.core.format_float_rows``
-and ``read_float_rows`` replaced.  Nothing here is used by the library.
+and ``read_float_rows`` replaced; and the OpenBLAS core types that
+kernel-dependence tests pin in their subprocesses.  Nothing here is used by
+the library.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -110,6 +114,32 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+#: OpenBLAS core types the kernel-dependence tests run under, and the CPU flag each one's kernels need
+#: (Linux lists SSE3 as ``pni``).  The frozen certificates were recorded with the SkylakeX kernels.
+OPENBLAS_CORES = {"SkylakeX": "avx512f", "Haswell": "avx2", "Prescott": "pni"}
+
+
+def runnable_openblas_cores() -> list[str]:
+    """The ``OPENBLAS_CORES`` whose kernels this CPU can run; none without /proc/cpuinfo."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return []
+    flags = {flag for line in lines if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
+    return [core for core, flag in OPENBLAS_CORES.items() if flag in flags]
+
+
+def core_env(core: str | None) -> dict[str, str]:
+    """This process's environment for a subprocess whose OpenBLAS uses ``core``'s kernels (None: its own pick)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    return env | {"OPENBLAS_CORETYPE": core} if core else env
+
+
+def frozen_core_env() -> dict[str, str]:
+    """Subprocess environment for byte tests of 17-digit floats: the kernels they were recorded with, where runnable."""
+    return core_env("SkylakeX" if "SkylakeX" in runnable_openblas_cores() else None)
 
 
 def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> SparseVector:
@@ -450,6 +480,10 @@ def matrix_mw_learn_stepwise(
 ) -> MatrixPredictor:
     """``matrix_mw_learn`` on ((row, col), label) pairs, adding the margins at every step.
 
+    Margins stay fixed within each block of ``cfg.batch`` steps of an epoch;
+    the iterate is recomputed at a block's end if the block changed it.
+    Cells whose row and column lie in different components of the training
+    cells' graph, found by a union-find of their own, score exactly 0.
     ``learners._eg_margins`` is looked up at call time so tests can count calls.
     """
     n_rows, n_cols = dims
@@ -473,7 +507,8 @@ def matrix_mw_learn_stepwise(
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(cells)) if cells else []
-        for pos in order:
+        changed = False
+        for step, pos in enumerate(order):
             (row, col), label = cells[pos]
             if margins is None:
                 if not np.isfinite(C).all():
@@ -485,6 +520,22 @@ def matrix_mw_learn_stepwise(
             steps += 1
             if label * margins[row - 1, col - 1] < 1.0:
                 C[row - 1, col - 1] += 0.5 * cfg.eta * label
-                margins = None  # iterate changed, recompute lazily
+                changed = True
+            if changed and ((step + 1) % cfg.batch == 0 or step + 1 == len(order)):
+                margins, changed = None, False  # the block changed the iterate: recompute lazily
     scores = margin_sum / steps if steps else margin_sum
+
+    parent = {("r", i): ("r", i) for i in range(n_rows)} | {("c", j): ("c", j) for j in range(n_cols)}
+
+    def root(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for (row, col), _ in cells:
+        parent[root(("r", row - 1))] = root(("c", col - 1))
+    for i in range(n_rows):
+        for j in range(n_cols):
+            if root(("r", i)) != root(("c", j)):
+                scores[i, j] = 0.0
     return MatrixPredictor(n_rows, n_cols, scores, realization)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import eval_clause
+from oracles import core_env, eval_clause, frozen_core_env, runnable_openblas_cores
 from sparsehalf import cli, learners
 from sparsehalf.cli import build_parser, main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
@@ -143,11 +143,20 @@ class TestToSampleLearnEval:
         assert f"error: {flag[2:]} must be finite and positive" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_batch_below_one_is_usage_error(self, planted, tmp_path, capsys, value):
+        data = tmp_path / "s.txt"
+        run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
+        model = tmp_path / "h3.model"
+        assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(model), "--batch", value) == 2
+        assert capsys.readouterr().err == "error: batch must be >= 1\n"
+        assert not model.exists()
+
     def test_overflowing_step_is_one_error_line(self, planted, tmp_path):
         data = tmp_path / "s.txt"
         run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
         proc = cli_process("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "h3.model"),
-                           "--eta", "1e308", "--beta", "1e308")
+                           "--eta", "1e308", "--beta", "1e308", "--batch", "1")  # one step overflows the margins
         assert proc.returncode == 4
         assert proc.stderr == "error: non-finite margins in epoch 1; reduce eta\n"
 
@@ -156,7 +165,7 @@ class TestToSampleLearnEval:
         data = tmp_path / "s.txt"
         run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
         assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "h3.model"),
-                   "--eta", "1e308", "--beta", "1e308") == 4
+                   "--eta", "1e308", "--beta", "1e308", "--batch", "1") == 4
         assert capsys.readouterr().err == "error: non-finite margins in epoch 1; reduce eta\n"
         assert not multiprocessing.active_children()
 
@@ -168,9 +177,9 @@ class TestToSampleLearnEval:
         assert run("eval", "--model", str(model), "--data", str(bad)) == 2
 
 
-def cli_process(*argv):
-    """The CLI run as its own process, as a user runs it."""
-    return subprocess.run([sys.executable, "-m", "sparsehalf.cli", *argv], capture_output=True, text=True)
+def cli_process(*argv, env=None):
+    """The CLI run as its own process, as a user runs it; ``env`` replaces the environment."""
+    return subprocess.run([sys.executable, "-m", "sparsehalf.cli", *argv], capture_output=True, text=True, env=env)
 
 
 def write_sample(path, n, count, seed):
@@ -399,9 +408,10 @@ class TestFrozenOutputs:
         assert model.read_bytes() == (FROZEN / f"{algo}.model").read_bytes()
 
     def test_certificate_bytes(self, tmp_path):
-        # recorded on one machine: like h3's scores, the 17-digit entries depend on the LAPACK build
+        # like h3's scores, the 17-digit entries depend on the BLAS kernel: run with the recording's
         out = tmp_path / "tn16.cert"
-        assert run("certify-beta", "--matrix", "tn", "--n", "16", "--out", str(out)) == 0
+        proc = cli_process("certify-beta", "--matrix", "tn", "--n", "16", "--out", str(out), env=frozen_core_env())
+        assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == (FROZEN / "certify_tn16.cert").read_bytes()
 
     def test_h3_predicted_labels(self):
@@ -415,6 +425,20 @@ class TestFrozenOutputs:
         predictor = learn_h3(train, LearnerConfig(seed=34))
         labels = predictor.predict_many(sample_exact_sparse(n, 3, 600, 35), n)
         assert "".join("+" if v > 0 else "-" for v in labels) == (FROZEN / "h3_labels.txt").read_text().strip()
+
+
+@pytest.mark.skipif(len(runnable_openblas_cores()) < 2, reason="needs two OpenBLAS core types this CPU can run")
+def test_tradeoff_errors_do_not_depend_on_the_blas_kernel(tmp_path):
+    """h3 scores differ in their last digits between BLAS kernels; labels, and so errors, must not."""
+    errors = {}
+    for core in runnable_openblas_cores():
+        out = tmp_path / f"{core}.csv"
+        proc = cli_process("tradeoff", "--n", "10", "--algos", "table,h3", "--sizes", "0,200,1600", "--test-size", "512",
+                           "--trials", "2", "--seed", "3", "--out", str(out), env=core_env(core))
+        assert proc.returncode == 0, proc.stderr
+        errors[core] = [line.split(",")[:6] for line in read(out).splitlines()]  # up to train_err, test_err
+    first, *others = errors.values()
+    assert all(other == first for other in others), errors
 
 
 class TestRefuteAndGame:

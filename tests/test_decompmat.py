@@ -1,11 +1,14 @@
 """Decomposable-matrix calculus: constructions, verifier, numeric certifier."""
 
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import frozen_core_env
 from sparsehalf.decompmat import (
     DIAG_TOL,
     PSD_TOL,
@@ -305,23 +308,28 @@ class TestCertifier:
         with pytest.raises(GuardError):
             certify_min_beta(np.ones((200, 200)))
 
-    def test_dykstra_certificate_bytes(self, monkeypatch):
-        # recorded with BLAS on one thread: the 17-digit entries depend on the LAPACK build
-        import sparsehalf.decompmat as decompmat
-
-        runs = []
-        original = decompmat._dykstra_feasible
-
-        def recorded(*args):
-            feasible, point = original(*args)
-            runs.append(feasible)
-            return feasible, point
-
-        monkeypatch.setattr(decompmat, "_dykstra_feasible", recorded)
-        W = np.array([[1, 1, -1, -1], [-1, 1, -1, -1], [-1, 1, 1, 1], [-1, -1, -1, 1], [1, -1, 1, -1]])
-        _, dec = certify_min_beta(W)
-        assert True in runs and False in runs  # the bisection moves both ends through Dykstra
-        assert serialize_decomposition(dec) == (FIXTURES / "frozen" / "certify_dykstra_5x4.cert").read_text()
+    def test_dykstra_certificate_bytes(self):
+        # the 17-digit entries depend on the BLAS kernel: run with the recording's, BLAS on one thread
+        script = """
+import numpy as np
+from sparsehalf import decompmat
+runs, original = [], decompmat._dykstra_feasible
+def recorded(*args):
+    feasible, point = original(*args)
+    runs.append(feasible)
+    return feasible, point
+decompmat._dykstra_feasible = recorded
+W = np.array([[1, 1, -1, -1], [-1, 1, -1, -1], [-1, 1, 1, 1], [-1, -1, -1, 1], [1, -1, 1, -1]])
+text = decompmat.serialize_decomposition(decompmat.certify_min_beta(W)[1])
+print(True in runs and False in runs)  # the bisection moves both ends through Dykstra
+print(text, end="")
+"""
+        env = frozen_core_env() | {"OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        both_ends, text = proc.stdout.split("\n", 1)
+        assert both_ends == "True"
+        assert text == (FIXTURES / "frozen" / "certify_dykstra_5x4.cert").read_text()
 
 
 class TestRowThreshold:
@@ -428,6 +436,8 @@ class TestCacheFormat:
             ("dim 2\nbeta 1.0\nP\n0 0\n0\nN\n0 0\n0 0\n", "^P block, line 5: matrix row 2 has 1 entries, expected 2$"),
             ("dim x\nbeta 1.0\nP\n0\nN\n0\n", "^header, line 1: bad value in 'dim x'$"),
             ("\ndim 1\nbeta x\nP\n0\nN\n0\n", "^header, line 3: bad value in 'beta x'$"),
+            ("dim 1 junk\nbeta 0.5\nP\n0\nN\n0\n", "^header, line 1: expected 'dim <d>', got 'dim 1 junk'$"),
+            ("dim 1\n\nbeta 0.5 more\nP\n0\nN\n0\n", "^header, line 3: expected 'beta <value>', got 'beta 0.5 more'$"),
         ],
     )
     def test_malformed_entries_name_block_and_line(self, text, message):

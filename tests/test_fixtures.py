@@ -1,16 +1,21 @@
-"""The T_n certificate behind the row-threshold construction, and the committed tradeoff pilot.
+"""The T_n certificate behind the row-threshold construction, and the committed tradeoff pilot and sweeps.
 
 T_n's certificate is computed, not committed: ``certify_min_beta`` gives it
 in milliseconds, and ``row_threshold_decomposition`` takes it as its default
-base.
+base.  A committed sweep under ``results/`` must still rerun to its bytes,
+so its cheapest command is rerun here.
 """
 
 import csv
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import frozen_core_env
 from sparsehalf.decompmat import (
     certify_min_beta,
     row_threshold_decomposition,
@@ -19,8 +24,11 @@ from sparsehalf.decompmat import (
     triangular_matrix,
     verify_decomposition,
 )
+from sparsehalf.learners import LearnerConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+LEARNER_PARAMS = ROOT / "results" / "learner_params"
 
 
 @pytest.mark.parametrize("m", [9, 17, 33])
@@ -62,3 +70,36 @@ def test_pilot_record_supports_frozen_thresholds():
         for m in sizes
     ]
     assert all(a >= b for a, b in zip(means, means[1:]))
+
+
+def test_learner_params_sweep_reruns_to_its_bytes(tmp_path):
+    """The sweep's cheapest command (n = 16, p = 0, B = 256) rewrites its CSV, wall_ms aside.
+
+    It runs with the BLAS kernel the sweep was recorded with: a few test
+    points at m = 4 n^2 lie on cells whose exact score is 0 within a
+    component, and round-off decides their labels.
+    """
+    (line,) = [line for line in (LEARNER_PARAMS / "commands.sh").read_text().splitlines()
+               if line.startswith("python ") and "--n 16 --batch 256 " in line]
+    argv = shlex.split(line)
+    committed = ROOT / argv[argv.index("--out") + 1]
+    argv[argv.index("--out") + 1] = str(tmp_path / committed.name)
+    env = frozen_core_env() | {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, *argv[1:]], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+    def rows(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]  # drop wall_ms
+
+    assert rows(tmp_path / committed.name) == rows(committed)
+
+
+def test_default_batch_is_the_largest_within_the_sweep_bar():
+    with (LEARNER_PARAMS / "summary.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    within = {}
+    for row in rows:
+        within.setdefault(int(row["batch"]), []).append(row["within_bar"] == "True")
+    default = LearnerConfig().batch
+    assert all(within[default])
+    assert all(not all(ok) for batch, ok in within.items() if batch > default)

@@ -4,6 +4,7 @@ import multiprocessing
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -190,29 +191,68 @@ class TestMatrixMwLearn:
         (eg_case(4, (5, 5), 20, mirrored=True), (5, 5), LearnerConfig(seed=5, epochs=3, eta=2000.0)),  # smax >= 600
         (eg_case(5, (5, 5), 1), (5, 5), LearnerConfig(seed=6, epochs=10)),  # a single cell
         (eg_case(6, (4, 9), 30), (4, 9), LearnerConfig(seed=7, epochs=4)),  # rectangular
-    ], ids=["epochs1", "epochs10", "mirrored", "cap-binds", "large-eta", "single-cell", "rectangular"])
+        (eg_case(7, (2, 3), 90), (5, 6), LearnerConfig(seed=8, epochs=3)),  # blocks repeat cells; rows 3-5 unseen
+    ], ids=["epochs1", "epochs10", "mirrored", "cap-binds", "large-eta", "single-cell", "rectangular", "repeats"])
     def test_matches_stepwise_reference(self, monkeypatch, cells, dims, cfg):
-        margins_calls = oracles.count_calls(monkeypatch, learners, "_eg_margins")
-        ref = oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], dims, cfg)
-        ref_calls, margins_calls[0] = margins_calls[0], 0
-        got = matrix_mw_learn(np.array(cells), dims, cfg, 0)
-        assert margins_calls[0] == ref_calls > 0
-        assert np.allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12)
-        sure = np.abs(ref.scores) > 1e-9
-        assert np.array_equal(np.sign(got.scores[sure]), np.sign(ref.scores[sure]))
+        eg_margins, iterates = learners._eg_margins, []
+
+        def recorded(C, tau, d):
+            iterates.append(C.copy())
+            return eg_margins(C, tau, d)
+
+        monkeypatch.setattr(learners, "_eg_margins", recorded)
+        for batch in (1, 2, 64):
+            cfg = replace(cfg, batch=batch)
+            ref = oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], dims, cfg)
+            ref_iterates, iterates[:] = iterates[:], []
+            got = matrix_mw_learn(np.array(cells), dims, cfg, 0)
+            got_iterates, iterates[:] = iterates[:], []
+            # the same iterates, bit for bit; the averages differ in summation order only
+            assert len(got_iterates) == len(ref_iterates) > 0, batch
+            assert all(np.array_equal(a, b) for a, b in zip(got_iterates, ref_iterates)), batch
+            assert np.allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12), batch
+            sure = np.abs(ref.scores) > 1e-9
+            assert np.array_equal(np.sign(got.scores[sure]), np.sign(ref.scores[sure])), batch
+            assert (got.scores[ref.scores == 0] == 0).all(), batch
+
+    def test_a_block_applies_every_violation_from_its_start_margins(self):
+        # one block holds the whole epoch, so all three steps see the zero iterate and all update
+        cfg = LearnerConfig(seed=0, eta=4.0, epochs=1, batch=8)
+        cells = [(1, 1, 1), (1, 1, 1), (2, 2, -1)]
+        assert (matrix_mw_learn(cells, (2, 2), cfg, 0).scores == 0).all()  # its one iterate is the zero one
+        pred = matrix_mw_learn(cells, (2, 2), replace(cfg, epochs=2), 0)
+        C = np.array([[2 * 0.5 * cfg.eta, 0.0], [0.0, -0.5 * cfg.eta]])  # the repeated cell counts twice
+        assert pred.scores[0, 0] == pytest.approx(learners._eg_margins(C, 2 * 4.0 * 4, 4)[0, 0] / 2, rel=1e-12)
+        assert pred.scores[0, 1] == pred.scores[1, 0] == 0.0  # no chain of training cells links them
 
     def test_non_finite_step_reports_epoch(self):
         stepwise = oracles.matrix_mw_learn_stepwise
-        for n_cells, epochs in [(1, 10), (1, 2), (5, 2), (5, 10)]:
+        for n_cells, epochs, batch in product([1, 5], [2, 10], [1, 2, 64]):
             cells = [(1 + i % 2, 1 + i // 2 % 2, 1 - 2 * (i % 3 == 0)) for i in range(n_cells)]
             # finite settings whose steps overflow: LearnerConfig refuses nan and inf
-            cfg = LearnerConfig(seed=0, eta=1e308, beta=1e308, epochs=epochs)
+            cfg = LearnerConfig(seed=0, eta=1e308, beta=1e308, epochs=epochs, batch=batch)
             with pytest.raises(NumericError) as ref:
                 stepwise([((r, c), l) for r, c, l in cells], (2, 2), cfg)
             with pytest.raises(NumericError) as got:
                 matrix_mw_learn(cells, (2, 2), cfg, 0)
             assert "epoch" in str(got.value)
-            assert str(got.value) == str(ref.value), (n_cells, epochs)
+            assert str(got.value) == str(ref.value), (n_cells, epochs, batch)
+
+    @pytest.mark.parametrize("batch", [1, 2, 64])
+    def test_cells_across_components_score_exactly_zero(self, batch):
+        # two interleaved components, so the SVD mixes them and leaves round-off; row 7 holds no training cell
+        blocks = [((1, 3, 6), (2, 3, 5)), ((2, 4, 5), (1, 4, 6))]
+        labels = iter(np.random.default_rng(4).choice([-1, 1], 18).tolist())
+        cells = [(r, c, next(labels)) for rows, cols in blocks for r in rows for c in cols]
+        inside = np.zeros((7, 6), dtype=bool)
+        for rows, cols in blocks:
+            inside[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])] = True
+        pred = matrix_mw_learn(cells, (7, 6), LearnerConfig(seed=0, epochs=3, batch=batch), 0)
+        assert (pred.scores[~inside] == 0).all() and (pred.scores[inside] != 0).all()
+
+    def test_batch_must_be_positive(self):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            LearnerConfig(batch=0)
 
     def test_cell_bounds(self):
         for cells, message in [
