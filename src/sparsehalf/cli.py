@@ -81,7 +81,7 @@ def _print_force_estimate(n: int, rows: list[int]) -> None:
 
 def _learner_config(args: argparse.Namespace, seed: int) -> LearnerConfig:
     kwargs = {"seed": seed}
-    for name in ("beta", "eta", "epochs", "batch"):
+    for name in ("beta", "eta", "epochs"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -92,8 +92,6 @@ def _add_learner_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=None, help="decomposability budget for the matrix learner")
     p.add_argument("--eta", type=float, default=None, help="matrix learner step size")
     p.add_argument("--epochs", type=int, default=None, help="matrix learner passes over the data")
-    p.add_argument("--batch", type=int, default=None,
-                   help="matrix learner steps per block whose hinge violations share one iterate")
 
 
 def _fmt(x: float) -> str:

@@ -106,16 +106,22 @@ def _cross_component(flat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     a bipartite graph on rows and columns.  sym(C) is block diagonal over its
     components at every iterate, so these cells' margins are exactly 0; in
     floating point they come out as round-off that depends on the BLAS kernel.
+    Components come from min-label propagation over the m edges, with label
+    jumping, so no buffer but the returned mask is rows x cols.
     """
-    seen = np.zeros(dims[0] * dims[1])
-    seen[flat] = 1.0
-    seen = seen.reshape(dims)
-    linked = (seen @ seen.T + np.eye(dims[0]) > 0).astype(float)  # rows that share a column
-    while True:  # squaring doubles the path length each time; 0/1 products are exact
-        wider = (linked @ linked > 0).astype(float)
-        if np.array_equal(wider, linked):
-            return linked @ seen == 0
-        linked = wider
+    n_rows, n_cols = dims
+    row, col = np.divmod(flat.astype(np.intp), n_cols)
+    col += n_rows  # graph nodes: the rows, then the columns
+    label = np.arange(n_rows + n_cols)  # a node of the same component, never above the node itself
+    while True:
+        low = np.minimum(label[row], label[col])
+        lower = label.copy()
+        for nodes in (row, col, label[row], label[col]):  # the edge's ends and their labels
+            np.minimum.at(lower, nodes, low)
+        lower = lower[lower]
+        if np.array_equal(lower, label):  # every edge's ends share a label, one per component
+            return label[:n_rows, None] != label[None, n_rows:]
+        label = lower
 
 
 def matrix_mw_learn(

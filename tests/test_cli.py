@@ -143,30 +143,22 @@ class TestToSampleLearnEval:
         assert f"error: {flag[2:]} must be finite and positive" in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_batch_below_one_is_usage_error(self, planted, tmp_path, capsys, value):
-        data = tmp_path / "s.txt"
-        run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
-        model = tmp_path / "h3.model"
-        assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(model), "--batch", value) == 2
-        assert capsys.readouterr().err == "error: batch must be >= 1\n"
-        assert not model.exists()
-
     def test_overflowing_step_is_one_error_line(self, planted, tmp_path):
         data = tmp_path / "s.txt"
         run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
         proc = cli_process("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "h3.model"),
-                           "--eta", "1e308", "--beta", "1e308", "--batch", "1")  # one step overflows the margins
+                           "--eta", "1e308", "--beta", "1e308")
         assert proc.returncode == 4
-        assert proc.stderr == "error: non-finite margins in epoch 1; reduce eta\n"
+        # 60 examples: every part's epoch is one block of the default 64 steps, so the first new iterate is epoch 2's
+        assert proc.stderr == "error: non-finite margins in epoch 2; reduce eta\n"
 
     def test_overflow_in_a_worker_exits_4(self, planted, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(learners, "_workers", lambda parts: min(2, parts))
         data = tmp_path / "s.txt"
         run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
         assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "h3.model"),
-                   "--eta", "1e308", "--beta", "1e308", "--batch", "1") == 4
-        assert capsys.readouterr().err == "error: non-finite margins in epoch 1; reduce eta\n"
+                   "--eta", "1e308", "--beta", "1e308") == 4
+        assert capsys.readouterr().err == "error: non-finite margins in epoch 2; reduce eta\n"
         assert not multiprocessing.active_children()
 
     def test_eval_on_garbage_is_usage_error(self, tmp_path):
@@ -428,13 +420,19 @@ class TestFrozenOutputs:
 
 
 @pytest.mark.skipif(len(runnable_openblas_cores()) < 2, reason="needs two OpenBLAS core types this CPU can run")
-def test_tradeoff_errors_do_not_depend_on_the_blas_kernel(tmp_path):
+@pytest.mark.parametrize("argv", [
+    pytest.param("--n 10 --algos table,h3 --sizes 0,200,1600 --test-size 512 --trials 2 --seed 3", id="frozen-fixture"),
+    # a sweep cell at B = 64 (results/learner_params, n = 16, m = 4 n^2): some cells inside one component
+    # score exactly 0 in exact arithmetic, so round-off labels them, and their test error moves by a few points
+    pytest.param("--n 16 --algos h3 --sizes 1024 --test-size 4096 --trials 5 --seed 7", id="n16-m1024",
+                 marks=pytest.mark.xfail(reason="in-component exact zeros are still labelled by round-off")),
+])
+def test_tradeoff_errors_do_not_depend_on_the_blas_kernel(tmp_path, argv):
     """h3 scores differ in their last digits between BLAS kernels; labels, and so errors, must not."""
     errors = {}
     for core in runnable_openblas_cores():
         out = tmp_path / f"{core}.csv"
-        proc = cli_process("tradeoff", "--n", "10", "--algos", "table,h3", "--sizes", "0,200,1600", "--test-size", "512",
-                           "--trials", "2", "--seed", "3", "--out", str(out), env=core_env(core))
+        proc = cli_process("tradeoff", *argv.split(), "--out", str(out), env=core_env(core))
         assert proc.returncode == 0, proc.stderr
         errors[core] = [line.split(",")[:6] for line in read(out).splitlines()]  # up to train_err, test_err
     first, *others = errors.values()
