@@ -19,6 +19,7 @@ import time
 from . import __version__
 from .core import (
     EXHAUSTIVE_N_LIMIT,
+    SPLIT_BITS,
     BinaryAssignment,
     Sample,
     empirical_error,
@@ -71,12 +72,14 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float)
 
 def _print_force_estimate(n: int, rows: list[int]) -> None:
     """Price one exhaustive pass over 2^n patterns per entry of ``rows``, each over that many rows."""
-    # best_pattern fills one uint64 word of pass bits per row and 64 patterns, at about
-    # 1.7e8 words a second (measured at n = 24 on one core of a 2-core AMD EPYC)
-    words = (1 << max(0, n - 6)) * sum(max(r, 1) for r in rows)
+    # best_pattern sums each of r rows' <= 2 terms over the 2^|a| + 2^|b| patterns of its halves, at about
+    # 6e8 a second, then multiplies 2^n x R pattern-terms, R <= min(2r, 4n + 2) for 3-sparse rows, at about
+    # 2.4e10 a second (both measured at n = 20-24 on one core of a 2-CPU Intel Xeon at 2.0 GHz)
+    terms = (1 << n) * sum(min(2 * r, 4 * n + 2) for r in rows)
+    seconds = terms / 2.4e10 + 2 * sum(rows) * ((1 << (n - SPLIT_BITS)) + (1 << SPLIT_BITS)) / 6e8  # n > SPLIT_BITS
     passes = "exhaustive pass" if len(rows) == 1 else f"{len(rows)} exhaustive passes"
     print(f"force: {passes} over 2^{n} patterns x {sum(rows)} rows, "
-          f"~{words:.3g} row-words (~{words / 1.7e8:.1f} s)", file=sys.stderr)
+          f"~{terms:.3g} pattern-terms (~{seconds:.1f} s)", file=sys.stderr)
 
 
 def _learner_config(args: argparse.Namespace, seed: int) -> LearnerConfig:

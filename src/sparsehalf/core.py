@@ -142,29 +142,61 @@ def assignment_from_index(index: int, n: int) -> tuple[int, ...]:
     return tuple(1 if ((index >> (n - 1 - j)) & 1) == 0 else -1 for j in range(n))
 
 
-#: best_pattern counts the patterns of its trailing BLOCK_BITS coordinates at
-#: once, in batches of at most BATCH_WORDS uint64 words of pass bits.
-BLOCK_BITS, BATCH_WORDS = 16, 1 << 15
+#: best_pattern splits w into leading coordinates and trailing ones, min(n, SPLIT_BITS) of them or fewer, and
+#: works in WORK_CELLS floats: the trailing factor takes at most half, and each tile of leading patterns, its
+#: factor and its counts the rest; agreement counts are built WORK_CELLS / 16 cells at a time.  Counts are
+#: float32 below FLOAT32_LIMIT rows, where every partial sum is an exact integer, and float64 beyond.
+SPLIT_BITS, WORK_CELLS, FLOAT32_LIMIT = 12, 1 << 20, 1 << 24
 
 
-def add_to_counter(planes: np.ndarray, passed: np.ndarray) -> np.ndarray:
-    """Binary counter planes (``planes[j]``: bit j of each lane's count) plus one per set bit of ``passed``."""
-    out, column = [], np.concatenate([passed, planes[:1]])
-    while len(column):  # full adders reduce each weight's bits to one, carrying into the next weight
-        carries = [planes[len(out) + 1:len(out) + 2]]
-        while len(column) > 2:
-            k = len(column) // 3
-            a, b, c = column[:k], column[k:2 * k], column[2 * k:3 * k]
-            ab = a ^ b
-            carries.append(a & b | c & ab)
-            c ^= ab
-            column = column[2 * k:]  # the sums, then the rows left over
-        if len(column) == 2:
-            carries.append(column[:1] & column[1:])
-            column = column[:1] ^ column[1:]
-        out.append(column[0])
-        column = np.concatenate(carries)
-    return np.array(out)
+def _rank_one_terms(rows: np.ndarray, nnz: np.ndarray, need: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """best_pattern's keys (leading half smaller, j, smaller half's codes...) and terms (key, need - j, codes...).
+
+    A row's literal on coordinate c of its half has code 1 + 2c + (sign < 0); codes are sorted largest first
+    and padded with 0.  The terms are sorted by key.
+    """
+    n = rows.shape[1]
+    lead = np.arange(n) < high
+    codes = np.where(rows != 0, 2 * (np.arange(n) - np.where(lead, 0, high)) + 1 + (rows < 0), 0)
+    n_lead = np.count_nonzero(codes[:, lead], axis=1)
+    small_lead, n_small = 2 * n_lead <= nnz, np.minimum(n_lead, nnz - n_lead)
+    on_small = lead == small_lead[:, None]
+    small = -np.sort(-np.where(on_small, codes, 0), axis=1)[:, :n_small.max(initial=0)]
+    other = -np.sort(-np.where(on_small, 0, codes), axis=1)[:, :(nnz - n_small).max(initial=0)]
+    j = np.arange(small.shape[1] + 1)
+    row, j = np.nonzero((j <= n_small[:, None]) & (need[:, None] - j <= (nnz - n_small)[:, None]))
+    keys, key = np.unique(np.column_stack([small_lead[row], j, small[row]]), axis=0, return_inverse=True)
+    return keys, np.column_stack([key, need[row] - j, other[row]])[np.argsort(key, kind="stable")]
+
+
+def _agreements(codes: np.ndarray, agree: np.ndarray) -> np.ndarray:
+    """How many of each row's literal codes agree with each pattern; ``agree[code]`` marks a code's patterns."""
+    total = np.zeros((len(codes), agree.shape[1]), dtype=np.uint8)
+    for column in codes.T:
+        total += agree[column]
+    return total
+
+
+def _factor(patterns: np.ndarray, bits: int, exact: np.ndarray, keys: np.ndarray, terms: np.ndarray,
+            dtype: type) -> np.ndarray:
+    """best_pattern's factor for one half, over ``patterns`` of its ``bits`` coordinates: a row per key.
+
+    An ``exact`` key (half, j, codes...) makes its row [exactly j of codes agree]; each of ``terms`` (key,
+    need, codes...), sorted by key, adds [at least need of codes agree] to its key's row.
+    """
+    minus = (patterns >> np.arange(bits - 1, -1, -1)[:, None] & 1).astype(np.uint8)  # coordinate j is -1
+    agree = np.zeros((2 * bits + 1, len(patterns)), dtype=np.uint8)  # code 1 + 2j + (sign < 0); 0 never agrees
+    agree[1::2], agree[2::2] = 1 - minus, minus
+    out = np.zeros((len(keys), len(patterns)), dtype=dtype)
+    step, exact = max(1, (WORK_CELLS >> 4) // len(patterns)), np.flatnonzero(exact)
+    for pick in (exact[start:start + step] for start in range(0, len(exact), step)):
+        out[pick] = _agreements(keys[pick, 2:], agree) == keys[pick, 1, None]
+    for chunk in (terms[start:start + step] for start in range(0, len(terms), step)):
+        passed = _agreements(chunk[:, 2:], agree) >= chunk[:, 1, None]
+        rows, first = np.unique(chunk[:, 0], return_index=True)
+        for row, a, b in zip(rows.tolist(), first.tolist(), [*first[1:].tolist(), len(chunk)]):
+            out[row] += passed[a:b].sum(axis=0, dtype=dtype)
+    return out
 
 
 def best_pattern(rows: np.ndarray, above: np.ndarray) -> tuple[int, int]:
@@ -172,57 +204,45 @@ def best_pattern(rows: np.ndarray, above: np.ndarray) -> tuple[int, int]:
 
     ``rows`` is an int8 m x n matrix over {-1, 0, +1} and ``above`` an
     m-vector.  ``index`` is the first maximizer in :func:`assignment_from_index`
-    order, the lexicographically first under +1 < -1.  Bit-sliced: a row with
-    nnz nonzeros passes when t = floor((nnz + above) / 2) + 1 of them agree
-    with w.  Each block of 2^BLOCK_BITS patterns, 64 to a uint64 word, fixes
-    the leading coordinates, which fold into every row's t: rows with t <= 0
-    pass throughout the block, rows with t > nnz nowhere, and the others' pass
-    bits, built from one bitset per literal, go into binary counter planes.
-    A later block's maximum must beat an earlier one's strictly.
+    order, the lexicographically first under +1 < -1.  Meet in the middle: a
+    row with nnz nonzeros passes when t = floor((nnz + above) / 2) + 1 of them
+    agree with w; with w split into leading a and trailing b, that is the sum
+    over j of [exactly j agree on the row's smaller half] * [at least t - j
+    agree on the other].  Grouped by the smaller half's (literals, j), these
+    are R rank-one terms (R <= 4n + 2 for 3-sparse rows, whatever m is), and
+    the counts of all patterns are U^T V for an R x 2^|a| U and an R x 2^|b|
+    V, taken one tile of leading patterns at a time; a later tile must beat
+    the first maximum (flat argmax) of an earlier one strictly.  The working
+    set is WORK_CELLS floats whatever R, m and n are: b has SPLIT_BITS
+    coordinates unless V would pass half of it (wide rows), and the tiles
+    take the rest.
     """
     m, n = rows.shape
-    low = min(n, BLOCK_BITS)
-    high, words = n - low, 1 << max(0, low - 6)
-    word_index = np.arange(words, dtype=np.uint64)
-    agree = np.zeros((2 * low + 1, words), dtype=np.uint64)  # literal code -> its agreeing lanes; 0 never agrees
-    for j, bit in enumerate(reversed(range(low))):  # trailing coordinate j is -1 where this index bit is set
-        agree[2 + 2 * j] = (sum(1 << lane for lane in range(64) if lane >> bit & 1) if bit < 6
-                            else np.where(word_index >> np.uint64(bit - 6) & np.uint64(1), ~np.uint64(0), 0))
-    agree[1::2] = ~agree[2::2]
-    valid = np.full(words, (1 << (1 << min(low, 6))) - 1, dtype=np.uint64)
-
-    trailing = rows[:, high:]
-    nnz = np.count_nonzero(trailing, axis=1)
-    codes = np.where(trailing != 0, np.arange(1, 2 * low, 2, dtype=np.int32) + (trailing < 0), 0)
-    literals = -np.sort(-codes, axis=1)[:, :int(nnz.max(initial=0))]  # each row's codes first, then 0
-    leading, base = rows[:, :high].astype(np.int64), nnz + np.asarray(above, dtype=np.int64)
-    batch = max(1, BATCH_WORDS // words)
+    nnz = np.count_nonzero(rows, axis=1)
+    need = (nnz + np.asarray(above, dtype=np.int64)) // 2 + 1
+    sure, live = int(np.count_nonzero(need <= 0)), (need > 0) & (need <= nnz)  # rows passing for every w, or some
+    rows, nnz, need = rows[live], nnz[live], need[live]
+    low = min(n, SPLIT_BITS)  # trailing coordinates
+    keys, terms = _rank_one_terms(rows, nnz, need, n - low)
+    while low and len(keys) << low > WORK_CELLS // 2:  # wide rows: fewer trailing coordinates
+        low -= 1
+        keys, terms = _rank_one_terms(rows, nnz, need, n - low)
+    high, r = n - low, len(keys)
+    lead_keys = keys[:, 0] == 1  # keys whose smaller half is the leading one: their terms sum over the trailing
+    by_lead, dtype = lead_keys[terms[:, 0]], np.float32 if m < FLOAT32_LIMIT else np.float64
+    trailing = _factor(np.arange(1 << low), low, ~lead_keys, keys, terms[by_lead], dtype)
+    width = max(1, (WORK_CELLS - (r << low)) // ((1 << low) + r))  # leading patterns per tile
+    terms, tile = terms[~by_lead], min(1 << high, width)
+    buffer = np.empty((tile, 1 << low), dtype=dtype)
     best_count, best_index = -1, 0
-    for prefix in range(1 << high):
-        need = (base - leading @ np.array(assignment_from_index(prefix, high), dtype=np.int64)) // 2 + 1
-        live, sure = np.flatnonzero((need > 0) & (need <= nnz)), int(np.count_nonzero(need <= 0))
-        if sure + len(live) <= best_count:  # the block cannot beat an earlier one
-            continue
-        planes = np.zeros((0, words), dtype=np.uint64)
-        for start in range(0, len(live), batch):
-            pick = live[start:start + batch]
-            reach = np.zeros((int(need[pick].max()), len(pick), words), dtype=np.uint64)  # reach[c]: > c agree
-            for i in range(literals.shape[1]):
-                lit = agree[literals[pick, i]]
-                for c in range(min(i, len(reach) - 1), 0, -1):
-                    reach[c] |= reach[c - 1] & lit
-                reach[0] |= lit
-            planes = add_to_counter(planes, reach[need[pick] - 1, np.arange(len(pick))])
-        count, candidates = 0, valid
-        for bit in reversed(range(len(planes))):
-            hit = candidates & planes[bit]
-            if hit.any():
-                count, candidates = count | 1 << bit, hit
-        if sure + count > best_count:
-            word = int(np.flatnonzero(candidates)[0])
-            lowest = int(candidates[word]) & -int(candidates[word])
-            best_count, best_index = sure + count, (prefix << low) | word << 6 | lowest.bit_length() - 1
-    return best_count, best_index
+    for start in range(0, 1 << high, tile):
+        leading = _factor(np.arange(start, min(start + tile, 1 << high)), high, lead_keys, keys, terms, dtype)
+        counts = np.matmul(leading.T, trailing, out=buffer[:leading.shape[1]])
+        del leading  # before the next tile's is built
+        at = int(counts.argmax())
+        if counts.flat[at] > best_count:
+            best_count, best_index = int(counts.flat[at]), (start << low) + at
+    return sure + best_count, best_index
 
 
 def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[BinaryAssignment, Fraction]:
@@ -238,8 +258,7 @@ def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[Binary
     An example (x, y) is right iff <w, y x> > -1 for y = +1 (sign(0) = +1) and
     > 0 for y = -1, which is one :func:`best_pattern` row.
     """
-    m = len(sample)
-    n = sample.n
+    m, n = len(sample), sample.n
     if m == 0:
         return BinaryAssignment((1,) * n), Fraction(0)
     if n > EXHAUSTIVE_N_LIMIT and not force:

@@ -483,8 +483,10 @@ def _decomposition_of(lines: list[str]) -> Decomposition:
     d, beta = header
     if not 0 <= beta < float("inf"):
         raise FormatError(f"header, line {numbers[1]}: beta must be finite and nonnegative, got {lines[1]!r}")
-    if lines[2] != "P" or len(lines) != 4 + 2 * d or lines[3 + d] != "N":
-        raise FormatError("expected 'P' and 'N' blocks of d rows each")
+    laid_out = [lines[2] == "P", 0 <= 3 + d < len(lines) and lines[3 + d] == "N", len(lines) == 4 + 2 * d]
+    if not all(laid_out):  # name the P marker, the N marker or the line past the N rows, within the file
+        at = min(max((2, 3 + d, 4 + 2 * d)[laid_out.index(False)], 2), len(lines) - 1)
+        raise FormatError(f"layout, line {numbers[at]}: expected 'P' and 'N' blocks of {d} rows, got {lines[at]!r}")
     P = read_float_rows(lines[3:3 + d], d, lambda i: f"P block, line {numbers[3 + i]}", "entries")
     N = read_float_rows(lines[4 + d:], d, lambda i: f"N block, line {numbers[4 + d + i]}", "entries")
     return Decomposition(P, N, beta)

@@ -8,9 +8,9 @@ all 2^n assignments.  Each majority clause converts to a labeled 3-sparse
 example, which is the bridge between formulas and halfspace learning used
 by :mod:`sparsehalf.refutation`.  ``formula_value``
 and ERM (:func:`sparsehalf.core.erm_binary_halfspace`) share one enumeration
-kernel, :func:`sparsehalf.core.best_pattern`, which counts satisfied clauses
-bit-sliced: 64 assignments to a machine word, a clause's agreeing literals
-as bitsets, and the counts in binary counter planes.
+kernel, :func:`sparsehalf.core.best_pattern`, which meets in the middle: a
+clause is a few rank-one terms over the leading and the trailing variables'
+assignments, so all 2^n counts are one blocked matrix product.
 
 File format: DIMACS-style.  Header ``p cnf <n> <m>`` or ``p maj3 <n> <m>``,
 then clauses as whitespace-separated signed variable indices terminated by 0,

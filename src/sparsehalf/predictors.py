@@ -221,18 +221,18 @@ def _numbers(tokens: list[str], tag: str, line: int) -> list[int]:
 
 
 def _read_node(reader: _Reader) -> TrainedPredictor:
-    header = reader.next().split()
+    line, header = reader.pos + 1, reader.next().split()
     if not header:
-        raise FormatError("empty node header")
+        raise FormatError(f"line {line}: empty node header")
     tag = header[0]
 
     if tag == "binary":
         if len(header) != 2:
-            raise FormatError("binary header is 'binary <n>'")
-        (n,) = _numbers(header[1:], tag, reader.pos)
+            raise FormatError(f"{tag} node, line {line}: header is 'binary <n>'")
+        (n,) = _numbers(header[1:], tag, line)
         bits = tuple(_numbers(reader.next().split(), tag, reader.pos))
         if len(bits) != n:
-            raise FormatError(f"binary payload has {len(bits)} weights, expected {n}")
+            raise FormatError(f"{tag} node, line {reader.pos}: payload has {len(bits)} weights, expected {n}")
         try:
             return BinaryHalfspacePredictor(BinaryAssignment(bits))
         except ValueError as exc:
@@ -240,16 +240,16 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
 
     if tag == "table":
         if len(header) != 4:
-            raise FormatError("table header is 'table <n> <k> <rows>'")
-        n, k, count = _numbers(header[1:], tag, reader.pos)
+            raise FormatError(f"{tag} node, line {line}: header is 'table <n> <k> <rows>'")
+        n, k, count = _numbers(header[1:], tag, line)
         if count < 0:
-            raise FormatError(f"table node, line {reader.pos}: negative row count {count}")
+            raise FormatError(f"{tag} node, line {line}: negative row count {count}")
         first = reader.pos
         lines = reader.lines[first:first + count]
         reader.pos += len(lines)
         rows = []  # each row 'L -> y' as the sample line 'y L', up to the first that is not of that form
-        for line in lines:
-            left, sep, right = line.rpartition("->")
+        for text in lines:
+            left, sep, right = text.rpartition("->")
             label = right.split()
             if not sep or len(label) != 1:
                 break
@@ -263,17 +263,17 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         try:
             return MajorityTable(n, k, items, labels)  # as wide as the widest row in the file, not the header's k
         except ValueError as exc:
-            raise FormatError(f"table: {exc}") from exc
+            raise FormatError(f"{tag} node, line {line}: {exc}") from exc
 
     if tag == "matrix":
         if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].lstrip("-").isdigit():
-            raise FormatError("matrix header is 'matrix r=<r> <rows> <cols>'")
-        n_rows, n_cols = _numbers(header[2:], tag, reader.pos)
+            raise FormatError(f"{tag} node, line {line}: header is 'matrix r=<r> <rows> <cols>'")
+        n_rows, n_cols = _numbers(header[2:], tag, line)
         if min(n_rows, n_cols) < 0:
-            raise FormatError(f"{tag} node, line {reader.pos}: negative dimension in {n_rows}x{n_cols}")
+            raise FormatError(f"{tag} node, line {line}: negative dimension in {n_rows}x{n_cols}")
         realization = int(header[1][2:])
         if not -2 <= realization <= 2:
-            raise FormatError(f"{tag} node, line {reader.pos}: r={realization} names no coordinate-sum part -2..2")
+            raise FormatError(f"{tag} node, line {line}: r={realization} names no coordinate-sum part -2..2")
         first = reader.pos
         lines = reader.lines[first:first + n_rows]
         reader.pos += len(lines)
@@ -284,34 +284,34 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
 
     if tag == "composite":
         if len(header) != 4:
-            raise FormatError("composite header is 'composite <router> <n> <children>'")
-        router_name, (n, count) = header[1], _numbers(header[2:], tag, reader.pos)
+            raise FormatError(f"{tag} node, line {line}: header is 'composite <router> <n> <children>'")
+        router_name, (n, count) = header[1], _numbers(header[2:], tag, line)
         if router_name not in PARTITIONS:
-            raise FormatError(f"unknown router {router_name!r}")
+            raise FormatError(f"{tag} node, line {line}: unknown router {router_name!r}")
         if count < 0:
-            raise FormatError(f"{tag} node, line {reader.pos}: negative child count {count}")
+            raise FormatError(f"{tag} node, line {line}: negative child count {count}")
         keys = _part_keys(router_name, n)
         children: dict[int, TrainedPredictor] = {}
         for _ in range(count):
-            part_line = reader.next().split()
+            where, part_line = f"{tag} node, line {reader.pos + 1}", reader.next().split()
             if len(part_line) != 2 or part_line[0] != "part":
-                raise FormatError(f"expected 'part <key>' line, got {' '.join(part_line)!r}")
+                raise FormatError(f"{where}: expected 'part <key>' line, got {' '.join(part_line)!r}")
             part = keys.get(part_line[1])
             if part is None:
-                raise FormatError(f"part key {part_line[1]!r} names no part of the {router_name} partition at n={n}")
+                raise FormatError(f"{where}: part key {part_line[1]!r} names no {router_name} part at n={n}")
             if part in children:
-                raise FormatError(f"part {part_line[1]} appears twice")
+                raise FormatError(f"{where}: part {part_line[1]} appears twice")
             child_line = reader.pos + 1
             child = _read_node(reader)
             if router_name == "c2" and isinstance(child, MatrixPredictor) and child.realization != part - 2:
                 raise FormatError(f"matrix node, line {child_line}: r={child.realization} under part {part_line[1]}")
             dims = (child.n_rows, child.n_cols) if isinstance(child, MatrixPredictor) else (child.n, child.n)
             if dims != (n, n):
-                raise FormatError(f"part {part_line[1]}: child of dimension {dims[0]}x{dims[1]} under a composite with n={n}")
+                raise FormatError(f"{where}: part {part_line[1]} holds a {dims[0]}x{dims[1]} child under n={n}")
             children[part] = child
         return CompositePredictor(router_name, n, children)
 
-    raise FormatError(f"unknown predictor node tag {tag!r}")
+    raise FormatError(f"line {line}: unknown predictor node tag {tag!r}")
 
 
 def parse_predictor(text: str) -> TrainedPredictor:
@@ -319,7 +319,7 @@ def parse_predictor(text: str) -> TrainedPredictor:
     node = _read_node(reader)
     while not reader.done():
         if reader.next().strip():
-            raise FormatError("trailing content after predictor")
+            raise FormatError(f"line {reader.pos}: trailing content after predictor")
     return node
 
 

@@ -439,6 +439,28 @@ def test_tradeoff_errors_do_not_depend_on_the_blas_kernel(tmp_path, argv):
     assert all(other == first for other in others), errors
 
 
+@pytest.mark.skipif(len(runnable_openblas_cores()) < 2, reason="needs two OpenBLAS core types this CPU can run")
+def test_exhaustive_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The 2^n enumeration counts in BLAS products of small integers, which every kernel sums exactly."""
+    formula, sample = tmp_path / "f.maj3", tmp_path / "f.sample"
+    assert run("gen-formula", "--kind", "3maj", "--n", "16", "--clauses", "128", "--mode", "uniform", "--seed", "5",
+               "--out", str(formula)) == 0
+    assert run("to-sample", "--in", str(formula), "--seed", "6", "--out", str(sample)) == 0
+    outputs = {}
+    for core in runnable_openblas_cores():
+        model, game = tmp_path / f"{core}.model", tmp_path / f"{core}.csv"
+        procs = [cli_process(*argv, env=core_env(core)) for argv in (
+            ("val", "--in", str(formula)),
+            ("learn", "--algo", "erm-binary", "--train", str(sample), "--model", str(model)),
+            ("game", "--n", "16", "--delta", "8", "--trials", "2", "--seed", "3", "--out", str(game)),
+        )]
+        assert [proc.returncode for proc in procs] == [0, 0, 0], [proc.stderr for proc in procs]
+        rows = [line.rsplit(",", 1)[0] for line in read(game).splitlines()]  # all but wall_ms
+        outputs[core] = [proc.stdout for proc in procs], model.read_bytes(), rows
+    first, *others = outputs.values()
+    assert all(other == first for other in others), outputs
+
+
 class TestRefuteAndGame:
     def test_refute_planted(self, planted, capsys):
         assert run("refute", "--in", str(planted), "--seed", "2") == 0

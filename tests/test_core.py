@@ -244,15 +244,19 @@ def bit_string(psi):
     return "".join("+" if b > 0 else "-" for b in psi.bits)
 
 
-#: two coordinates above the trailing ones a best_pattern block covers, so
-#: the patterns of the leading coordinates make four blocks
-SPLIT_N = core.BLOCK_BITS + 2
+#: the counts of 2^BUDGET_N patterns alone fill best_pattern's working set, so
+#: from n = BUDGET_N on its leading patterns come in two tiles or more
+BUDGET_N = core.WORK_CELLS.bit_length() - 1
+#: at SPLIT_N, a working set of SPLIT_CELLS floats leaves rows with 1 to 16
+#: keys tiles of 15 to 30 of the 64 leading patterns: those with w1 = +1 span
+#: two tiles or more, and the first with w1 = -1 lies in a later tile
+SPLIT_N, SPLIT_CELLS = 18, 1 << 17
 
 
 def all_patterns(n):
-    """Dense 2^n x n matrix of every +-1 pattern in assignment_from_index order."""
-    index = np.arange(1 << n, dtype=np.uint32)[:, None]
-    return np.where((index >> (n - 1 - np.arange(n, dtype=np.uint32))) & 1, -1, 1).astype(np.int8)
+    """Dense 2^n x n matrix of every +-1 pattern in assignment_from_index order, each column contiguous."""
+    index = np.arange(1 << n, dtype=np.uint32)
+    return np.where((index >> (n - 1 - np.arange(n, dtype=np.uint32))[:, None]) & 1, -1, 1).astype(np.int8).T
 
 
 def dense_erm(sample):
@@ -281,9 +285,14 @@ def dense_value(phi):
 
 
 @st.composite
-def blocking(draw):
-    """Block and batch sizes for best_pattern, from one-lane blocks and one-row batches up."""
-    return draw(st.integers(1, core.BLOCK_BITS)), draw(st.sampled_from((1, 3, 64, core.BATCH_WORDS)))
+def tiling(draw):
+    """Split and working-set sizes for best_pattern, from no trailing coordinates and one-pattern tiles up.
+
+    64 and 1024 cells cut the trailing coordinates down until the trailing
+    factor fits in half of them and give tiles of a few leading patterns;
+    64 cells also build agreement counts one to four rows at a time.
+    """
+    return draw(st.integers(0, core.SPLIT_BITS)), draw(st.sampled_from((64, 1024, core.WORK_CELLS)))
 
 
 @st.composite
@@ -303,24 +312,24 @@ def dense_checked_samples(draw):
 
 
 class TestBestPatternAgainstDense:
-    """(count, first index) of the bit-sliced kernel against scoring every pattern densely."""
+    """(count, first index) of the meet-in-the-middle kernel against scoring every pattern densely."""
 
-    @given(dense_checked_samples(), blocking())
+    @given(dense_checked_samples(), tiling())
     @settings(max_examples=150, deadline=None)
     def test_erm(self, sample, sizes):
-        bits, batch = sizes
-        with mock.patch.object(core, "BLOCK_BITS", bits), mock.patch.object(core, "BATCH_WORDS", batch):
+        bits, cells = sizes
+        with mock.patch.object(core, "SPLIT_BITS", bits), mock.patch.object(core, "WORK_CELLS", cells):
             found = erm_binary_halfspace(sample)
         if len(sample):
             assert found == tuple(reversed(dense_erm(sample)))
 
     @given(st.integers(3, 12), st.integers(1, 40), st.sampled_from(list(FormulaKind)), st.integers(0, 2**32),
-           blocking())
+           tiling())
     @settings(max_examples=100, deadline=None)
     def test_formula_value(self, n, m, kind, seed, sizes):
         phi = sample_formula(FormulaSourceConfig(n, m, seed=seed), kind)
-        bits, batch = sizes
-        with mock.patch.object(core, "BLOCK_BITS", bits), mock.patch.object(core, "BATCH_WORDS", batch):
+        bits, cells = sizes
+        with mock.patch.object(core, "SPLIT_BITS", bits), mock.patch.object(core, "WORK_CELLS", cells):
             assert formula_value(phi) == dense_value(phi)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -338,6 +347,11 @@ class TestBestPatternAgainstDense:
 
 
 class TestEnumerationSplit:
+    @pytest.fixture(autouse=True)
+    def tiles(self):
+        with mock.patch.object(core, "WORK_CELLS", SPLIT_CELLS):
+            yield
+
     @pytest.mark.parametrize("kind", [FormulaKind.MAJ, FormulaKind.CNF])
     def test_formula_value(self, kind):
         for seed in (0, 1):
@@ -356,13 +370,13 @@ class TestEnumerationSplit:
     def test_first_index_wins_ties(self):
         n = SPLIT_N
         # w1 = -1, w2 = +1, wn = -1 are forced and one of the two x3 examples
-        # is always wrong: 2^15 optimal patterns, all behind leading pattern 2
+        # is always wrong: 2^(n-3) optimal patterns, tied within a later tile and past it
         forced = sample_of(1, n, [sv(n, (1, 1)), sv(n, (2, -1)), sv(n, (n, 1)), sv(n, (3, 1)), sv(n, (3, 1))],
                            [-1, -1, -1, 1, -1])
         psi, err = erm_binary_halfspace(forced)
         assert (err, psi) == dense_erm(forced)
         assert (err, psi) == (Fraction(1, 5), BinaryAssignment(assignment_from_index((1 << (n - 1)) | 1, n)))
-        # only trailing coordinates matter: every leading pattern ties and the first wins
+        # only trailing coordinates matter: every tile ties and the first tile's first wins
         trailing = sample_of(1, n, [sv(n, (n, 1)), sv(n, (n - 1, -1))], [-1, 1])
         psi, err = erm_binary_halfspace(trailing)
         assert (err, psi) == (Fraction(0), BinaryAssignment(assignment_from_index(3, n)))
@@ -370,7 +384,7 @@ class TestEnumerationSplit:
 
     def test_first_maximizer_in_a_later_block(self):
         n = SPLIT_N
-        # w1 = -1 is forced and the x_n pair splits: the optimum 2/3 first holds in the third block
+        # w1 = -1 is forced and the x_n pair splits: the optimum 2/3 first holds in a later tile
         later = sample_of(1, n, [sv(n, (1, -1)), sv(n, (n, 1)), sv(n, (n, -1))], [1, 1, 1])
         psi, err = erm_binary_halfspace(later)
         assert (err, psi) == (Fraction(1, 3), BinaryAssignment(assignment_from_index(2 << (n - 2), n)))
@@ -378,8 +392,8 @@ class TestEnumerationSplit:
 
     def test_tie_across_blocks_goes_to_the_earlier_block(self):
         n = SPLIT_N
-        # w1 = +1 is forced and the x_n pair splits: blocks one and two reach the same
-        # count, and each could hold one more, so neither is skipped
+        # w1 = +1 is forced and the x_n pair splits: the first two tiles reach the
+        # same count, and the second does not beat the first
         tie = sample_of(1, n, [sv(n, (1, 1)), sv(n, (n, 1)), sv(n, (n, -1))], [1, 1, 1])
         psi, err = erm_binary_halfspace(tie)
         assert (err, psi) == (Fraction(1, 3), BinaryAssignment((1,) * n))
@@ -388,22 +402,46 @@ class TestEnumerationSplit:
         rows[[0, 1, 2], [0, n - 1, n - 1]] = [1, 1, -1]
         assert best_pattern(rows, np.zeros(3)) == (2, 0)
 
+    @pytest.mark.parametrize("n", [6, SPLIT_N])
+    def test_float64_counts_past_the_float32_limit(self, n):
+        phi = sample_formula(FormulaSourceConfig(n, 40, seed=n), FormulaKind.MAJ)
+        sample = formula_to_sample(phi, n)
+        with (mock.patch.object(core, "FLOAT32_LIMIT", phi.m),
+              mock.patch.object(core, "_factor", wraps=core._factor) as factor):
+            assert formula_value(phi) == dense_value(phi)
+            psi, err = erm_binary_halfspace(sample)
+        assert (err, psi) == dense_erm(sample)
+        assert {call.args[-1] for call in factor.call_args_list} == {np.float64}
+
 
 class TestBestPatternMemory:
-    def test_peak_does_not_grow_with_leading_coordinates(self):
-        """Two more leading coordinates give four blocks of the same size, not four times the memory."""
-        peaks = {}
-        for n in (core.BLOCK_BITS, core.BLOCK_BITS + 2):
+    @staticmethod
+    def peak(n, k):
+        """best_pattern's traced peak on 64 rows drawn for this n: a MAJ formula's for k = 3, else k-sparse."""
+        if k == 3:
             phi = sample_formula(FormulaSourceConfig(n, 64, seed=n), FormulaKind.MAJ)
             rows = np.zeros((phi.m, n), dtype=np.int8)
             np.put_along_axis(rows, np.abs(phi.lits) - 1, np.sign(phi.lits), axis=1)
-            tracemalloc.start()
-            try:
-                best_pattern(rows, np.zeros(phi.m))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[core.BLOCK_BITS + 2] <= 1.1 * peaks[core.BLOCK_BITS]
+        else:
+            items = sample_exact_sparse(n, k, 64, n)
+            rows = np.zeros((64, n + 1), dtype=np.int8)
+            np.put_along_axis(rows, np.abs(items), np.sign(items), axis=1)
+            rows = rows[:, 1:]
+        tracemalloc.start()
+        try:
+            best_pattern(rows, np.zeros(len(rows)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_leading_coordinates(self):
+        """Two more leading coordinates give four times the tiles, of the same working set, not more memory."""
+        assert self.peak(BUDGET_N + 2, 3) <= 1.1 * self.peak(BUDGET_N, 3)
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_peak_does_not_grow_with_wider_rows(self, k):
+        """Wider rows have more keys (58, 224 and 342 at k = 3, 8 and 12 here), and the same working set."""
+        assert self.peak(BUDGET_N, k) <= 1.1 * self.peak(BUDGET_N, 3)
 
 
 class TestInstanceSpace:

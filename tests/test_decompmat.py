@@ -444,6 +444,22 @@ class TestCacheFormat:
         with pytest.raises(FormatError, match=message):
             parse_decomposition(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim 1\nbeta 0.5\nP\udcc3\udca9\n0\nN\n0\n", "layout, line 3: expected 'P' and 'N' blocks of 1 rows, got 'P\\udcc3\\udca9'"),
+            ("dim 1\n\nbeta 0.5\nP\n0\n0\nN\n0\n", "layout, line 6: expected 'P' and 'N' blocks of 1 rows, got '0'"),
+            ("dim 1\nbeta 0.5\nP\n0\nN\n0\n0\n", "layout, line 7: expected 'P' and 'N' blocks of 1 rows, got '0'"),
+            ("dim 2\nbeta 0.5\nP\n0 0\n0 0\nN\n0 0\n", "layout, line 7: expected 'P' and 'N' blocks of 2 rows, got '0 0'"),
+            ("dim 3\nbeta 0.5\nP\n0 0 0\n", "layout, line 4: expected 'P' and 'N' blocks of 3 rows, got '0 0 0'"),
+        ],
+        ids=["P-marker", "N-marker", "N-rows-long", "N-rows-short", "ends-in-P"],
+    )
+    def test_layout_errors_name_their_line(self, text, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_decomposition(text)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("text,message", [
         (b"dim 1\nbeta 0.5\nP\n0.5\xc3\xa9\nN\n0.5\n", "P block, line 4: expected floats, got '0.5\\udcc3\\udca9'"),
         (b"dim 1\nbeta \xc3\xa9\nP\n0.5\nN\n0.5\n", "header, line 2: bad value in 'beta \\udcc3\\udca9'"),

@@ -180,6 +180,37 @@ class TestMalformed:
         with pytest.raises(FormatError, match=message):
             parse_predictor(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("composite c2 4 1\npart r=0\nbinary 4\n+1 +1 +1\n", "binary node, line 4: payload has 3 weights, expected 4"),
+            ("table\udcc3\udca9 4 2 1\n", "line 1: unknown predictor node tag 'table\\udcc3\\udca9'"),
+            ("composite c2 4 1\nnope r=0\nbinary 1\n+1\n", "composite node, line 2: expected 'part <key>' line, got 'nope r=0'"),
+            ("binary 2\n+1 -1\n\nextra\n", "line 4: trailing content after predictor"),
+            ("composite c2 4 1\npart r=0\n\n", "line 3: empty node header"),
+            ("binary 2 2\n+1 -1\n", "binary node, line 1: header is 'binary <n>'"),
+            ("composite c2 4 1\npart r=0\ntable 4 2\n", "table node, line 3: header is 'table <n> <k> <rows>'"),
+            ("matrix r=0 2\n", "matrix node, line 1: header is 'matrix r=<r> <rows> <cols>'"),
+            ("composite c2 4\n", "composite node, line 1: header is 'composite <router> <n> <children>'"),
+            ("composite c9 4 0\n", "composite node, line 1: unknown router 'c9'"),
+            ("composite c2 4 1\npart r=3\nbinary 4\n+1 +1 +1 +1\n",
+             "composite node, line 2: part key 'r=3' names no c2 part at n=4"),
+            ("composite c2 4 2\npart r=1\nbinary 4\n+1 +1 +1 +1\npart r=1\nbinary 4\n+1 +1 +1 +1\n",
+             "composite node, line 5: part r=1 appears twice"),
+            ("composite c3 4 1\npart residual\nbinary 3\n+1 +1 +1\n",
+             "composite node, line 2: part residual holds a 3x3 child under n=4"),
+            ("binary 1\n+1\ntable 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n", "line 3: trailing content after predictor"),
+            ("table 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n", "table node, line 1: table repeats a row"),
+        ],
+        ids=["payload", "unknown-tag", "part-line", "trailing", "empty-header", "binary-header", "table-header",
+             "matrix-header", "composite-header", "unknown-router", "unknown-part", "part-twice", "child-dimension",
+             "trailing-node", "table-rows"],
+    )
+    def test_structural_errors_name_node_and_line(self, text, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_predictor(text)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("text", ["matrix r=0 -1 2\n", "matrix r=0 0 -2\n", "matrix r=0 1 -2\n0 0\n"])
     def test_negative_matrix_dimension(self, text):
         with pytest.raises(FormatError, match="^matrix node, line 1: negative dimension"):
