@@ -6,8 +6,8 @@ seed paths), so at p = 0 the rows' errors are that command's.  With
 ``--noise p`` each training label flips with probability p, from a stream
 of ``--noise-seed`` alone; test labels stay clean.  The learner seed
 derives from the trial only, so every B sees the same sample, test set and
-shuffles.  Fits run serially (the h3 worker pool is switched off) so that
-the SVDs can be counted and ``wall_ms`` is one core's fit time.
+shuffles.  Fits run in this process, so the SVDs can be counted and
+``wall_ms`` is one core's fit time.
 
     PYTHONPATH=src python results/learner_params/sweep.py --n 16 --batch 64 --out h3.csv
     PYTHONPATH=src python results/learner_params/sweep.py --summary results/learner_params
@@ -47,7 +47,7 @@ def run_cell(n: int, ratios: list[int], batch: int, trials: int, seed: int, test
         svds[0] += 1
         return eg_margins(*args)
 
-    learners._eg_margins, learners._workers = counted, lambda parts: 1
+    learners._eg_margins = counted
     lines = [COLUMNS]
     for trial in range(trials):
         target_bits = generator(seed, trial, 0).integers(0, 2, size=n) * 2 - 1

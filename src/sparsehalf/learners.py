@@ -9,17 +9,14 @@ once per block of ``LearnerConfig.batch`` steps.  ``partition_learn``
 splits a sample along the parts of a named partition, trains one sub-learner
 per part, and routes predictions.  ``learn_h2``/``learn_h3`` compose these
 into the efficient learners for at-most-2-sparse and at-most-3-sparse
-instances; ``learn_h3`` fits its independent first-nonzero parts in forked
-worker processes, one per CPU the process may run on.
+instances.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -213,23 +210,18 @@ def matrix_mw_learn(
     return MatrixPredictor(n_rows, n_cols, scores, realization)
 
 
-def partition_learn(
-    sample: Sample,
-    kind: str,
-    train: Callable[[int, Sample], TrainedPredictor],
-    mapper: Callable[..., Iterator[TrainedPredictor]] = map,
-) -> CompositePredictor:
+def partition_learn(sample: Sample, kind: str, train: Callable[[int, Sample], TrainedPredictor]) -> CompositePredictor:
     """Split a sample along the ``kind`` partition and train one learner per part.
 
     Slices keep their original order and hold the routed (transformed)
-    instances; ``mapper(train, parts, slices)`` trains them with the parts in
-    ``part_order``, and parts with no examples predict the +1 default.
+    instances; ``train(part, slice)`` fits them one after another with the
+    parts in ``part_order``, and parts with no examples predict the +1 default.
     """
     parts, child = route_rows(kind, sample.items, sample.n)
     groups = group_rows(parts)
-    order = part_order(kind, groups)
-    slices = (Sample(child.shape[1], sample.n, child[groups[part]], sample.y[groups[part]]) for part in order)
-    return CompositePredictor(kind, sample.n, dict(zip(order, mapper(train, order, slices))))
+    trained = {part: train(part, Sample(child.shape[1], sample.n, child[groups[part]], sample.y[groups[part]]))
+               for part in part_order(kind, groups)}
+    return CompositePredictor(kind, sample.n, trained)
 
 
 def _check_size(n: int, limit: int, what: str, force: bool) -> None:
@@ -265,15 +257,6 @@ def learn_h2(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = 
     return partition_learn(sample, "c2", train)
 
 
-def _train_h3_part(cfg: LearnerConfig, force: bool, part: int, part_sample: Sample) -> CompositePredictor:
-    return learn_h2(part_sample, replace(cfg, seed=derive_seed(cfg.seed, 3, part)), force=force)
-
-
-def _workers(parts: int) -> int:
-    """Processes for ``parts`` independent fits: one per CPU this process may use, at most one per part."""
-    return min(len(os.sched_getaffinity(0)), parts)
-
-
 def learn_h3(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = False) -> CompositePredictor:
     """Learner for halfspaces over at-most-3-sparse instances.
 
@@ -281,24 +264,16 @@ def learn_h3(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = 
     at-most-2-sparse problem by zeroing that coordinate and handed to
     ``learn_h2``.  The residual part (first nonzero beyond n-2, or the zero
     vector) is already 2-sparse and learned directly.  The 2n-3 parts are
-    fitted in a pool of forked processes, largest (small i) first, unless
-    only one CPU is available; each part's seed derives from its part number,
-    so the model does not depend on the number of processes.  Guarded at
-    n <= ``H3_N_LIMIT`` unless ``force`` is set.
+    fitted one after another in this process; each part's seed derives from
+    its part number.  Guarded at n <= ``H3_N_LIMIT`` unless ``force`` is set.
     """
     cfg = cfg or LearnerConfig()
     _check_size(sample.n, H3_N_LIMIT, "learn_h3", force)
-    train = partial(_train_h3_part, cfg, force)
-    workers = _workers(2 * sample.n - 3)
-    if workers <= 1:
-        return partition_learn(sample, "c3", train)
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
 
-    # fork: workers start with numpy and the sample already loaded; the executor
-    # forks them all at the first submit, before it starts its own thread
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        return partition_learn(sample, "c3", train, partial(pool.map, chunksize=1))
+    def train(part: int, part_sample: Sample) -> TrainedPredictor:
+        return learn_h2(part_sample, replace(cfg, seed=derive_seed(cfg.seed, 3, part)), force=force)
+
+    return partition_learn(sample, "c3", train)
 
 
 LEARNER_NAMES = ("table", "h2", "h3", "erm-binary")

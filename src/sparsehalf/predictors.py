@@ -203,7 +203,7 @@ class _Reader:
 
     def next(self) -> str:
         if self.pos >= len(self.lines):
-            raise FormatError("unexpected end of predictor file")
+            raise FormatError(f"line {self.pos + 1}: unexpected end of predictor file")
         line = self.lines[self.pos]
         self.pos += 1
         return line

@@ -418,7 +418,7 @@ def parse_table(text: str) -> MajorityTable:
     rows, labels = [], []
     for pos in range(1, count + 1):
         if pos >= len(lines):
-            raise FormatError("unexpected end of predictor file")
+            raise FormatError(f"line {pos + 1}: unexpected end of predictor file")
         where = f"table node, line {pos + 1}"
         left, sep, right = lines[pos].rpartition("->")
         if not sep or len(right.split()) != 1:
@@ -440,7 +440,7 @@ def parse_table(text: str) -> MajorityTable:
     try:
         return MajorityTable(n, k, items, labels)
     except ValueError as exc:
-        raise FormatError(f"table: {exc}") from exc
+        raise FormatError(f"table node, line 1: {exc}") from exc
 
 
 def format_float_rows(matrix: np.ndarray) -> str:

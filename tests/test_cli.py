@@ -1,7 +1,6 @@
 """Command-line harness: every subcommand, manifests, exit codes, determinism."""
 
 import json
-import multiprocessing
 import resource
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import core_env, eval_clause, frozen_core_env, runnable_openblas_cores
-from sparsehalf import cli, learners
+from sparsehalf import cli
 from sparsehalf.cli import build_parser, main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
@@ -151,15 +150,6 @@ class TestToSampleLearnEval:
         assert proc.returncode == 4
         # 60 examples: every part's epoch is one block of the default 64 steps, so the first new iterate is epoch 2's
         assert proc.stderr == "error: non-finite margins in epoch 2; reduce eta\n"
-
-    def test_overflow_in_a_worker_exits_4(self, planted, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(learners, "_workers", lambda parts: min(2, parts))
-        data = tmp_path / "s.txt"
-        run("to-sample", "--in", str(planted), "--seed", "5", "--out", str(data))
-        assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "h3.model"),
-                   "--eta", "1e308", "--beta", "1e308") == 4
-        assert capsys.readouterr().err == "error: non-finite margins in epoch 2; reduce eta\n"
-        assert not multiprocessing.active_children()
 
     def test_eval_on_garbage_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -378,17 +368,6 @@ class TestFrozenOutputs:
                    "--test-size", "512", "--trials", "2", "--seed", "3", "--out", str(out)) == 0
         rows = [",".join(line.split(",")[:-1]) for line in read(out).splitlines()]  # drop wall_ms
         assert rows == (FROZEN / "tradeoff_n10.csv").read_text().splitlines()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_tradeoff_rows_for_any_worker_count(self, tmp_path, monkeypatch, workers):
-        monkeypatch.setattr(learners, "_workers", lambda parts: min(workers, parts))
-        out = tmp_path / "t.csv"
-        assert run("tradeoff", "--n", "10", "--algos", "table,h3", "--sizes", "0,200,1600",
-                   "--test-size", "512", "--trials", "2", "--seed", "3", "--out", str(out)) == 0
-        rows = [",".join(line.split(",")[:-1]) for line in read(out).splitlines()]  # drop wall_ms
-        frozen = (FROZEN / "tradeoff_n10.csv").read_text().splitlines()
-        assert rows == [row for row in frozen if not row.startswith("erm-binary,")]
-        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("algo", ["table", "erm-binary"])
     def test_model_bytes(self, tmp_path, algo):
@@ -638,7 +617,7 @@ class TestEntryPoints:
         assert "sparsehalf" in proc.stdout
 
     def test_import_loads_no_process_pool(self):
-        # the pool modules load inside learn_h3 only, so --version stays as quick as before; scipy is a test dependency
+        # no module of the package imports a process pool, and start-up must not load one; scipy is a test dependency
         code = ("import sys, sparsehalf.cli; "
                 "print([m for m in ('concurrent.futures', 'multiprocessing', 'scipy') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

@@ -201,10 +201,15 @@ class TestMalformed:
              "composite node, line 2: part residual holds a 3x3 child under n=4"),
             ("binary 1\n+1\ntable 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n", "line 3: trailing content after predictor"),
             ("table 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n", "table node, line 1: table repeats a row"),
+            ("", "line 1: unexpected end of predictor file"),
+            ("binary 2\n", "line 2: unexpected end of predictor file"),
+            ("table 4 2 2\n1:+1 -> +1\n", "line 3: unexpected end of predictor file"),
+            ("matrix r=0 2 2\n0 0\n", "line 3: unexpected end of predictor file"),
+            ("composite c2 4 1\npart r=0\n", "line 3: unexpected end of predictor file"),
         ],
         ids=["payload", "unknown-tag", "part-line", "trailing", "empty-header", "binary-header", "table-header",
              "matrix-header", "composite-header", "unknown-router", "unknown-part", "part-twice", "child-dimension",
-             "trailing-node", "table-rows"],
+             "trailing-node", "table-rows", "end-empty", "end-binary", "end-table", "end-matrix", "end-composite"],
     )
     def test_structural_errors_name_node_and_line(self, text, message):
         with pytest.raises(FormatError) as excinfo:
