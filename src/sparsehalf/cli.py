@@ -70,13 +70,15 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float)
         fh.write("\n")
 
 
-def _print_force_estimate(n: int, rows: list[int]) -> None:
-    """Price one exhaustive pass over 2^n patterns per entry of ``rows``, each over that many rows."""
-    # best_pattern sums each of r rows' <= 2 terms over the 2^|a| + 2^|b| patterns of its halves, at about
-    # 6e8 a second, then multiplies 2^n x R pattern-terms, R <= min(2r, 4n + 2) for 3-sparse rows, at about
-    # 2.4e10 a second (both measured at n = 20-24 on one core of a 2-CPU Intel Xeon at 2.0 GHz)
-    terms = (1 << n) * sum(min(2 * r, 4 * n + 2) for r in rows)
-    seconds = terms / 2.4e10 + 2 * sum(rows) * ((1 << (n - SPLIT_BITS)) + (1 << SPLIT_BITS)) / 6e8  # n > SPLIT_BITS
+def _print_force_estimate(n: int, rows: list[int], k: int) -> None:
+    """Price one exhaustive pass over 2^n patterns per entry of ``rows``, each over that many k-sparse rows."""
+    # best_pattern sums each of r rows' <= floor(k/2) + 1 terms over the 2^|a| + 2^|b| patterns of its halves, at
+    # about 6e8 a second, then multiplies 2^n x R pattern-terms, R <= (floor(k/2) + 1) r, and <= 4n + 2 for k <= 3,
+    # at about 2.4e10 a second (both measured at n = 20-24 on one core of a 2-CPU Intel Xeon at 2.0 GHz)
+    per_row = k // 2 + 1
+    terms = (1 << n) * sum(min(per_row * r, 4 * n + 2) if k <= 3 else per_row * r for r in rows)
+    halves = (1 << (n - SPLIT_BITS)) + (1 << SPLIT_BITS)  # n > SPLIT_BITS
+    seconds = terms / 2.4e10 + per_row * sum(rows) * halves / 6e8
     passes = "exhaustive pass" if len(rows) == 1 else f"{len(rows)} exhaustive passes"
     print(f"force: {passes} over 2^{n} patterns x {sum(rows)} rows, "
           f"~{terms:.3g} pattern-terms (~{seconds:.1f} s)", file=sys.stderr)
@@ -107,9 +109,8 @@ def _fmt(x: float) -> str:
 def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
     psi = None
     if args.mode == "planted":
-        bits = generator(args.seed, 0).integers(0, 2, size=args.n) * 2 - 1
-        psi = BinaryAssignment(tuple(int(b) for b in bits))
-    cfg = FormulaSourceConfig(args.n, args.clauses, mode=args.mode, psi=psi, seed=derive_seed(args.seed, 1))
+        psi = BinaryAssignment(generator(args.seed, 0).integers(0, 2, size=args.n) * 2 - 1)
+    cfg = FormulaSourceConfig(args.n, args.clauses, psi=psi, seed=derive_seed(args.seed, 1))
     phi = sample_formula(cfg, _KIND_FLAGS[args.kind])  # before any file is written, so a refusal leaves none
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(serialize_formula(phi))
@@ -123,7 +124,7 @@ def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
 def cmd_val(args: argparse.Namespace) -> None:
     phi = parse_formula(read_text(args.infile))
     if phi.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(phi.n, [phi.m])
+        _print_force_estimate(phi.n, [phi.m], 3)
     value, _ = formula_value(phi, force=args.force)
     print(f"val {_fmt(value)} {value.numerator}/{value.denominator}")
 
@@ -138,7 +139,7 @@ def cmd_to_sample(args: argparse.Namespace) -> list[str]:
 def cmd_learn(args: argparse.Namespace) -> list[str]:
     sample = parse_sample(read_text(args.train))
     if args.algo == "erm-binary" and sample.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(sample.n, [len(sample)])
+        _print_force_estimate(sample.n, [len(sample)], sample.k)
     cfg = _learner_config(args, args.seed)
     predictor = make_learner(args.algo, cfg, force=args.force)(sample)
     write_predictor(args.model, predictor)
@@ -163,7 +164,7 @@ def cmd_refute(args: argparse.Namespace) -> None:
         force=args.force,
     )
     if args.algo == "erm-binary" and phi.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(phi.n, [math.ceil(cfg.fraction * phi.m)])  # ERM sees the subsample
+        _print_force_estimate(phi.n, [math.ceil(cfg.fraction * phi.m)], 3)  # ERM sees the subsample
     verdict = refute(phi, cfg)
     print(f"{verdict.kind} err={_fmt(verdict.error)} "
           f"({verdict.error.numerator}/{verdict.error.denominator})")
@@ -187,7 +188,7 @@ def cmd_game(args: argparse.Namespace) -> list[str]:
     )
     if args.algo == "erm-binary" and args.n > EXHAUSTIVE_N_LIMIT and args.force:
         rounds = len(game.modes) * game.trials  # one ERM fit on the subsample per round
-        _print_force_estimate(args.n, [math.ceil(refuter.fraction * game.clause_count)] * rounds)
+        _print_force_estimate(args.n, [math.ceil(refuter.fraction * game.clause_count)] * rounds, 3)
     stats = refutation_game(game, refuter)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n")
@@ -214,13 +215,13 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
     if args.test_size < 1:
         raise ValueError(f"--test-size must be at least 1: got {args.test_size}")
     if "erm-binary" in algos and args.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(args.n, sizes * args.trials)  # one ERM fit per size and trial
+        _print_force_estimate(args.n, sizes * args.trials, 3)  # one ERM fit per size and trial
     n = args.n
 
     lines = ["algo,n,m,trial,train_err,test_err,wall_ms"]
     for trial in range(args.trials):
         target_bits = generator(args.seed, trial, 0).integers(0, 2, size=n) * 2 - 1
-        target = BinaryHalfspacePredictor(BinaryAssignment(tuple(int(b) for b in target_bits)))
+        target = BinaryHalfspacePredictor(BinaryAssignment(target_bits))
         test_xs = sample_exact_sparse(n, 3, args.test_size, derive_seed(args.seed, trial, 1))
         test = Sample(3, n, test_xs, target.predict_many(test_xs, n))
         for size_idx, m in enumerate(sizes):
@@ -243,7 +244,7 @@ def cmd_certify_beta(args: argparse.Namespace) -> list[str]:
     W = triangular_matrix(args.n)
     beta_hat, dec = certify_min_beta(W)
     write_decomposition(args.out, dec)
-    loaded = read_decomposition(args.out, shape=(args.n, args.n))
+    loaded = read_decomposition(args.out)
     report = verify_decomposition(W, loaded)
     if not report.ok:
         raise NumericError(f"written certificate does not re-verify: {report}")

@@ -1,16 +1,22 @@
-"""Decomposable sign matrices: symmetrization, certificates, constructions.
+"""Decomposable sign matrices: symmetrization, the verifier, the certifier, certificate files.
 
 An n x m sign matrix W is beta-decomposable when its symmetrization
 [[0, W], [W^T, 0]] splits as P - N with P, N positive semidefinite and every
 diagonal entry of both at most beta.  This module provides:
 
-* ``verify_decomposition`` -- the single checker every construction must pass;
-* closed-form constructions (spectral split, tensor products, principal
-  minors, diagonal and all-ones matrices, row-threshold matrices);
+* ``verify_decomposition`` -- the single checker every decomposition must pass;
+* ``spectral_split`` -- eigen-positive minus eigen-negative part, always a
+  valid decomposition and the certifier's upper bound;
+* ``triangular_matrix`` -- T_n, the matrix ``certify-beta`` certifies;
 * ``certify_min_beta`` -- a numeric upper-bound certifier that bisects on
   beta and tests feasibility by Dykstra cyclic projection, one loop over
   three constraint sets: the affine reconstruction set, the PSD cones
   (P and N together), and the diagonal cap.
+
+The paper's closure constructions (tensor products, principal minors,
+diagonal and all-ones matrices, row-threshold matrices carved out of T (x) J)
+run on no library path; ``tests/oracles.py`` builds them on this module, and
+the tests check each against the verifier.
 
 The verifier and the Dykstra feasibility test read the same gaps
 (reconstruction error, smallest eigenvalue, diagonal excess over beta) from
@@ -27,8 +33,8 @@ rows are streamed to the file as they are made; reading does not verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,11 +44,9 @@ from .errors import FormatError, GuardError, NumericError
 #: dimension guard for the dense eigen/projection paths
 MAX_CERTIFY_DIM = 256
 
-_KRON_ELEMENT_GUARD = 1 << 24
-
 #: the verifier's tolerances: on max|P - N - sym(W)|, on the PSD deficit (the
-#: negated smallest eigenvalue; also the PSD test of a tensor factor), on the
-#: diagonal excess over beta, and on max|P - P^T| and max|N - N^T|
+#: negated smallest eigenvalue), on the diagonal excess over beta, and on
+#: max|P - P^T| and max|N - N^T|
 RECON_TOL, PSD_TOL, DIAG_TOL, SYM_TOL = 1e-9, 1e-8, 1e-9, 1e-12
 
 #: the gap Dykstra must get below for a beta to count as feasible, its
@@ -57,15 +61,13 @@ _CHECK_EVERY = 20
 class Decomposition:
     """A certified pair (P, N) with P - N equal to some symmetrization.
 
-    ``shape`` records the (rows, cols) of the source sign matrix when known;
-    operations that need to map source rows/columns onto symmetrization
-    coordinates (minor deletion, tensoring) require it.
+    Which sign matrix it decomposes is the caller's to say: the verifier
+    takes that matrix and checks only that its n + m matches P's size.
     """
 
     P: np.ndarray
     N: np.ndarray
     beta: float
-    shape: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         P = np.array(self.P, dtype=float)
@@ -74,11 +76,6 @@ class Decomposition:
             raise ValueError("P and N must be square matrices of equal size")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.shape is not None:
-            rows, cols = self.shape
-            if rows + cols != P.shape[0]:
-                raise ValueError("source shape inconsistent with matrix size")
-            object.__setattr__(self, "shape", (int(rows), int(cols)))
         P.setflags(write=False)
         N.setflags(write=False)
         object.__setattr__(self, "P", P)
@@ -159,7 +156,7 @@ def _eigen_part(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def spectral_split(M: np.ndarray, *, shape: tuple[int, int] | None = None) -> Decomposition:
+def spectral_split(M: np.ndarray) -> Decomposition:
     """Eigen-positive part minus eigen-negative part of a symmetric matrix.
 
     Always a valid decomposition of M; its beta (the largest diagonal entry
@@ -178,71 +175,7 @@ def spectral_split(M: np.ndarray, *, shape: tuple[int, int] | None = None) -> De
     P = _eigen_part(eigvals, eigvecs)
     N = _eigen_part(-eigvals, eigvecs)
     beta = float(max(np.diag(P).max(initial=0.0), np.diag(N).max(initial=0.0), 0.0))
-    return Decomposition(P, N, beta, shape=shape)
-
-
-def tensor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product in the standard block layout."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.size * B.size > _KRON_ELEMENT_GUARD:
-        raise GuardError(f"tensor product would hold {A.size * B.size} entries")
-    return np.kron(A, B)
-
-
-def tensor_decomposition(dec: Decomposition, A: np.ndarray) -> Decomposition:
-    """Decomposition of W tensor A from a decomposition of W and a PSD factor A.
-
-    Uses sym(W) (x) A = sym(W (x) A): tensoring P and N with A keeps them PSD
-    and multiplies the diagonal cap by A's largest diagonal entry.
-    """
-    if dec.shape is None:
-        raise ValueError("decomposition must carry its source shape for tensoring")
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("tensor factor must be square")
-    if np.abs(A - A.T).max(initial=0.0) > 1e-9:
-        raise ValueError("tensor factor must be symmetric")
-    if np.linalg.eigvalsh(A).min() < -PSD_TOL:
-        raise ValueError("tensor factor must be positive semidefinite")
-    alpha = float(np.diag(A).max(initial=0.0))
-    n, m = dec.shape
-    a = A.shape[0]
-    return Decomposition(
-        tensor_product(dec.P, A),
-        tensor_product(dec.N, A),
-        dec.beta * alpha,
-        shape=(n * a, m * a),
-    )
-
-
-def delete_rowcol_decomposition(
-    dec: Decomposition, *, row: int | None = None, col: int | None = None
-) -> Decomposition:
-    """Decomposition of the source with one row or one column removed.
-
-    Row i of the source maps to symmetrization coordinate i, column j to
-    coordinate rows + j (1-based); deleting takes the corresponding principal
-    minors of P and N, which stay PSD, so beta is unchanged.
-    """
-    if dec.shape is None:
-        raise ValueError("decomposition must carry its source shape for deletion")
-    if (row is None) == (col is None):
-        raise ValueError("specify exactly one of row=, col=")
-    rows, cols = dec.shape
-    if row is not None:
-        if not 1 <= row <= rows:
-            raise ValueError(f"row {row} out of range [1, {rows}]")
-        coord = row - 1
-        new_shape = (rows - 1, cols)
-    else:
-        if not 1 <= col <= cols:
-            raise ValueError(f"column {col} out of range [1, {cols}]")
-        coord = rows + col - 1
-        new_shape = (rows, cols - 1)
-    keep = [i for i in range(dec.d) if i != coord]
-    sel = np.ix_(keep, keep)
-    return Decomposition(dec.P[sel], dec.N[sel], dec.beta, shape=new_shape)
+    return Decomposition(P, N, beta)
 
 
 def triangular_matrix(n: int) -> np.ndarray:
@@ -252,35 +185,6 @@ def triangular_matrix(n: int) -> np.ndarray:
     rows = np.arange(n)[:, None]
     cols = np.arange(n)[None, :]
     return np.where(cols >= rows, 1, -1).astype(np.int8)
-
-
-def all_ones_decomposition(n: int) -> Decomposition:
-    """Rank-one split of the all-ones matrix; both parts have diagonal 1/2."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    P = np.full((2 * n, 2 * n), 0.5)
-    block = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    N = 0.5 * np.kron(block, np.ones((n, n)))
-    return Decomposition(P, N, 0.5, shape=(n, n))
-
-
-def diagonal_decomposition(D: np.ndarray) -> Decomposition:
-    """Per-index 2x2 split of a real diagonal matrix; beta = max |D_ii|."""
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValueError("input must be square")
-    if np.abs(D - np.diag(np.diag(D))).max(initial=0.0) != 0.0:
-        raise ValueError("input must be diagonal")
-    n = D.shape[0]
-    diag = np.diag(D)
-    P = np.zeros((2 * n, 2 * n))
-    N = np.zeros((2 * n, 2 * n))
-    for i, d in enumerate(diag):
-        P[i, i] = P[n + i, n + i] = abs(d)
-        P[i, n + i] = P[n + i, i] = d
-        N[i, i] = N[n + i, n + i] = abs(d)
-    beta = float(np.abs(diag).max(initial=0.0))
-    return Decomposition(P, N, beta, shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +244,7 @@ def _dykstra_feasible(
     return False, (P, N)
 
 
-def _repair(
-    S: np.ndarray,
-    P: np.ndarray,
-    N: np.ndarray,
-    beta: float,
-    shape: tuple[int, int],
-) -> Decomposition:
+def _repair(S: np.ndarray, P: np.ndarray, N: np.ndarray, beta: float) -> Decomposition:
     """Turn an approximately feasible Dykstra point into a strictly verifying one.
 
     The affine correction makes the reconstruction exact up to roundoff, a
@@ -363,7 +261,7 @@ def _repair(
         P = P + shift
         N = N + shift
     max_diag = float(max(np.diag(P).max(initial=0.0), np.diag(N).max(initial=0.0), 0.0))
-    return Decomposition(P, N, max(beta, max_diag), shape=shape)
+    return Decomposition(P, N, max(beta, max_diag))
 
 
 def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
@@ -382,7 +280,7 @@ def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
     if n + m > MAX_CERTIFY_DIM:
         raise GuardError(f"certifier limited to n+m <= {MAX_CERTIFY_DIM}: got {n + m}")
     S = symmetrize(W)
-    spectral = spectral_split(S, shape=(n, m))
+    spectral = spectral_split(S)
 
     hi, best_point = spectral.beta, (spectral.P, spectral.N)
     # tr P + tr N >= ||S||_* for every decomposition, and the trace sum is at
@@ -399,53 +297,11 @@ def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
         else:
             lo = mid
 
-    dec = _repair(S, best_point[0], best_point[1], hi, (n, m))
+    dec = _repair(S, best_point[0], best_point[1], hi)
     report = verify_decomposition(W, dec)
     if not report.ok:
         raise NumericError(f"certifier could not repair its decomposition: {report}")
     return dec.beta, dec
-
-
-def row_threshold_matrix(thresholds: Iterable[int]) -> np.ndarray:
-    t = list(int(v) for v in thresholds)
-    n = len(t)
-    if n < 1:
-        raise ValueError("need at least one threshold")
-    if any(not 0 <= v <= n for v in t):
-        raise ValueError(f"thresholds must lie in [0, {n}]")
-    cols = np.arange(1, n + 1)[None, :]
-    return np.where(cols <= np.array(t)[:, None], -1, 1).astype(np.int8)
-
-
-def row_threshold_decomposition(
-    thresholds: Iterable[int],
-    base: Decomposition | None = None,
-) -> tuple[np.ndarray, Decomposition]:
-    """Sign matrix whose row i is -1 up to thresholds[i] then +1, with certificate.
-
-    The matrix is carved out of T (x) J, where T is the certified triangular
-    matrix one size up (thresholds may reach n, which needs an extra all
-    minus-one block row) and J is all ones: row i picks the block row at level
-    thresholds[i], column j picks block column j, and because J is constant
-    the principal minor of the tensored decomposition is just an index lookup
-    into the base certificate.  Selecting rows in their original order folds
-    the sort and un-permute steps into the same lookup.  beta is the base
-    certificate's beta; by default the base is ``certify_min_beta`` of T,
-    computed on each call (milliseconds, with no Dykstra run).
-    """
-    t = [int(v) for v in thresholds]
-    W = row_threshold_matrix(t)
-    n = len(t)
-    m = n + 1
-    if base is None:
-        base = certify_min_beta(triangular_matrix(m))[1]
-    if base.shape is None or base.shape != (m, m) or base.d != 2 * m:
-        raise ValueError(f"base certificate must decompose the {m}x{m} triangular matrix")
-    # symmetrization coordinates in the base: row block for level t_i, then column blocks
-    coords = [ti for ti in t] + [m + j for j in range(n)]
-    sel = np.ix_(coords, coords)
-    dec = Decomposition(base.P[sel], base.N[sel], base.beta, shape=(n, n))
-    return W, dec
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +353,6 @@ def write_decomposition(path: str, dec: Decomposition) -> None:
         fh.writelines(_decomposition_lines(dec))
 
 
-def read_decomposition(path: str, shape: tuple[int, int] | None = None) -> Decomposition:
+def read_decomposition(path: str) -> Decomposition:
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:  # as read_text does, line by line
-        dec = _decomposition_of([part for line in fh for part in line.splitlines()])
-    if shape is not None:
-        dec = replace(dec, shape=shape)
-    return dec
+        return _decomposition_of([part for line in fh for part in line.splitlines()])

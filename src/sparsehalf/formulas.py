@@ -87,24 +87,26 @@ class Formula:
 
 @dataclass(frozen=True)
 class FormulaSourceConfig:
-    """How to draw a random formula: size, uniform or planted mode, seed."""
+    """How to draw a random formula: size, the planted assignment if any, seed.
+
+    A formula is planted exactly when ``psi`` is given.  ``mode`` may name
+    that choice too ("planted" or "uniform"), and must then agree with ``psi``.
+    """
 
     n: int
     m: int
-    mode: str = "uniform"
+    mode: str | None = None
     psi: BinaryAssignment | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("need at least one clause")
-        if self.mode not in ("uniform", "planted"):
-            raise ValueError(f"mode must be 'uniform' or 'planted': got {self.mode!r}")
-        if self.mode == "planted":
-            if self.psi is None:
-                raise ValueError("planted mode requires an assignment")
-            if self.psi.n != self.n:
-                raise ValueError("planted assignment length must equal n")
+        implied = "uniform" if self.psi is None else "planted"
+        if self.mode not in (None, implied):
+            raise ValueError(f"mode {self.mode!r} does not match psi: expected {implied!r}")
+        if self.psi is not None and self.psi.n != self.n:
+            raise ValueError("planted assignment length must equal n")
 
 
 def formula_value(phi: Formula, *, force: bool = False) -> tuple[Fraction, BinaryAssignment]:
@@ -128,14 +130,14 @@ def sample_formula(cfg: FormulaSourceConfig, kind: FormulaKind) -> Formula:
     """Draw a random formula.
 
     Each clause draws three distinct variables uniformly without replacement,
-    then three fair sign coins.  Uniform mode keeps every draw; planted mode
-    redraws a clause until the hidden assignment satisfies it, so the result
-    has value 1 under that assignment.
+    then three fair sign coins.  Without ``cfg.psi`` every draw is kept; with
+    it a clause is redrawn until that hidden assignment satisfies it, so the
+    result has value 1 under it.
     """
     if cfg.n < 3:
         raise ValueError("need n >= 3 variables for 3-literal clauses")
     rng = generator(cfg.seed)
-    psi = None if cfg.mode == "uniform" else np.array(cfg.psi.bits)
+    psi = None if cfg.psi is None else np.array(cfg.psi.bits)
     lits = np.empty((cfg.m, 3), dtype=np.int32)
     for row in lits:
         while True:

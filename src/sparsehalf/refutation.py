@@ -150,12 +150,10 @@ def refute(phi: Formula, cfg: RefuterConfig) -> Verdict:
 
 
 def _round_formula(mode: str, game: GameConfig, seed: int) -> Formula:
+    psi = None
     if mode == "planted":
-        bits = generator(seed, 10).integers(0, 2, size=game.n) * 2 - 1
-        psi = BinaryAssignment(tuple(int(b) for b in bits))
-        cfg = FormulaSourceConfig(game.n, game.clause_count, mode="planted", psi=psi, seed=derive_seed(seed, 11))
-    else:
-        cfg = FormulaSourceConfig(game.n, game.clause_count, mode="uniform", seed=derive_seed(seed, 11))
+        psi = BinaryAssignment(generator(seed, 10).integers(0, 2, size=game.n) * 2 - 1)
+    cfg = FormulaSourceConfig(game.n, game.clause_count, psi=psi, seed=derive_seed(seed, 11))
     return sample_formula(cfg, FormulaKind.MAJ)
 
 

@@ -13,8 +13,13 @@ readers of sample files and table nodes that ``sparsehalf.core.read_rows``
 replaced; and the per-value writer and per-row reader of float matrices
 (certificate blocks, matrix nodes) that ``sparsehalf.core.format_float_rows``
 and ``read_float_rows`` replaced; and the OpenBLAS core types that
-kernel-dependence tests pin in their subprocesses.  Nothing here is used by
-the library.
+kernel-dependence tests pin in their subprocesses.  It also holds the
+paper's closure constructions of decomposable matrices, which no command
+runs: ``tensor_decomposition`` (W tensor a PSD factor),
+``delete_rowcol_decomposition`` (a principal minor: one source row or
+column removed), ``all_ones_decomposition``, ``diagonal_decomposition``,
+and ``row_threshold_matrix`` with ``row_threshold_decomposition`` (carved
+out of T tensor J).  Nothing here is used by the library.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import numpy as np
 
 from sparsehalf import learners
 from sparsehalf.core import BinaryAssignment, Sample
+from sparsehalf.decompmat import PSD_TOL, Decomposition, certify_min_beta, triangular_matrix
 from sparsehalf.errors import FormatError, NumericError
 from sparsehalf.formulas import FormulaKind
 from sparsehalf.learners import LearnerConfig
@@ -539,3 +545,119 @@ def matrix_mw_learn_stepwise(
             if root(("r", i)) != root(("c", j)):
                 scores[i, j] = 0.0
     return MatrixPredictor(n_rows, n_cols, scores, realization)
+
+
+# ---------------------------------------------------------------------------
+# The paper's closure constructions of decomposable matrices
+
+def tensor_decomposition(dec: Decomposition, A: np.ndarray) -> Decomposition:
+    """Decomposition of W tensor A from a decomposition of W and a PSD factor A.
+
+    Uses sym(W) (x) A = sym(W (x) A): tensoring P and N with A keeps them PSD
+    and multiplies the diagonal cap by A's largest diagonal entry.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("tensor factor must be square")
+    if np.abs(A - A.T).max(initial=0.0) > 1e-9:
+        raise ValueError("tensor factor must be symmetric")
+    if np.linalg.eigvalsh(A).min() < -PSD_TOL:
+        raise ValueError("tensor factor must be positive semidefinite")
+    alpha = float(np.diag(A).max(initial=0.0))
+    return Decomposition(np.kron(dec.P, A), np.kron(dec.N, A), dec.beta * alpha)
+
+
+def delete_rowcol_decomposition(
+    dec: Decomposition, rows: int, *, row: int | None = None, col: int | None = None
+) -> Decomposition:
+    """Decomposition of a ``rows``-row source with one row or one column removed.
+
+    Row i of the source maps to symmetrization coordinate i, column j to
+    coordinate rows + j (1-based); deleting takes the corresponding principal
+    minors of P and N, which stay PSD, so beta is unchanged.
+    """
+    if (row is None) == (col is None):
+        raise ValueError("specify exactly one of row=, col=")
+    cols = dec.d - rows
+    if row is not None:
+        if not 1 <= row <= rows:
+            raise ValueError(f"row {row} out of range [1, {rows}]")
+        coord = row - 1
+    else:
+        if not 1 <= col <= cols:
+            raise ValueError(f"column {col} out of range [1, {cols}]")
+        coord = rows + col - 1
+    keep = [i for i in range(dec.d) if i != coord]
+    sel = np.ix_(keep, keep)
+    return Decomposition(dec.P[sel], dec.N[sel], dec.beta)
+
+
+def all_ones_decomposition(n: int) -> Decomposition:
+    """Rank-one split of the all-ones matrix; both parts have diagonal 1/2."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    P = np.full((2 * n, 2 * n), 0.5)
+    block = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    N = 0.5 * np.kron(block, np.ones((n, n)))
+    return Decomposition(P, N, 0.5)
+
+
+def diagonal_decomposition(D: np.ndarray) -> Decomposition:
+    """Per-index 2x2 split of a real diagonal matrix; beta = max |D_ii|."""
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ValueError("input must be square")
+    if np.abs(D - np.diag(np.diag(D))).max(initial=0.0) != 0.0:
+        raise ValueError("input must be diagonal")
+    n = D.shape[0]
+    diag = np.diag(D)
+    P = np.zeros((2 * n, 2 * n))
+    N = np.zeros((2 * n, 2 * n))
+    for i, d in enumerate(diag):
+        P[i, i] = P[n + i, n + i] = abs(d)
+        P[i, n + i] = P[n + i, i] = d
+        N[i, i] = N[n + i, n + i] = abs(d)
+    beta = float(np.abs(diag).max(initial=0.0))
+    return Decomposition(P, N, beta)
+
+
+def row_threshold_matrix(thresholds: Iterable[int]) -> np.ndarray:
+    t = list(int(v) for v in thresholds)
+    n = len(t)
+    if n < 1:
+        raise ValueError("need at least one threshold")
+    if any(not 0 <= v <= n for v in t):
+        raise ValueError(f"thresholds must lie in [0, {n}]")
+    cols = np.arange(1, n + 1)[None, :]
+    return np.where(cols <= np.array(t)[:, None], -1, 1).astype(np.int8)
+
+
+def row_threshold_decomposition(
+    thresholds: Iterable[int],
+    base: Decomposition | None = None,
+) -> tuple[np.ndarray, Decomposition]:
+    """Sign matrix whose row i is -1 up to thresholds[i] then +1, with certificate.
+
+    The matrix is carved out of T (x) J, where T is the certified triangular
+    matrix one size up (thresholds may reach n, which needs an extra all
+    minus-one block row) and J is all ones: row i picks the block row at level
+    thresholds[i], column j picks block column j, and because J is constant
+    the principal minor of the tensored decomposition is just an index lookup
+    into the base certificate.  Selecting rows in their original order folds
+    the sort and un-permute steps into the same lookup.  beta is the base
+    certificate's beta; by default the base is ``certify_min_beta`` of T,
+    computed on each call (milliseconds, with no Dykstra run).
+    """
+    t = [int(v) for v in thresholds]
+    W = row_threshold_matrix(t)
+    n = len(t)
+    m = n + 1
+    if base is None:
+        base = certify_min_beta(triangular_matrix(m))[1]
+    if base.d != 2 * m:
+        raise ValueError(f"base certificate must decompose the {m}x{m} triangular matrix")
+    # symmetrization coordinates in the base: row block for level t_i, then column blocks
+    coords = [ti for ti in t] + [m + j for j in range(n)]
+    sel = np.ix_(coords, coords)
+    dec = Decomposition(base.P[sel], base.N[sel], base.beta)
+    return W, dec

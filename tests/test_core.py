@@ -172,7 +172,7 @@ class TestErmBinaryHalfspace:
 
     def test_planted_is_realizable(self):
         psi = BinaryAssignment((1, -1, 1, 1, -1, 1, -1, 1))
-        phi = sample_formula(FormulaSourceConfig(8, 50, mode="planted", psi=psi, seed=4), FormulaKind.MAJ)
+        phi = sample_formula(FormulaSourceConfig(8, 50, psi=psi, seed=4), FormulaKind.MAJ)
         sample = formula_to_sample(phi, 5)
         _, err = erm_binary_halfspace(sample)
         assert err == 0

@@ -1,4 +1,9 @@
-"""Decomposable-matrix calculus: constructions, verifier, numeric certifier."""
+"""Decomposable-matrix calculus: verifier, numeric certifier, certificate files, and the paper's constructions.
+
+The constructions (tensor products, principal minors, diagonal, all-ones and
+row-threshold matrices) live in ``oracles``; each is checked here against
+the library's verifier.
+"""
 
 import subprocess
 import sys
@@ -8,26 +13,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import frozen_core_env
+from oracles import (
+    all_ones_decomposition,
+    delete_rowcol_decomposition,
+    diagonal_decomposition,
+    frozen_core_env,
+    row_threshold_decomposition,
+    row_threshold_matrix,
+    tensor_decomposition,
+)
 from sparsehalf.decompmat import (
     DIAG_TOL,
     PSD_TOL,
     RECON_TOL,
     SYM_TOL,
     Decomposition,
-    all_ones_decomposition,
     certify_min_beta,
-    delete_rowcol_decomposition,
-    diagonal_decomposition,
     parse_decomposition,
     read_decomposition,
-    row_threshold_decomposition,
-    row_threshold_matrix,
     serialize_decomposition,
     spectral_split,
     symmetrize,
-    tensor_decomposition,
-    tensor_product,
     triangular_matrix,
     verify_decomposition,
     write_decomposition,
@@ -67,12 +73,12 @@ class TestVerify:
         n = 3
         P = np.full((2 * n, 2 * n), 0.5)
         N = 0.5 * np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones((n, n)))
-        dec = Decomposition(P, N, 1.0, shape=(n, n))
+        dec = Decomposition(P, N, 1.0)
         assert verify_decomposition(np.ones((n, n)), dec).ok
 
     def test_zero_split_of_nonzero_fails(self):
         n = 2
-        dec = Decomposition(np.zeros((4, 4)), np.zeros((4, 4)), 1.0, shape=(n, n))
+        dec = Decomposition(np.zeros((4, 4)), np.zeros((4, 4)), 1.0)
         report = verify_decomposition(np.ones((n, n)), dec)
         assert not report.ok
         assert report.recon_error == 1.0
@@ -92,7 +98,7 @@ class TestVerify:
         else:
             P[0, 1] += t  # eigvalsh reads the lower triangle only, and N's matching entry keeps P - N
             N[0, 1] += t
-        return verify_decomposition(np.ones((2, 2)), Decomposition(P, N, beta, shape=(2, 2)))
+        return verify_decomposition(np.ones((2, 2)), Decomposition(P, N, beta))
 
     @pytest.mark.parametrize("requirement,tolerance,field,sign", [
         ("recon", RECON_TOL, "recon_error", 1),
@@ -111,7 +117,7 @@ class TestVerify:
         rng = np.random.default_rng(2)
         for _ in range(10):
             W = random_sign(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-            dec = spectral_split(symmetrize(W), shape=W.shape)
+            dec = spectral_split(symmetrize(W))
             assert verify_decomposition(W, dec).ok
 
 
@@ -144,23 +150,6 @@ class TestSpectralSplit:
 
 
 class TestTensor:
-    def test_identity_factors(self):
-        A = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(tensor_product(A, np.array([[1.0]])), A)
-        assert np.array_equal(tensor_product(np.array([[1.0]]), A), A)
-
-    def test_spot_value(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((2, 2))
-        B = rng.standard_normal((2, 2))
-        T = tensor_product(A, B)
-        for i, j, r, c in ((1, 2, 2, 1), (2, 2, 1, 1)):
-            assert T[(i - 1) * 2 + r - 1, (j - 1) * 2 + c - 1] == pytest.approx(A[i - 1, j - 1] * B[r - 1, c - 1])
-
-    def test_size_guard(self):
-        with pytest.raises(GuardError):
-            tensor_product(np.ones((3000, 3000)), np.ones((3, 3)))
-
     def test_identity_factor_keeps_beta(self):
         W = np.ones((3, 3))
         dec = tensor_decomposition(all_ones_decomposition(3), np.eye(2))
@@ -176,7 +165,7 @@ class TestTensor:
         rng = np.random.default_rng(5)
         for _ in range(10):
             W = random_sign(rng, 4, 4)
-            base = spectral_split(symmetrize(W), shape=(4, 4))
+            base = spectral_split(symmetrize(W))
             A = rng.standard_normal((2, 2))
             A = A @ A.T
             dec = tensor_decomposition(base, A)
@@ -203,19 +192,19 @@ class TestDelete:
         )
 
     def test_delete_from_all_ones(self):
-        dec = delete_rowcol_decomposition(all_ones_decomposition(4), row=2)
+        dec = delete_rowcol_decomposition(all_ones_decomposition(4), 4, row=2)
         assert dec.beta == all_ones_decomposition(4).beta
         assert verify_decomposition(np.ones((3, 4)), dec).ok
 
     def test_delete_down_to_single_cell(self):
         rng = np.random.default_rng(7)
         W = random_sign(rng, 3, 3)
-        dec = spectral_split(symmetrize(W), shape=(3, 3))
+        dec = spectral_split(symmetrize(W))
         for row in (3, 2):
-            dec = delete_rowcol_decomposition(dec, row=row)
+            dec = delete_rowcol_decomposition(dec, W.shape[0], row=row)
             W = np.delete(W, row - 1, axis=0)
         for col in (3, 2):
-            dec = delete_rowcol_decomposition(dec, col=col)
+            dec = delete_rowcol_decomposition(dec, W.shape[0], col=col)
             W = np.delete(W, col - 1, axis=1)
         assert W.shape == (1, 1)
         assert verify_decomposition(W, dec).ok
@@ -223,11 +212,11 @@ class TestDelete:
     def test_index_errors(self):
         dec = all_ones_decomposition(3)
         with pytest.raises(ValueError):
-            delete_rowcol_decomposition(dec, row=4)
+            delete_rowcol_decomposition(dec, 3, row=4)
         with pytest.raises(ValueError):
-            delete_rowcol_decomposition(dec, row=1, col=1)
+            delete_rowcol_decomposition(dec, 3, row=1, col=1)
         with pytest.raises(ValueError):
-            delete_rowcol_decomposition(dec)
+            delete_rowcol_decomposition(dec, 3)
 
 
 class TestTriangular:
@@ -375,11 +364,11 @@ class TestRowThreshold:
         # in descending order so indices stay valid
         keep_rows = [t[i] * m + 1 for i in range(3)]  # first row inside block t_i+1
         keep_cols = [j * m + 1 for j in range(3)]  # first column inside block j+1
-        dec = big
+        dec, rows = big, m * m
         for row in sorted(set(range(1, m * m + 1)) - set(keep_rows), reverse=True):
-            dec = delete_rowcol_decomposition(dec, row=row)
+            dec, rows = delete_rowcol_decomposition(dec, rows, row=row), rows - 1
         for col in sorted(set(range(1, m * m + 1)) - set(keep_cols), reverse=True):
-            dec = delete_rowcol_decomposition(dec, col=col)
+            dec = delete_rowcol_decomposition(dec, rows, col=col)
         # the deletion route keeps rows in index order; reorder to threshold order
         order = np.argsort(np.argsort(keep_rows, kind="stable"), kind="stable")
         sel = np.ix_(list(order) + [3 + i for i in range(3)], list(order) + [3 + i for i in range(3)])
@@ -401,7 +390,7 @@ class TestRowThreshold:
 
 class TestCacheFormat:
     def test_round_trip(self):
-        dec = spectral_split(symmetrize(triangular_matrix(4).astype(float)), shape=(4, 4))
+        dec = spectral_split(symmetrize(triangular_matrix(4).astype(float)))
         text = serialize_decomposition(dec)
         back = parse_decomposition(text)
         assert np.array_equal(back.P, dec.P)

@@ -1,9 +1,10 @@
 """The T_n certificate behind the row-threshold construction, and the committed tradeoff pilot and sweeps.
 
 T_n's certificate is computed, not committed: ``certify_min_beta`` gives it
-in milliseconds, and ``row_threshold_decomposition`` takes it as its default
-base.  A committed sweep under ``results/`` must still rerun to its bytes,
-so one cell of one of its commands is rerun here.
+in milliseconds, and the oracle ``row_threshold_decomposition`` (in
+``tests/oracles.py``) takes it as its default base.  A committed sweep under
+``results/`` must still rerun to its bytes, so one cell of one of its
+commands is rerun here.
 """
 
 import csv
@@ -16,14 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsehalf.decompmat import (
-    certify_min_beta,
-    row_threshold_decomposition,
-    spectral_split,
-    symmetrize,
-    triangular_matrix,
-    verify_decomposition,
-)
+from oracles import row_threshold_decomposition
+from sparsehalf.decompmat import certify_min_beta, spectral_split, symmetrize, triangular_matrix, verify_decomposition
 from sparsehalf.learners import LearnerConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -37,7 +32,7 @@ def test_cached_triangular_certificates_reverify(m):
     beta, dec = certify_min_beta(W)
     assert verify_decomposition(W, dec).ok
     assert dec.beta == beta
-    assert beta <= spectral_split(symmetrize(W), shape=(m, m)).beta + 1e-9
+    assert beta <= spectral_split(symmetrize(W)).beta + 1e-9
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

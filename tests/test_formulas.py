@@ -142,9 +142,20 @@ class TestSampleFormula:
     def test_planted_value_is_one(self):
         psi = BinaryAssignment(tuple(1 if i % 2 else -1 for i in range(10)))
         for kind in (MAJ, CNF):
-            phi = sample_formula(FormulaSourceConfig(10, 80, mode="planted", psi=psi, seed=3), kind)
+            phi = sample_formula(FormulaSourceConfig(10, 80, psi=psi, seed=3), kind)
             assert all(eval_clause(kind, c, psi) for c in phi.lits.tolist())
             assert formula_value(phi)[0] == 1
+
+    def test_a_given_psi_plants_the_formula(self):
+        psi = BinaryAssignment(tuple(1 if i % 3 else -1 for i in range(8)))
+        phi = sample_formula(FormulaSourceConfig(8, 30, psi=psi, seed=4), MAJ)
+        assert all(eval_clause(MAJ, c, psi) for c in phi.lits.tolist())
+
+    @pytest.mark.parametrize("mode,planted", [("uniform", True), ("planted", False), ("hidden", False)])
+    def test_a_named_mode_must_agree_with_psi(self, mode, planted):
+        psi = BinaryAssignment((1,) * 8) if planted else None
+        with pytest.raises(ValueError):
+            FormulaSourceConfig(8, 30, mode=mode, psi=psi, seed=4)
 
     def test_seeds_differ(self):
         a = sample_formula(FormulaSourceConfig(12, 72, seed=1), MAJ)

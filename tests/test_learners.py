@@ -18,6 +18,7 @@ from oracles import (
     iter_part_c2,
     iter_sparse_vectors,
     predict,
+    row_threshold_matrix,
     sample_of,
     vectors,
 )
@@ -29,7 +30,6 @@ from sparsehalf.core import (
     erm_binary_halfspace,
     sample_exact_sparse,
 )
-from sparsehalf.decompmat import row_threshold_matrix
 from sparsehalf.errors import GuardError, NumericError
 from sparsehalf.learners import (
     H2_N_LIMIT,

@@ -9,7 +9,7 @@ from sparsehalf.refutation import GameConfig, RefuterConfig, refutation_game, re
 
 def planted_formula(n, m, seed):
     psi = BinaryAssignment(tuple(1 if i % 2 else -1 for i in range(n)))
-    return sample_formula(FormulaSourceConfig(n, m, mode="planted", psi=psi, seed=seed), FormulaKind.MAJ)
+    return sample_formula(FormulaSourceConfig(n, m, psi=psi, seed=seed), FormulaKind.MAJ)
 
 
 def uniform_formula(n, m, seed):
