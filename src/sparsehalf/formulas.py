@@ -127,25 +127,33 @@ def formula_value(phi: Formula, *, force: bool = False) -> tuple[Fraction, Binar
 
 
 def sample_formula(cfg: FormulaSourceConfig, kind: FormulaKind) -> Formula:
-    """Draw a random formula.
+    """Draw a random formula as arrays, in blocks of at most 2^15 clauses.
 
-    Each clause draws three distinct variables uniformly without replacement,
-    then three fair sign coins.  Without ``cfg.psi`` every draw is kept; with
-    it a clause is redrawn until that hidden assignment satisfies it, so the
-    result has value 1 under it.
+    A clause is a uniform ordered triple of distinct variables (a, then b
+    shifted past a, then c shifted past min(a, b) and max(a, b)) with three
+    fair signs.  With ``cfg.psi`` a row is kept exactly when psi satisfies it,
+    so psi gives value 1; kept rows stay in draw order and the next block
+    redraws only the shortfall.  The per-clause loop this replaced drew the
+    same law but used the generator in another order, so its bytes differ.
     """
     if cfg.n < 3:
         raise ValueError("need n >= 3 variables for 3-literal clauses")
     rng = generator(cfg.seed)
     psi = None if cfg.psi is None else np.array(cfg.psi.bits)
     lits = np.empty((cfg.m, 3), dtype=np.int32)
-    for row in lits:
-        while True:
-            variables = rng.choice(cfg.n, size=3, replace=False)
-            signs = rng.integers(0, 2, size=3) * 2 - 1
-            if psi is None or signs @ psi[variables] > ABOVE[kind]:
-                break
-        row[:] = (variables + 1) * signs
+    done = 0
+    while done < cfg.m:
+        variables = rng.integers(0, [cfg.n, cfg.n - 1, cfg.n - 2], size=(min(cfg.m - done, 1 << 15), 3))
+        a, b, c = variables.T  # views: the shifts below write into variables
+        b += b >= a
+        c += c >= np.minimum(a, b)
+        c += c >= np.maximum(a, b)
+        signs = rng.integers(0, 2, size=variables.shape) * 2 - 1
+        block = (variables + 1) * signs
+        if psi is not None:
+            block = block[np.einsum("ij,ij->i", signs, psi[variables]) > ABOVE[kind]]
+        lits[done:done + len(block)] = block
+        done += len(block)
     return Formula(cfg.n, kind, lits)
 
 

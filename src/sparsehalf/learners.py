@@ -202,6 +202,9 @@ def matrix_mw_learn(
             np.add.at(C.reshape(-1), at[block], 0.5 * cfg.eta * lab[block])  # repeated cells add up in step order
             margins = None  # iterate changed, recompute lazily
             pos = end
+        if pos == 0:  # a clean epoch: the margins are final, and the epochs left only dwell on them
+            dwell += (cfg.epochs - epoch - 1) * m
+            break
     if dwell:
         margin_sum += dwell * margins
     steps = cfg.epochs * m

@@ -121,9 +121,9 @@ def refute(phi: Formula, cfg: RefuterConfig) -> Verdict:
     replacement; the verdict compares the full-sample error against the
     threshold with exact rational arithmetic.
 
-    Soundness on uniform formulas depends on the clause density Δ = m/n.
-    The subsample covers about s = 1 - e^{-fraction} of the distinct
-    clauses; the trained hypothesis never saw the rest, so on a uniform
+    Soundness on uniform formulas depends on the learner and on the clause
+    density Δ = m/n.  The subsample covers about 1 - e^{-fraction} of the
+    distinct clauses; the hypothesis never saw the rest, so on a uniform
     formula it errs on about half of them.  For ERM over binary halfspaces,
     Hoeffding plus a union bound over the 2^n assignments keeps the fit to
     the seen clauses from pulling the error under the threshold only when
@@ -133,6 +133,9 @@ def refute(phi: Formula, cfg: RefuterConfig) -> Verdict:
     clauses as exactly 1/2 and leaves out its binomial spread, so uniform
     formulas above it still get an occasional "exceptional" verdict (the
     comparison is ``<=``, so an error of exactly the threshold counts).
+    A learner that can memorize (``table``, ``h3``) errs about e^{-fraction}/2,
+    0.30 at fraction 1/2, on a uniform formula: its sound thresholds lie below
+    that and above its planted error at its m, so the ERM-tuned 3/8 is unsound.
     """
     if phi.kind is not FormulaKind.MAJ:
         raise ValueError("the refuter runs on majority formulas")

@@ -5,12 +5,13 @@ with the one-instance ``predict`` and ``cell_label`` helpers; the majority
 table as a dict keyed by those pairs; real-weight halfspaces; enumerations
 of instance and clause spaces; the per-clause satisfaction and
 clause-to-example rules that the library applies to a whole formula matrix
-at once; the hypothesis matrices of the realization suite; the per-instance
-routing functions that the batch versions in ``sparsehalf.realizations``
-replaced; and the per-step matrix exponentiated-gradient loop that
-``sparsehalf.learners.matrix_mw_learn`` replaced; and the line-by-line
-readers of sample files and table nodes that ``sparsehalf.core.read_rows``
-replaced; and the per-value writer and per-row reader of float matrices
+at once, and the per-clause formula sampler that the block sampler
+``sparsehalf.formulas.sample_formula`` replaced; the hypothesis matrices of
+the realization suite; the per-instance routing functions that the batch
+versions in ``sparsehalf.realizations`` replaced; and the per-step matrix
+exponentiated-gradient loop that ``sparsehalf.learners.matrix_mw_learn``
+replaced; and the line-by-line readers of sample files and table nodes that
+``sparsehalf.core.read_rows`` replaced; and the per-value writer and per-row reader of float matrices
 (certificate blocks, matrix nodes) that ``sparsehalf.core.format_float_rows``
 and ``read_float_rows`` replaced; and the OpenBLAS core types that
 kernel-dependence tests pin in their subprocesses.  It also holds the
@@ -40,7 +41,7 @@ from sparsehalf import learners
 from sparsehalf.core import BinaryAssignment, Sample
 from sparsehalf.decompmat import PSD_TOL, Decomposition, certify_min_beta, triangular_matrix
 from sparsehalf.errors import FormatError, NumericError
-from sparsehalf.formulas import FormulaKind
+from sparsehalf.formulas import ABOVE, Formula, FormulaKind, FormulaSourceConfig
 from sparsehalf.learners import LearnerConfig
 from sparsehalf.predictors import MajorityTable, MatrixPredictor, TrainedPredictor
 from sparsehalf.rng import generator
@@ -247,6 +248,29 @@ def clause_to_example(clause: Sequence[int], b: int, n: int) -> tuple[SparseVect
     if b not in (-1, 1):
         raise ValueError(f"b must be +-1: got {b}")
     return from_pairs(n, [(abs(v), b if v > 0 else -b) for v in clause]), b
+
+
+def sample_formula_stepwise(cfg: FormulaSourceConfig, kind: FormulaKind) -> Formula:
+    """``sample_formula`` one clause at a time, redrawing each planted clause until psi satisfies it.
+
+    Each clause draws three distinct variables with ``rng.choice`` and three
+    sign coins.  This is the same law as the block sampler, and the bytes of
+    the formulas drawn before it: pinned enumeration results and committed
+    formula fixtures were recorded on them.
+    """
+    if cfg.n < 3:
+        raise ValueError("need n >= 3 variables for 3-literal clauses")
+    rng = generator(cfg.seed)
+    psi = None if cfg.psi is None else np.array(cfg.psi.bits)
+    lits = np.empty((cfg.m, 3), dtype=np.int32)
+    for row in lits:
+        while True:
+            variables = rng.choice(cfg.n, size=3, replace=False)
+            signs = rng.integers(0, 2, size=3) * 2 - 1
+            if psi is None or signs @ psi[variables] > ABOVE[kind]:
+                break
+        row[:] = (variables + 1) * signs
+    return Formula(cfg.n, kind, lits)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import core_env, eval_clause, frozen_core_env, runnable_openblas_cores
+from oracles import core_env, eval_clause, frozen_core_env, runnable_openblas_cores, sample_formula_stepwise
 from sparsehalf import cli, core
 from sparsehalf.cli import build_parser, main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
-from sparsehalf.formulas import parse_formula
+from sparsehalf.formulas import FormulaKind, FormulaSourceConfig, parse_formula, serialize_formula
 from sparsehalf.learners import H3_N_LIMIT, LearnerConfig, learn_h3
 from sparsehalf.predictors import BinaryHalfspacePredictor
+from sparsehalf.rng import derive_seed
 
 FROZEN = Path(__file__).parent / "fixtures" / "frozen"
 
@@ -356,7 +357,14 @@ class TestModelBytes:
 
 
 class TestFrozenOutputs:
-    """Outputs recorded before samples and formulas became arrays; they must not change."""
+    """Outputs recorded before samples and formulas became arrays; they must not change.
+
+    The exceptions are what pins the block sampler's own draws: the ``gen_*``
+    formulas and the game's rows were re-recorded when ``sample_formula``
+    stopped drawing clause by clause (their ``.psi`` files did not move).  The
+    ``stepwise_*`` formulas keep the per-clause sampler's bytes, so the sample
+    and the models built from them are still the older recordings.
+    """
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("mode", ["uniform", "planted"])
@@ -372,9 +380,21 @@ class TestFrozenOutputs:
         if mode == "planted":
             assert psi.read_bytes() == (FROZEN / f"{name}.psi").read_bytes()
 
+    @pytest.mark.parametrize("name", [f"gen_{kind}_planted_s{seed}.txt" for kind in ("3maj", "3cnf") for seed in (0, 1)])
+    def test_planted_fixture_holds_under_its_psi(self, name):
+        psi = BinaryAssignment(tuple(int(t) for t in read(FROZEN / f"{name}.psi").split()))
+        phi = parse_formula(read(FROZEN / name))
+        assert all(eval_clause(phi.kind, clause, psi) for clause in phi.lits.tolist())
+
+    @pytest.mark.parametrize("m, seed", [(60, 0), (150, 5)])
+    def test_stepwise_fixture_is_the_per_clause_draw(self, m, seed):
+        # gen-formula's uniform draw at --seed, made by the per-clause sampler
+        phi = sample_formula_stepwise(FormulaSourceConfig(12, m, seed=derive_seed(seed, 1)), FormulaKind.MAJ)
+        assert serialize_formula(phi) == read(FROZEN / f"stepwise_3maj_n12_m{m}_s{seed}.txt")
+
     def test_to_sample(self, tmp_path):
         out = tmp_path / "s.txt"
-        assert run("to-sample", "--in", str(FROZEN / "gen_3maj_uniform_s0.txt"), "--seed", "7", "--out", str(out)) == 0
+        assert run("to-sample", "--in", str(FROZEN / "stepwise_3maj_n12_m60_s0.txt"), "--seed", "7", "--out", str(out)) == 0
         assert out.read_bytes() == (FROZEN / "to_sample_3maj_uniform_s0_seed7.txt").read_bytes()
 
     def test_game_csv(self, tmp_path):
@@ -392,10 +412,9 @@ class TestFrozenOutputs:
 
     @pytest.mark.parametrize("algo", ["table", "erm-binary"])
     def test_model_bytes(self, tmp_path, algo):
-        formula, sample, model = tmp_path / "f.maj3", tmp_path / "f.sample", tmp_path / "f.model"
-        assert run("gen-formula", "--kind", "3maj", "--n", "12", "--clauses", "150", "--seed", "5",
-                   "--out", str(formula)) == 0
-        assert run("to-sample", "--in", str(formula), "--seed", "6", "--out", str(sample)) == 0
+        sample, model = tmp_path / "f.sample", tmp_path / "f.model"
+        assert run("to-sample", "--in", str(FROZEN / "stepwise_3maj_n12_m150_s5.txt"), "--seed", "6",
+                   "--out", str(sample)) == 0
         assert run("learn", "--algo", algo, "--train", str(sample), "--model", str(model)) == 0
         assert model.read_bytes() == (FROZEN / f"{algo}.model").read_bytes()
 
@@ -486,6 +505,27 @@ class TestRefuteAndGame:
         assert strip_wall(read(a)) == strip_wall(read(b))
         assert len(read(a).strip().splitlines()) == 1 + 6
         assert (tmp_path / "a.csv.manifest.json").exists()
+
+    def test_h3_separates_at_paper_scale_and_the_table_does_not(self, tmp_path, capsys):
+        """n = 32, m = 32 n^2, threshold 0.2, seed 1, all fixed before this test first ran.
+
+        The bars come from a run at seed 0: h3 erred 0.023-0.060 on planted and
+        0.326-0.332 on uniform formulas, the table 0.217-0.222 on planted ones.
+        A memorizer errs about e^{-1/2}/2 = 0.30 on a uniform formula, so 0.2
+        lies between h3's two errors and under the table's planted one.
+        """
+        verdicts = {}
+        for algo in ("h3", "table"):
+            out = tmp_path / f"{algo}.csv"
+            assert run("game", "--n", "32", "--delta", "1024", "--trials", "4", "--threshold", "0.2", "--seed", "1",
+                       "--algo", algo, "--out", str(out)) == 0
+            for row in read(out).splitlines()[1:]:
+                mode, *_, verdict, _ = row.split(",")
+                verdicts.setdefault((algo, mode), []).append(verdict)
+        capsys.readouterr()
+        assert verdicts["h3", "planted"] == ["exceptional"] * 4
+        assert verdicts["h3", "uniform"] == ["typical"] * 4
+        assert verdicts["table", "planted"] == ["typical"] * 4
 
     def test_force_estimate_prices_the_subsample(self, tmp_path, capsys):
         out = tmp_path / "big.maj3"

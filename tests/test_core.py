@@ -215,7 +215,8 @@ class TestErmBinaryHalfspace:
 
     # recorded on the enumeration code before best_pattern replaced it:
     # (error, weights) for formula_to_sample(phi, seed) of the uniform MAJ
-    # formula with n=20, m=160 and this seed, then for generic samples
+    # formula with n=20, m=160 and this seed (drawn by the per-clause
+    # sampler), then for generic samples
     FROZEN_MAJ = {
         0: (Fraction(5, 16), "+++----+---++---++-+"),
         1: (Fraction(11, 32), "---+--+-------++++++"),
@@ -229,7 +230,7 @@ class TestErmBinaryHalfspace:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_frozen_regression_n20(self, seed):
-        phi = sample_formula(FormulaSourceConfig(20, 160, seed=seed), FormulaKind.MAJ)
+        phi = oracles.sample_formula_stepwise(FormulaSourceConfig(20, 160, seed=seed), FormulaKind.MAJ)
         psi, err = erm_binary_halfspace(formula_to_sample(phi, seed))
         assert (err, bit_string(psi)) == self.FROZEN_MAJ[seed]
 

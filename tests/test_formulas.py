@@ -1,13 +1,15 @@
 """Formula layer: clause semantics, exact value, sampling, reduction, DIMACS I/O."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
-from oracles import clause_to_example, eval_clause, iter_all_clauses, predict, to_dense, vectors
+from oracles import clause_to_example, eval_clause, iter_all_clauses, predict, sample_formula_stepwise, to_dense, vectors
 from sparsehalf.core import BinaryAssignment, assignment_from_index, empirical_error
 from sparsehalf.errors import FormatError, GuardError
 from sparsehalf.formulas import (
@@ -93,14 +95,16 @@ class TestFormulaValue:
         phi = Formula(3, MAJ, [[1, 2, 3], [-1, -2, -3]])
         assert formula_value(phi)[0] == Fraction(1, 2)
 
+    # the pinned results below are of formulas drawn by the per-clause sampler
     def test_frozen_regression(self):
-        phi = sample_formula(FormulaSourceConfig(10, 60, seed=1234), MAJ)
+        phi = sample_formula_stepwise(FormulaSourceConfig(10, 60, seed=1234), MAJ)
         val, witness = formula_value(phi)
         assert val == Fraction(13, 20)
         assert witness.bits == (1, 1, -1, -1, 1, -1, 1, 1, -1, -1)
 
     # recorded on the enumeration code before best_pattern replaced it:
-    # (value, witness) of the uniform formula with n=20, m=160 and this seed
+    # (value, witness) of the uniform formula with n=20, m=160 and this seed,
+    # drawn by the per-clause sampler
     FROZEN_N20 = {
         (MAJ, 0): (Fraction(11, 16), "+++----+---++---++-+"),
         (MAJ, 1): (Fraction(21, 32), "---+--+-------++++++"),
@@ -112,7 +116,7 @@ class TestFormulaValue:
 
     @pytest.mark.parametrize("kind, seed", list(FROZEN_N20))
     def test_frozen_regression_n20(self, kind, seed):
-        val, witness = formula_value(sample_formula(FormulaSourceConfig(20, 160, seed=seed), kind))
+        val, witness = formula_value(sample_formula_stepwise(FormulaSourceConfig(20, 160, seed=seed), kind))
         bits = "".join("+" if b > 0 else "-" for b in witness.bits)
         assert (val, bits) == self.FROZEN_N20[kind, seed]
 
@@ -169,6 +173,54 @@ class TestSampleFormula:
         phi = sample_formula(FormulaSourceConfig(12, 5000, seed=77), MAJ)
         frac = sum(eval_clause(MAJ, c, psi) for c in phi.lits.tolist()) / 5000
         assert abs(frac - 0.5) <= 0.03
+
+
+class TestSamplerLaw:
+    """The block sampler's law, against bars fixed before these tests first ran.
+
+    At n = 7 there are 210 ordered triples of distinct variables; each must
+    be equally likely (chi-square p >= 1e-4), as must each sign.  A planted
+    clause is a uniform clause conditioned on psi satisfying it, so its
+    count of literals that agree with psi has a known law.
+    """
+
+    M = 210_000
+    TRIPLES = [(a * 7 + b) * 7 + c for a, b, c in permutations(range(7), 3)]
+
+    def triple_p_value(self, phi):
+        v = np.abs(phi.lits).astype(np.int64) - 1
+        counts = np.bincount((v[:, 0] * 7 + v[:, 1]) * 7 + v[:, 2], minlength=7**3)[self.TRIPLES]
+        assert counts.sum() == phi.m
+        return chisquare(counts).pvalue
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_triples_and_signs_are_uniform(self, seed):
+        phi = sample_formula(FormulaSourceConfig(7, self.M, seed=seed), MAJ)
+        assert self.triple_p_value(phi) >= 1e-4
+        assert abs((phi.lits > 0).mean() - 0.5) <= 0.005
+
+    def test_the_per_clause_oracle_draws_the_same_law(self):
+        phi = sample_formula_stepwise(FormulaSourceConfig(7, 200_000, seed=0), MAJ)
+        assert self.triple_p_value(phi) >= 1e-4
+        assert abs((phi.lits > 0).mean() - 0.5) <= 0.005
+
+    @pytest.mark.parametrize("kind, shares", [(MAJ, {2: 3 / 4, 3: 1 / 4}), (CNF, {1: 3 / 7, 2: 3 / 7, 3: 1 / 7})])
+    def test_planted_clauses_hold_with_the_conditioned_agreement(self, kind, shares):
+        psi = np.array([1, -1, -1, 1, 1, -1, 1])
+        phi = sample_formula(FormulaSourceConfig(7, self.M, psi=BinaryAssignment(tuple(psi)), seed=3), kind)
+        agree = (np.sign(phi.lits) == psi[np.abs(phi.lits) - 1]).sum(axis=1)
+        assert set(np.unique(agree).tolist()) == set(shares)  # every clause holds
+        observed = np.bincount(agree, minlength=4) / phi.m
+        assert all(abs(observed[count] - share) <= 0.01 for count, share in shares.items()), observed
+
+    def test_planted_rows_are_the_held_uniform_rows_in_draw_order(self):
+        # a planted draw's first block is the uniform draw of that seed and size, filtered by psi
+        psi = BinaryAssignment((1, -1, -1, 1, 1, -1, 1, 1))
+        uniform = sample_formula(FormulaSourceConfig(8, 1000, seed=5), MAJ).lits
+        planted = sample_formula(FormulaSourceConfig(8, 1000, psi=psi, seed=5), MAJ).lits
+        held = uniform[[eval_clause(MAJ, clause, psi) for clause in uniform.tolist()]]
+        assert 0 < len(held) < 1000
+        assert np.array_equal(planted[:len(held)], held)
 
 
 class TestClauseToExample:

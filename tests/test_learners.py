@@ -44,7 +44,7 @@ from sparsehalf.learners import (
     table_majority_learn,
 )
 from sparsehalf.predictors import BinaryHalfspacePredictor, serialize_predictor
-from sparsehalf.rng import derive_seed
+from sparsehalf.rng import derive_seed, generator
 
 
 def sv(n, *pairs):
@@ -223,6 +223,25 @@ class TestMatrixMwLearn:
         C = np.array([[2 * 0.5 * cfg.eta, 0.0], [0.0, -0.5 * cfg.eta]])  # the repeated cell counts twice
         assert pred.scores[0, 0] == pytest.approx(learners._eg_margins(C, 2 * 4.0 * 4, 4)[0, 0] / 2, rel=1e-12)
         assert pred.scores[0, 1] == pred.scores[1, 0] == 0.0  # no chain of training cells links them
+
+    def test_a_clean_epoch_ends_the_fit(self, monkeypatch):
+        # after epoch 1 both margins are +-2 sinh(1) > 1, so epoch 2 violates nothing and nothing can change again
+        permutations = []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = generator(seed)
+
+            def permutation(self, m):
+                permutations.append(m)
+                return self.rng.permutation(m)
+
+        monkeypatch.setattr(learners, "generator", Counting)
+        cells, cfg = [(1, 1, 1), (2, 2, -1)], LearnerConfig(seed=0, eta=2.0, epochs=10)
+        got = matrix_mw_learn(cells, (2, 2), cfg, 0)
+        assert permutations == [2, 2]
+        ref = oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], (2, 2), cfg)
+        assert np.allclose(got.scores, ref.scores, rtol=1e-12, atol=0)
 
     def test_non_finite_step_reports_epoch(self):
         stepwise = oracles.matrix_mw_learn_stepwise
