@@ -48,12 +48,24 @@ EXHAUSTIVE_N_LIMIT = 24
 
 
 def distinct_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct rows in no fixed order, each row's position among them) of an instance matrix."""
-    items = np.ascontiguousarray(items)
-    if not items.shape[1]:  # every row is the zero vector
+    """(distinct rows in no fixed order, each row's position among them) of an instance matrix.
+
+    Each row is keyed by one int64, its columns' offsets from their minima in mixed radix; before the widths'
+    product would pass 2^62, the key so far is replaced by its rank among the distinct keys.
+    """
+    items = np.asarray(items)
+    if not items.size:  # no rows, or every row is the zero vector
         return items[:1], np.zeros(len(items), dtype=np.intp)
-    keys = items.view(np.dtype((np.void, items.itemsize * items.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    low = items.min(axis=0).tolist()
+    widths = [hi - lo + 1 for lo, hi in zip(low, items.max(axis=0).tolist())]
+    key, span = np.zeros(len(items), dtype=np.int64), 1
+    for column, lo, width in zip(items.T, low, widths):
+        if span * width > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * width + (column.astype(np.int64) - lo)
+        span *= width
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return items[first], inverse.reshape(-1)
 
 
@@ -144,8 +156,9 @@ def assignment_from_index(index: int, n: int) -> tuple[int, ...]:
 
 #: best_pattern splits w into leading coordinates and trailing ones, min(n, SPLIT_BITS) of them or fewer, and
 #: works in WORK_CELLS floats: the trailing factor takes at most half, and each tile of leading patterns, its
-#: factor and its counts the rest; agreement counts are built WORK_CELLS / 16 cells at a time.  Counts are
-#: float32 below FLOAT32_LIMIT rows, where every partial sum is an exact integer, and float64 beyond.
+#: factor and its counts the rest; agreement counts are built WORK_CELLS / 16 cells at a time, and so are
+#: sample_exact_sparse's scores.  Counts are float32 below FLOAT32_LIMIT rows, where every partial sum is an
+#: exact integer, and float64 beyond.
 SPLIT_BITS, WORK_CELLS, FLOAT32_LIMIT = 12, 1 << 20, 1 << 24
 
 
@@ -272,17 +285,26 @@ def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[Binary
 
 
 def sample_exact_sparse(n: int, k: int, count: int, seed: int) -> np.ndarray:
-    """Uniform i.i.d. draws from the exactly-k-sparse vectors, as signed-index rows."""
+    """Uniform i.i.d. draws from the exactly-k-sparse vectors, as signed-index rows.
+
+    Each draw ranks n uniform scores and keeps the k smallest coordinates,
+    then takes k fair signs.  The scores are drawn WORK_CELLS / 16 cells at a
+    time (at least one row), so the working set is one block of scores and
+    of their argpartition, about 1 MB, beside the count x k int32 result;
+    the signs are drawn after the last block.  The generator is consumed in
+    the same order as a one-shot count x n draw: same stream, same bytes.
+    """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n: got k={k}, n={n}")
-    if count == 0:
-        return np.zeros((0, k), dtype=np.int32)
     rng = generator(seed)
-    scores = rng.random((count, n))
-    chosen = np.argpartition(scores, k - 1, axis=1)[:, :k]
-    chosen.sort(axis=1)
-    signs = rng.integers(0, 2, size=(count, k), dtype=np.int8) * 2 - 1
-    return ((chosen + 1) * signs).astype(np.int32)
+    out = np.empty((count, k), dtype=np.int32)
+    step = max(1, (WORK_CELLS >> 4) // n)
+    for start in range(0, count, step):
+        chosen = np.argpartition(rng.random((min(step, count - start), n)), k - 1, axis=1)[:, :k]
+        chosen.sort(axis=1)
+        out[start:start + step] = chosen + 1
+    out *= rng.integers(0, 2, size=(count, k), dtype=np.int8) * 2 - 1
+    return out
 
 
 # ---------------------------------------------------------------------------

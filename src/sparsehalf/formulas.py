@@ -177,9 +177,12 @@ _KIND_TOKENS = {kind.value: kind for kind in FormulaKind}
 
 
 def serialize_formula(phi: Formula) -> str:
-    lines = [f"p {phi.kind.value} {phi.n} {phi.m}"]
-    lines += [f"{a} {b} {c} 0" for a, b, c in phi.lits.tolist()]
-    return "\n".join(lines) + "\n"
+    """The header, then one ``a b c 0`` line per clause; 2^15 clauses at a time become Python ints and text."""
+    blocks = [f"p {phi.kind.value} {phi.n} {phi.m}\n"]
+    for start in range(0, phi.m, 1 << 15):
+        columns = phi.lits[start:start + (1 << 15)].T.tolist()
+        blocks.append("".join(map("{} {} {} 0\n".format, *columns)))
+    return "".join(blocks)
 
 
 def parse_formula(text: str) -> Formula:

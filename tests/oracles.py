@@ -273,6 +273,34 @@ def sample_formula_stepwise(cfg: FormulaSourceConfig, kind: FormulaKind) -> Form
     return Formula(cfg.n, kind, lits)
 
 
+def sample_exact_sparse_oneshot(n: int, k: int, count: int, seed: int) -> np.ndarray:
+    """``sample_exact_sparse`` as one count x n score matrix and one count x n argpartition.
+
+    The block sampler consumes the generator in this order and must give
+    these bytes.
+    """
+    if not 0 < k <= n:
+        raise ValueError(f"need 0 < k <= n: got k={k}, n={n}")
+    if count == 0:
+        return np.zeros((0, k), dtype=np.int32)
+    rng = generator(seed)
+    scores = rng.random((count, n))
+    chosen = np.argpartition(scores, k - 1, axis=1)[:, :k]
+    chosen.sort(axis=1)
+    signs = rng.integers(0, 2, size=(count, k), dtype=np.int8) * 2 - 1
+    return ((chosen + 1) * signs).astype(np.int32)
+
+
+def distinct_rows_void(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``core.distinct_rows`` keyed by each row's bytes as one numpy void scalar."""
+    items = np.ascontiguousarray(items)
+    if not items.shape[1]:  # every row is the zero vector
+        return items[:1], np.zeros(len(items), dtype=np.intp)
+    keys = items.view(np.dtype((np.void, items.itemsize * items.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return items[first], inverse.reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # Per-instance routing, one SparseVector at a time
 

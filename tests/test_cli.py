@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +593,17 @@ class TestTradeoff:
         assert run("tradeoff", "--n", "25", "--algos", "erm-binary", "--sizes", "0,4,3", "--trials", "2",
                    "--test-size", "8", "--force", "--out", str(tmp_path / "t.csv")) == 0
         assert "force: 6 exhaustive passes over 2^25 patterns x 14 rows" in capsys.readouterr().err
+
+    def test_paper_scale_draw_stays_small(self, tmp_path):
+        """n = 128 and m = 16 n^2: the one-shot draw's 262 144 x 128 scores and indices were 512 MiB alone."""
+        tracemalloc.start()
+        try:
+            assert run("tradeoff", "--n", "128", "--algos", "table", "--sizes", "262144", "--test-size", "64",
+                       "--seed", "3", "--out", str(tmp_path / "t.csv")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 20
 
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_empty_test_sample_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, size):

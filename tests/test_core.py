@@ -464,6 +464,69 @@ class TestInstanceSpace:
         assert sample_exact_sparse(12, 3, 0, 9).shape == (0, 3)
 
 
+#: coordinates past WORK_CELLS / 16, where sample_exact_sparse draws one row of scores per block
+WIDE_N = (core.WORK_CELLS >> 4) + 3
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("n,k", [(24, 1), (24, 3), (24, 24), (100, 3), (WIDE_N, 1), (WIDE_N, 3), (WIDE_N, WIDE_N)])
+    def test_same_bytes_as_the_one_shot_draw(self, n, k):
+        """Counts on either side of one block's edge and past three blocks; above 2^16 coordinates a block is a row."""
+        step = max(1, (core.WORK_CELLS >> 4) // n)  # rows per block
+        for count in (0, step - 1, step, step + 1, 3 * step + 1):
+            for seed in (0, 17):
+                rows = sample_exact_sparse(n, k, count, seed)
+                assert rows.dtype == np.int32 and rows.shape == (count, k)
+                assert rows.tobytes() == oracles.sample_exact_sparse_oneshot(n, k, count, seed).tobytes()
+
+    def test_peak_is_the_result_and_one_block(self):
+        """The one-shot draw held 200 000 x 24 float64 scores and int64 indices (81 MiB); the result is 2.4 MB."""
+        tracemalloc.start()
+        try:
+            sample_exact_sparse(24, 3, 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
+
+#: column values distinct_rows must key: the int32 extremes (each column then spans 2^32 values, so two columns
+#: pass 2^62 and the key is re-ranked), and small signed indices
+EDGE_VALUES = [-(2 ** 31), -(2 ** 31) + 1, -3, -1, 0, 1, 2, 2 ** 31 - 2, 2 ** 31 - 1]
+
+
+class TestDistinctRows:
+    @staticmethod
+    def check(items):
+        distinct, inverse = core.distinct_rows(items)
+        void_distinct, void_inverse = oracles.distinct_rows_void(items)
+        assert inverse.shape == (len(items),) and np.array_equal(distinct[inverse], items)
+        assert len(distinct) == len(void_distinct)
+        # the same partition of the rows: positions map one to one
+        pairs = set(zip(inverse.tolist(), void_inverse.tolist()))
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 6), st.integers(0, 2 ** 32), st.booleans())
+    def test_partition_matches_the_void_key(self, m, k, seed, edges):
+        rng = np.random.default_rng(seed)
+        pool = np.array(EDGE_VALUES if edges else [-3, -2, -1, 0, 1, 2, 3], dtype=np.int32)
+        items = pool[rng.integers(0, 3 if rng.random() < 0.5 else len(pool), size=(m, k))]
+        self.check(items)
+
+    def test_extreme_columns_rerank(self):
+        """Eight columns spanning the int32 range, but one: the key is re-ranked before six of them."""
+        rng = np.random.default_rng(3)
+        items = np.array(EDGE_VALUES, dtype=np.int32)[rng.integers(0, len(EDGE_VALUES), size=(2000, 8))]
+        items[1000:] = items[:1000]  # every row repeats
+        items[:, 3] = 2 ** 31 - 1 - np.arange(2000) % 2
+        self.check(items)
+        assert len(core.distinct_rows(items)[0]) < 2000
+
+    def test_sampled_instances(self):
+        self.check(sample_exact_sparse(24, 3, 240_000, 0))
+
+
 @st.composite
 def samples(draw, min_n=1, min_k=0, min_m=0):
     """A valid Sample: n <= 12, k <= 4, at most 8 rows, any sparsity up to k."""

@@ -1,5 +1,6 @@
 """Formula layer: clause semantics, exact value, sampling, reduction, DIMACS I/O."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -360,6 +361,23 @@ class TestDimacs:
         # the literal matrix is int32; a literal beyond int64 must not overflow on the way
         with pytest.raises(ValueError):
             parse_formula(f"p maj3 {n} 1\n{n - 1} 1 2 0\n")
+
+    @pytest.mark.parametrize("m", [1, 1 << 15, (1 << 15) + 1, 3 << 15])
+    def test_blocks_write_one_line_per_clause(self, m):
+        phi = sample_formula(FormulaSourceConfig(12, m, seed=m), CNF)
+        lines = [f"p cnf 12 {m}"] + [f"{a} {b} {c} 0" for a, b, c in phi.lits.tolist()]
+        assert serialize_formula(phi) == "\n".join(lines) + "\n"
+
+    def test_peak_is_a_small_multiple_of_the_text(self):
+        """A block of clauses at a time becomes Python ints and lines; the whole formula at once peaked at 16.8x."""
+        phi = sample_formula(FormulaSourceConfig(32, 200_000, seed=0), MAJ)
+        tracemalloc.start()
+        try:
+            text = serialize_formula(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
