@@ -35,7 +35,7 @@ from .decompmat import (
     verify_decomposition,
     write_decomposition,
 )
-from .errors import FormatError, GuardError, NumericError
+from .errors import GuardError, NumericError
 from .formulas import (
     FormulaKind,
     FormulaSourceConfig,
@@ -55,6 +55,12 @@ _KIND_FLAGS = {"3cnf": FormulaKind.CNF, "3maj": FormulaKind.MAJ}
 TRADEOFF_ALGOS = ("table", "h3", "erm-binary")
 
 
+def _write(path: str, text: str) -> str:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+    return path
+
+
 def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float) -> None:
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
@@ -65,13 +71,15 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float)
         "wall_clock_s": round(wall_s, 6),
         "outputs": outputs,
     }
-    with open(outputs[0] + ".manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _print_force_estimate(n: int, rows: list[int], k: int) -> None:
-    """Price one exhaustive pass over 2^n patterns per entry of ``rows``, each over that many k-sparse rows."""
+def _print_force_estimate(args: argparse.Namespace, n: int, rows: list[int], k: int = 3) -> None:
+    """Price one exhaustive pass over 2^n patterns per entry of ``rows``, each over that many k-sparse rows.
+
+    Prints nothing unless ``--force`` lifts the guard, that is n > EXHAUSTIVE_N_LIMIT."""
+    if n <= EXHAUSTIVE_N_LIMIT or not args.force:
+        return
     # best_pattern sums each of r rows' <= floor(k/2) + 1 terms over the 2^|a| + 2^|b| patterns of its halves, at
     # about 6e8 a second, then multiplies 2^n x R pattern-terms, R <= (floor(k/2) + 1) r, and <= 4n + 2 for k <= 3,
     # at about 2.4e10 a second (both measured at n = 20-24 on one core of a 2-CPU Intel Xeon at 2.0 GHz)
@@ -85,18 +93,27 @@ def _print_force_estimate(n: int, rows: list[int], k: int) -> None:
 
 
 def _learner_config(args: argparse.Namespace, seed: int) -> LearnerConfig:
-    kwargs = {"seed": seed}
-    for name in ("beta", "eta", "epochs"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    return LearnerConfig(**kwargs)
+    given = {name: getattr(args, name) for name in ("beta", "eta", "epochs")}
+    return LearnerConfig(seed=seed, **{name: value for name, value in given.items() if value is not None})
+
+
+def _refuter_config(args: argparse.Namespace, seed: int = 0) -> RefuterConfig:
+    return RefuterConfig(fraction=args.fraction, threshold=args.threshold, learner=args.algo,
+                         learner_config=_learner_config(args, 0), seed=seed, force=args.force)
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--force", action="store_true")
     p.add_argument("--beta", type=float, default=None, help="decomposability budget for the matrix learner")
     p.add_argument("--eta", type=float, default=None, help="matrix learner step size")
     p.add_argument("--epochs", type=int, default=None, help="matrix learner passes over the data")
+
+
+def _add_refuter_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algo", choices=LEARNER_NAMES, default="erm-binary")
+    p.add_argument("--fraction", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=0.375)
 
 
 def _fmt(x: float) -> str:
@@ -112,34 +129,28 @@ def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
         psi = BinaryAssignment(generator(args.seed, 0).integers(0, 2, size=args.n) * 2 - 1)
     cfg = FormulaSourceConfig(args.n, args.clauses, psi=psi, seed=derive_seed(args.seed, 1))
     phi = sample_formula(cfg, _KIND_FLAGS[args.kind])  # before any file is written, so a refusal leaves none
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(serialize_formula(phi))
-    if psi is None:
-        return [args.out]
-    with open(args.out + ".psi", "w", encoding="ascii") as fh:
-        fh.write(" ".join(f"{b:+d}" for b in psi.bits) + "\n")
-    return [args.out, args.out + ".psi"]
+    outputs = [_write(args.out, serialize_formula(phi))]
+    if psi is not None:
+        outputs.append(_write(args.out + ".psi", " ".join(f"{b:+d}" for b in psi.bits) + "\n"))
+    return outputs
 
 
 def cmd_val(args: argparse.Namespace) -> None:
     phi = parse_formula(read_text(args.infile))
-    if phi.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(phi.n, [phi.m], 3)
+    _print_force_estimate(args, phi.n, [phi.m])
     value, _ = formula_value(phi, force=args.force)
     print(f"val {_fmt(value)} {value.numerator}/{value.denominator}")
 
 
 def cmd_to_sample(args: argparse.Namespace) -> list[str]:
     sample = formula_to_sample(parse_formula(read_text(args.infile)), args.seed)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(serialize_sample(sample))
-    return [args.out]
+    return [_write(args.out, serialize_sample(sample))]
 
 
 def cmd_learn(args: argparse.Namespace) -> list[str]:
     sample = parse_sample(read_text(args.train))
-    if args.algo == "erm-binary" and sample.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(sample.n, [len(sample)], sample.k)
+    if args.algo == "erm-binary":
+        _print_force_estimate(args, sample.n, [len(sample)], sample.k)
     cfg = _learner_config(args, args.seed)
     predictor = make_learner(args.algo, cfg, force=args.force)(sample)
     write_predictor(args.model, predictor)
@@ -155,16 +166,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_refute(args: argparse.Namespace) -> None:
     phi = parse_formula(read_text(args.infile))
-    cfg = RefuterConfig(
-        fraction=args.fraction,
-        threshold=args.threshold,
-        learner=args.algo,
-        learner_config=_learner_config(args, 0),
-        seed=args.seed,
-        force=args.force,
-    )
-    if args.algo == "erm-binary" and phi.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(phi.n, [math.ceil(cfg.fraction * phi.m)], 3)  # ERM sees the subsample
+    cfg = _refuter_config(args, args.seed)
+    if args.algo == "erm-binary":
+        _print_force_estimate(args, phi.n, [math.ceil(cfg.fraction * phi.m)])  # ERM sees the subsample
     verdict = refute(phi, cfg)
     print(f"{verdict.kind} err={_fmt(verdict.error)} "
           f"({verdict.error.numerator}/{verdict.error.denominator})")
@@ -179,22 +183,14 @@ def cmd_game(args: argparse.Namespace) -> list[str]:
         modes=tuple(args.modes.split(",")),
         base_seed=args.seed,
     )
-    refuter = RefuterConfig(
-        fraction=args.fraction,
-        threshold=args.threshold,
-        learner=args.algo,
-        learner_config=_learner_config(args, 0),
-        force=args.force,
-    )
-    if args.algo == "erm-binary" and args.n > EXHAUSTIVE_N_LIMIT and args.force:
+    refuter = _refuter_config(args)
+    if args.algo == "erm-binary":
         rounds = len(game.modes) * game.trials  # one ERM fit on the subsample per round
-        _print_force_estimate(args.n, [math.ceil(refuter.fraction * game.clause_count)] * rounds, 3)
+        _print_force_estimate(args, args.n, [math.ceil(refuter.fraction * game.clause_count)] * rounds)
     stats = refutation_game(game, refuter)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n")
-        fixed = f"{game.n},{_fmt(game.delta)},{_fmt(game.mu)},{_fmt(refuter.fraction)}"  # the same in every round
-        for row in stats.rows:
-            fh.write(f"{row.mode},{row.trial},{fixed},{_fmt(row.error)},{row.verdict},{row.wall_ms:.3f}\n")
+    fixed = f"{game.n},{_fmt(game.delta)},{_fmt(game.mu)},{_fmt(refuter.fraction)}"  # the same in every round
+    _write(args.out, "mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n" + "".join(
+        f"{row.mode},{row.trial},{fixed},{_fmt(row.error)},{row.verdict},{row.wall_ms:.3f}\n" for row in stats.rows))
     for mode in game.modes:
         print(
             f"{mode}: exceptional_rate={stats.rate(mode, 'exceptional'):.3f} "
@@ -214,8 +210,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
         raise ValueError("sizes must be nonnegative")
     if args.test_size < 1:
         raise ValueError(f"--test-size must be at least 1: got {args.test_size}")
-    if "erm-binary" in algos and args.n > EXHAUSTIVE_N_LIMIT and args.force:
-        _print_force_estimate(args.n, sizes * args.trials, 3)  # one ERM fit per size and trial
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1: got {args.trials}")
+    if "erm-binary" in algos:
+        _print_force_estimate(args, args.n, sizes * args.trials)  # one ERM fit per size and trial
     n = args.n
 
     lines = ["algo,n,m,trial,train_err,test_err,wall_ms"]
@@ -235,9 +233,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
                 train_err = _fmt(empirical_error(predictor, train)) if m else "nan"
                 test_err = _fmt(empirical_error(predictor, test))
                 lines.append(f"{algo},{n},{m},{trial},{train_err},{test_err},{wall_ms:.3f}")
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return [args.out]
+    return [_write(args.out, "\n".join(lines) + "\n")]
 
 
 def cmd_certify_beta(args: argparse.Namespace) -> list[str]:
@@ -284,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=LEARNER_NAMES, required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true")
     _add_learner_flags(p)
     p.set_defaults(func=cmd_learn)
 
@@ -296,11 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refute", help="typical/exceptional verdict for a majority formula")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--algo", choices=LEARNER_NAMES, default="erm-binary")
-    p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.375)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true")
+    _add_refuter_flags(p)
     _add_learner_flags(p)
     p.set_defaults(func=cmd_refute)
 
@@ -310,12 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--modes", default="planted,uniform")
-    p.add_argument("--algo", choices=LEARNER_NAMES, default="erm-binary")
-    p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.375)
-    p.add_argument("--seed", type=int, default=0)
+    _add_refuter_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     _add_learner_flags(p)
     p.set_defaults(func=cmd_game)
 
@@ -324,10 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="table,h3")
     p.add_argument("--sizes", required=True, help="comma-separated training sizes")
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-size", type=int, default=2048)
     p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
     _add_learner_flags(p)
     p.set_defaults(func=cmd_tradeoff)
 
@@ -352,15 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         if outputs:
             _write_manifest(args, outputs, time.perf_counter() - start)
         return 0
-    except GuardError as exc:
+    except (GuardError, NumericError, ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (FormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def entry() -> None:  # console-script hook

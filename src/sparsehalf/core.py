@@ -325,12 +325,16 @@ def format_instance(row: Sequence[int]) -> str:
 
 
 def serialize_sample(sample: Sample) -> str:
+    """The header, then one ``label idx:val ...`` line per row; 2^15 rows at a time become Python ints and text."""
     if sample.k > sample.n:  # parse_sample refuses such a header
         raise ValueError(f"the text format holds k <= n: got k={sample.k}, n={sample.n}")
-    lines = [f"# sparse-sample n={sample.n} k={sample.k}"]
-    for label, row in zip(sample.y.tolist(), sample.items.tolist()):
-        lines.append(f"{label:+d} {format_instance(row)}".rstrip())
-    return "\n".join(lines) + "\n"
+    blocks = [f"# sparse-sample n={sample.n} k={sample.k}\n"]
+    for start in range(0, len(sample), 1 << 15):
+        block = slice(start, start + (1 << 15))
+        columns = sample.items[block].T.tolist()  # k lists, not one list per row
+        blocks.append("".join(f"{label:+d} {format_instance(row)}".rstrip() + "\n"
+                              for label, *row in zip(sample.y[block].tolist(), *columns)))
+    return "".join(blocks)
 
 
 #: read_rows tokenizes CHUNK_LINES lines at a time, so that its per-byte

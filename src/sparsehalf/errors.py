@@ -1,17 +1,21 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: malformed input / bad usage -> 2,
-guard violations (work too large for an exhaustive path) -> 3, numerical
-failures -> 4.
+Each type carries the CLI's exit code for it: guard violations (work too
+large for an exhaustive path) -> 3, numerical failures -> 4.  Malformed
+input and bad usage (``FormatError`` and any other ``ValueError``) -> 2.
 """
 
 
 class GuardError(RuntimeError):
     """An exhaustive or dense-linear-algebra path was asked to exceed its size guard."""
 
+    exit_code = 3
+
 
 class NumericError(RuntimeError):
     """A numerical procedure failed (non-finite values, no feasible point, ...)."""
+
+    exit_code = 4
 
 
 class FormatError(ValueError):

@@ -301,7 +301,11 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
                 raise FormatError(f"{where}: part key {part_line[1]!r} names no {router_name} part at n={n}")
             if part in children:
                 raise FormatError(f"{where}: part {part_line[1]} appears twice")
-            child_line = reader.pos + 1
+            child_line, nested = reader.pos + 1, " ".join(reader.lines[reader.pos:reader.pos + 1]).split()[:2]
+            if nested[:1] == ["composite"] and (router_name == "c2" or nested[1:] != ["c2"]):  # c3 > c2 > leaf
+                allowed = "leaves" if router_name == "c2" else "c2 composites and leaves"
+                raise FormatError(f"{tag} node, line {child_line}: a {router_name} part holds only {allowed}, "
+                                  f"got {' '.join(nested)!r}")
             child = _read_node(reader)
             if router_name == "c2" and isinstance(child, MatrixPredictor) and child.realization != part - 2:
                 raise FormatError(f"matrix node, line {child_line}: r={child.realization} under part {part_line[1]}")

@@ -1,5 +1,6 @@
 """Command-line harness: every subcommand, manifests, exit codes, determinism."""
 
+import argparse
 import json
 import re
 import resource
@@ -227,6 +228,22 @@ class TestModelDimensionMismatch:
         model = tmp_path / "m"
         model.write_text("table 4 3 1\n1:+1 2:-1 3:+1 -> -1\n")
         self.assert_usage_error("eval", "--model", str(model), "--data", str(data))
+
+
+class TestModelNesting:
+    """Models nest c3 over c2 over leaves; a deeper file is a usage error naming the line, never a traceback."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("composite c2 3 1\npart r=0\n" * 3000 + "binary 3\n+1 +1 +1\n",
+         "composite node, line 3: a c2 part holds only leaves, got 'composite c2'"),
+        ("composite c3 3 1\npart residual\ncomposite c3 3 0\n",
+         "composite node, line 3: a c3 part holds only c2 composites and leaves, got 'composite c3'"),
+    ], ids=["c2-3000-deep", "c3-under-c3"])
+    def test_refused_before_recursing(self, tmp_path, text, message):
+        model, data = tmp_path / "deep.model", write_sample(tmp_path / "s.sample", 3, 10, 1)
+        model.write_text(text)
+        proc = cli_process("eval", "--model", str(model), "--data", str(data))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestReadersAllocateWhatTheFileHolds:
@@ -618,6 +635,14 @@ class TestTradeoff:
     def test_bad_algo_is_usage_error(self, tmp_path):
         assert run("tradeoff", "--n", "6", "--algos", "h2", "--sizes", "8", "--out", str(tmp_path / "x.csv")) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trial_is_usage_error(self, tmp_path, capsys, trials):
+        """As in game: a run with no trial would write a header-only CSV and a manifest."""
+        assert run("tradeoff", "--n", "6", "--algos", "table", "--sizes", "8", "--trials", trials,
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert capsys.readouterr().err == f"error: --trials must be at least 1: got {trials}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCertifyBeta:
     def test_writes_verifiable_certificate(self, tmp_path, capsys):
@@ -674,6 +699,100 @@ def test_manifest_names_command_outputs_and_flags(tmp_path, case, capsys):
         assert manifest["outputs"] == [first, first + ".psi"]
     parsed = vars(build_parser().parse_args(argv))
     assert manifest["flags"] == {k: v for k, v in parsed.items() if k not in ("func", "command")}
+
+
+LEARNERS = ("table", "h2", "h3", "erm-binary")
+INT, FLOAT, STORE, TRUE = "int", "float", "_StoreAction", "_StoreTrueAction"
+LEARNER_FLAGS = {
+    "seed": (("--seed",), 0, INT, None, False, STORE),
+    "force": (("--force",), False, None, None, False, TRUE),
+    "beta": (("--beta",), None, FLOAT, None, False, STORE),
+    "eta": (("--eta",), None, FLOAT, None, False, STORE),
+    "epochs": (("--epochs",), None, INT, None, False, STORE),
+}
+REFUTER_FLAGS = {
+    "algo": (("--algo",), "erm-binary", None, LEARNERS, False, STORE),
+    "fraction": (("--fraction",), 0.5, FLOAT, None, False, STORE),
+    "threshold": (("--threshold",), 0.375, FLOAT, None, False, STORE),
+}
+OUT = {"out": (("--out",), None, None, None, True, STORE)}
+#: dest -> (option strings, default, type, choices, required, action) for each parser, "" the top level;
+#: the manifest's flag keys are these dests, so a change here changes every manifest
+PARSER_CONTRACT = {
+    "": {"version": (("--version",), "==SUPPRESS==", None, None, False, "_VersionAction")},
+    "gen-formula": {
+        "kind": (("--kind",), None, None, ("3cnf", "3maj"), True, STORE),
+        "n": (("--n",), None, INT, None, True, STORE),
+        "clauses": (("--clauses",), None, INT, None, True, STORE),
+        "mode": (("--mode",), "uniform", None, ("uniform", "planted"), False, STORE),
+        "seed": (("--seed",), 0, INT, None, False, STORE),
+        **OUT,
+    },
+    "val": {
+        "infile": (("--in",), None, None, None, True, STORE),
+        "force": (("--force",), False, None, None, False, TRUE),
+    },
+    "to-sample": {
+        "infile": (("--in",), None, None, None, True, STORE),
+        "seed": (("--seed",), 0, INT, None, False, STORE),
+        **OUT,
+    },
+    "learn": {
+        "algo": (("--algo",), None, None, LEARNERS, True, STORE),
+        "train": (("--train",), None, None, None, True, STORE),
+        "model": (("--model",), None, None, None, True, STORE),
+        **LEARNER_FLAGS,
+    },
+    "eval": {
+        "model": (("--model",), None, None, None, True, STORE),
+        "data": (("--data",), None, None, None, True, STORE),
+    },
+    "refute": {
+        "infile": (("--in",), None, None, None, True, STORE),
+        **REFUTER_FLAGS,
+        **LEARNER_FLAGS,
+    },
+    "game": {
+        "n": (("--n",), None, INT, None, True, STORE),
+        "delta": (("--delta",), None, FLOAT, None, True, STORE),
+        "mu": (("--mu",), 0.0, FLOAT, None, False, STORE),
+        "trials": (("--trials",), None, INT, None, True, STORE),
+        "modes": (("--modes",), "planted,uniform", None, None, False, STORE),
+        **REFUTER_FLAGS,
+        **LEARNER_FLAGS,
+        **OUT,
+    },
+    "tradeoff": {
+        "n": (("--n",), None, INT, None, True, STORE),
+        "algos": (("--algos",), "table,h3", None, None, False, STORE),
+        "sizes": (("--sizes",), None, None, None, True, STORE),
+        "trials": (("--trials",), 1, INT, None, False, STORE),
+        "test_size": (("--test-size",), 2048, INT, None, False, STORE),
+        **LEARNER_FLAGS,
+        **OUT,
+    },
+    "certify-beta": {
+        "matrix": (("--matrix",), "tn", None, ("tn",), False, STORE),
+        "n": (("--n",), None, INT, None, True, STORE),
+        **OUT,
+    },
+}
+
+
+def option_table(parser):
+    """dest -> (option strings, default, type, choices, required, action) of the parser's own options."""
+    return {a.dest: (tuple(a.option_strings), a.default, getattr(a.type, "__name__", a.type),
+                     None if a.choices is None else tuple(a.choices), a.required, type(a).__name__)
+            for a in parser._actions if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))}
+
+
+def test_parser_options_are_frozen():
+    """Each subcommand's flags, dests, defaults, types, choices, required-ness and actions; order is free."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    tables = {"": option_table(parser), **{name: option_table(p) for name, p in sub.choices.items()}}
+    assert tables == PARSER_CONTRACT
+    assert (sub.dest, sub.required) == ("command", True)
 
 
 class TestEntryPoints:

@@ -739,6 +739,30 @@ class TestReaderMemory:
         assert peak <= 10 * len(text)
 
 
+class TestSampleWriter:
+    @pytest.mark.parametrize("m", [1, 1 << 15, (1 << 15) + 1])
+    def test_blocks_write_one_line_per_row(self, m):
+        rows = np.pad(sample_exact_sparse(12, 3, m, m), ((0, 0), (0, 1)))  # k = 4: every row ends in a pad cell
+        rows[::7] = 0  # and some rows are the zero vector, a label alone
+        sample = Sample(4, 12, rows, np.where(np.arange(m) % 3, 1, -1))
+        lines = ["# sparse-sample n=12 k=4"] + [
+            " ".join([f"{label:+d}"] + [f"{abs(v)}:{v // abs(v):+d}" for v in row if v])
+            for label, row in zip(sample.y.tolist(), rows.tolist())]
+        assert serialize_sample(sample) == "\n".join(lines) + "\n"
+
+    def test_peak_is_a_small_multiple_of_the_text(self):
+        """A block of rows at a time becomes Python ints and lines; the whole sample at once peaked at 10.6x."""
+        rows = sample_exact_sparse(24, 3, 138_760, 0)
+        sample = Sample(3, 24, rows, np.where(rows[:, 0] > 0, 1, -1))
+        tracemalloc.start()
+        try:
+            text = serialize_sample(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
+
+
 #: bit patterns the float-matrix codec must keep apart or spell exactly: both zeros, the smallest and the largest
 #: subnormal, the smallest normal, +-max, +-inf and a NaN
 SPECIAL_BITS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
