@@ -30,6 +30,7 @@ from .core import (
 )
 from .decompmat import (
     certify_min_beta,
+    check_certify_size,
     read_decomposition,
     triangular_matrix,
     verify_decomposition,
@@ -205,7 +206,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
     for algo in algos:
         if algo not in TRADEOFF_ALGOS:
             raise ValueError(f"tradeoff algos must come from {TRADEOFF_ALGOS}: got {algo!r}")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes takes comma-separated ints: got {args.sizes!r}") from None
     if any(s < 0 for s in sizes):
         raise ValueError("sizes must be nonnegative")
     if args.test_size < 1:
@@ -237,6 +241,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_certify_beta(args: argparse.Namespace) -> list[str]:
+    check_certify_size(args.n, args.n)  # before T_n is built
     W = triangular_matrix(args.n)
     beta_hat, dec = certify_min_beta(W)
     write_decomposition(args.out, dec)

@@ -23,7 +23,7 @@ The verifier and the Dykstra feasibility test read the same gaps
 one function.  Their tolerances, the certifier's iteration budget and its
 bisection resolution are module constants, not keywords.  The certified
 value is an upper bound on the true minimal beta up to those tolerances.
-Dense float64 matrices only, with a 256-dimension guard on the certifier.
+Dense float64 matrices only; ``check_certify_size`` guards the certifier.
 
 A certificate file holds ``dim <d>``, ``beta <value>``, then P and N in
 :mod:`sparsehalf.core`'s float-matrix codec: ``%.17g`` per entry, byte for
@@ -178,6 +178,12 @@ def spectral_split(M: np.ndarray) -> Decomposition:
     return Decomposition(P, N, beta)
 
 
+def check_certify_size(n: int, m: int) -> None:
+    """GuardError if an n x m matrix is beyond the certifier: its symmetrization is n + m wide."""
+    if n + m > MAX_CERTIFY_DIM:
+        raise GuardError(f"certifier limited to n+m <= {MAX_CERTIFY_DIM}: got {n + m}")
+
+
 def triangular_matrix(n: int) -> np.ndarray:
     """The n x n sign matrix with +1 on and above the diagonal, -1 below."""
     if n < 1:
@@ -276,9 +282,7 @@ def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
     ``verify_decomposition`` at the module tolerances.
     """
     W = check_sign_matrix(np.asarray(W))
-    n, m = W.shape
-    if n + m > MAX_CERTIFY_DIM:
-        raise GuardError(f"certifier limited to n+m <= {MAX_CERTIFY_DIM}: got {n + m}")
+    check_certify_size(*W.shape)
     S = symmetrize(W)
     spectral = spectral_split(S)
 
@@ -318,11 +322,14 @@ def serialize_decomposition(dec: Decomposition) -> str:
     return "".join(_decomposition_lines(dec))
 
 
-def parse_decomposition(text: str) -> Decomposition:
-    return _decomposition_of(text.splitlines())
+def write_decomposition(path: str, dec: Decomposition) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(_decomposition_lines(dec))
 
 
-def _decomposition_of(lines: list[str]) -> Decomposition:
+def read_decomposition(path: str) -> Decomposition:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:  # as read_text does, line by line
+        lines = [part for line in fh for part in line.splitlines()]
     numbered = [(number, s) for number, line in enumerate(lines, 1) if (s := line.strip())]
     numbers, lines = [number for number, _ in numbered], [s for _, s in numbered]
     if len(lines) < 3 or not lines[0].startswith("dim ") or not lines[1].startswith("beta "):
@@ -346,13 +353,3 @@ def _decomposition_of(lines: list[str]) -> Decomposition:
     P = read_float_rows(lines[3:3 + d], d, lambda i: f"P block, line {numbers[3 + i]}", "entries")
     N = read_float_rows(lines[4 + d:], d, lambda i: f"N block, line {numbers[4 + d + i]}", "entries")
     return Decomposition(P, N, beta)
-
-
-def write_decomposition(path: str, dec: Decomposition) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(_decomposition_lines(dec))
-
-
-def read_decomposition(path: str) -> Decomposition:
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:  # as read_text does, line by line
-        return _decomposition_of([part for line in fh for part in line.splitlines()])

@@ -29,7 +29,7 @@ from .predictors import (
     MatrixPredictor,
     TrainedPredictor,
 )
-from .realizations import group_rows, part_order, realize_c2, route_rows
+from .realizations import group_rows, part_names, realize_c2, route_rows
 from .rng import derive_seed, generator
 
 #: Bytes of score matrices an h2 or h3 model may hold unless forced.  An h2
@@ -218,12 +218,12 @@ def partition_learn(sample: Sample, kind: str, train: Callable[[int, Sample], Tr
 
     Slices keep their original order and hold the routed (transformed)
     instances; ``train(part, slice)`` fits them one after another with the
-    parts in ``part_order``, and parts with no examples predict the +1 default.
+    parts in ``part_names`` order, and parts with no examples predict the +1 default.
     """
     parts, child = route_rows(kind, sample.items, sample.n)
     groups = group_rows(parts)
     trained = {part: train(part, Sample(child.shape[1], sample.n, child[groups[part]], sample.y[groups[part]]))
-               for part in part_order(kind, groups)}
+               for part in part_names(kind, sample.n) if part in groups}
     return CompositePredictor(kind, sample.n, trained)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .core import (BinaryAssignment, Sample, distinct_rows, format_float_rows, format_instance, read_float_rows,
                    read_rows, read_text)
 from .errors import FormatError
-from .realizations import PARTITIONS, group_rows, part_of_c2, part_order, realize_c2, route_rows
+from .realizations import group_rows, part_names, part_of_c2, realize_c2, route_rows
 
 #: The label of an unseen instance and of a part with no examples.
 DEFAULT_LABEL = 1
@@ -135,13 +135,17 @@ class BinaryHalfspacePredictor(TrainedPredictor):
 class CompositePredictor(TrainedPredictor):
     """Routes each instance to the child trained on its part; empty parts say +1.
 
-    ``router_name`` names the partition, ``"c2"`` or ``"c3"``, and children
-    are keyed by part number (see :mod:`sparsehalf.realizations`).
+    ``router_name`` names the partition, ``"c2"`` or ``"c3"``; children are
+    keyed by part number, and only by those ``realizations.part_names`` lists.
     """
 
     router_name: str
     n: int
     children: dict[int, TrainedPredictor] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if unknown := sorted(self.children.keys() - part_names(self.router_name, self.n).keys()):
+            raise ValueError(f"the {self.router_name} partition has no part {unknown[0]} at n={self.n}")
 
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
         _check_n(self.n, n)
@@ -157,20 +161,6 @@ class CompositePredictor(TrainedPredictor):
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _part_key(kind: str, part: int) -> str:
-    if kind == "c2":
-        return f"r={part - 2}"
-    if part == 0:
-        return "residual"
-    return f"i={part // 2},b={-1 if part % 2 else 1:+d}"
-
-
-def _part_keys(kind: str, n: int) -> dict[str, int]:
-    """Part number by ``part`` line key, for every part of the ``kind`` partition at n."""
-    parts = range(5) if kind == "c2" else [0, *range(2, 2 * n - 2)]
-    return {_part_key(kind, part): part for part in parts}
-
-
 def _node_lines(node: TrainedPredictor) -> Iterator[str]:
     """The node's model-file lines, each ending in a newline."""
     if isinstance(node, BinaryHalfspacePredictor):
@@ -185,15 +175,12 @@ def _node_lines(node: TrainedPredictor) -> Iterator[str]:
         yield from format_float_rows(node.scores)
     elif isinstance(node, CompositePredictor):
         yield f"composite {node.router_name} {node.n} {len(node.children)}\n"
-        for part in part_order(node.router_name, node.children):
-            yield f"part {_part_key(node.router_name, part)}\n"
-            yield from _node_lines(node.children[part])
+        for part, name in part_names(node.router_name, node.n).items():
+            if part in node.children:
+                yield f"part {name}\n"
+                yield from _node_lines(node.children[part])
     else:
         raise TypeError(f"cannot serialize predictor of type {type(node).__name__}")
-
-
-def serialize_predictor(node: TrainedPredictor) -> str:
-    return "".join(_node_lines(node))
 
 
 class _Reader:
@@ -207,9 +194,6 @@ class _Reader:
         line = self.lines[self.pos]
         self.pos += 1
         return line
-
-    def done(self) -> bool:
-        return self.pos >= len(self.lines)
 
 
 def _numbers(tokens: list[str], tag: str, line: int) -> list[int]:
@@ -266,7 +250,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
             raise FormatError(f"{tag} node, line {line}: {exc}") from exc
 
     if tag == "matrix":
-        if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].lstrip("-").isdigit():
+        if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].removeprefix("-").isdigit():
             raise FormatError(f"{tag} node, line {line}: header is 'matrix r=<r> <rows> <cols>'")
         n_rows, n_cols = _numbers(header[2:], tag, line)
         if min(n_rows, n_cols) < 0:
@@ -286,11 +270,12 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         if len(header) != 4:
             raise FormatError(f"{tag} node, line {line}: header is 'composite <router> <n> <children>'")
         router_name, (n, count) = header[1], _numbers(header[2:], tag, line)
-        if router_name not in PARTITIONS:
-            raise FormatError(f"{tag} node, line {line}: unknown router {router_name!r}")
+        try:
+            keys = {name: part for part, name in part_names(router_name, n).items()}
+        except ValueError as exc:  # unknown router
+            raise FormatError(f"{tag} node, line {line}: {exc}") from None
         if count < 0:
             raise FormatError(f"{tag} node, line {line}: negative child count {count}")
-        keys = _part_keys(router_name, n)
         children: dict[int, TrainedPredictor] = {}
         for _ in range(count):
             where, part_line = f"{tag} node, line {reader.pos + 1}", reader.next().split()
@@ -307,7 +292,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
                 raise FormatError(f"{tag} node, line {child_line}: a {router_name} part holds only {allowed}, "
                                   f"got {' '.join(nested)!r}")
             child = _read_node(reader)
-            if router_name == "c2" and isinstance(child, MatrixPredictor) and child.realization != part - 2:
+            if router_name == "c2" and isinstance(child, MatrixPredictor) and part_line[1] != f"r={child.realization}":
                 raise FormatError(f"matrix node, line {child_line}: r={child.realization} under part {part_line[1]}")
             dims = (child.n_rows, child.n_cols) if isinstance(child, MatrixPredictor) else (child.n, child.n)
             if dims != (n, n):
@@ -321,7 +306,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
 def parse_predictor(text: str) -> TrainedPredictor:
     reader = _Reader(text.splitlines())
     node = _read_node(reader)
-    while not reader.done():
+    while reader.pos < len(reader.lines):
         if reader.next().strip():
             raise FormatError(f"line {reader.pos}: trailing content after predictor")
     return node

@@ -10,21 +10,16 @@ turns each part into a two-sparse problem with a shifted bias.  Instances
 whose first nonzero sits at n-1 or n, and the zero vector, form one residual
 part that is already two-sparse.
 
-Every function here takes a whole instance matrix in the signed-index form
-of :class:`sparsehalf.core.Sample` and answers for all its rows at once.  A
-part is named by one small integer, which also derives its seed: r + 2 for
-coordinate-sum part r, 2i + (0 if b > 0 else 1) for first-nonzero part
-(i, b), and 0 for the residual.
+Routing answers for a whole instance matrix, in the signed-index form of
+:class:`sparsehalf.core.Sample`, at once.  A part is numbered by one small
+integer, which also derives its seed: r + 2 for coordinate-sum part r,
+2i + (0 if b > 0 else 1) for first-nonzero part (i, b), and 0 for the
+residual.  ``part_names`` alone lists, orders and keys a partition's parts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
-
-#: names of the two partitions, as stored in composite model files
-PARTITIONS = ("c2", "c3")
 
 
 def fit_width(items: np.ndarray, width: int) -> np.ndarray:
@@ -91,6 +86,12 @@ def group_rows(parts: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(present.tolist(), np.split(order, starts[1:])))
 
 
-def part_order(kind: str, parts: Iterable[int]) -> list[int]:
-    """Parts in training and model-file order: ascending, with the c3 residual last."""
-    return sorted(parts, key=lambda part: (kind == "c3" and part == 0, part))
+def part_names(kind: str, n: int) -> dict[int, str]:
+    """Every part of the ``"c2"`` or ``"c3"`` partition at n, in training and model-file order, to its key.
+
+    Keys read ``r=-2`` .. ``r=2`` under c2; under c3, ``i=<i>,b=<+-1>`` in ascending part order, then ``residual``."""
+    if kind == "c2":
+        return {r + 2: f"r={r}" for r in range(-2, 3)}
+    if kind == "c3":
+        return {**{2 * i + (b < 0): f"i={i},b={b:+d}" for i in range(1, n - 1) for b in (1, -1)}, 0: "residual"}
+    raise ValueError(f"unknown router {kind!r}")

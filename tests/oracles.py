@@ -14,7 +14,8 @@ replaced; and the line-by-line readers of sample files and table nodes that
 ``sparsehalf.core.read_rows`` replaced; and the per-value writer and per-row reader of float matrices
 (certificate blocks, matrix nodes) that ``sparsehalf.core.format_float_rows``
 and ``read_float_rows`` replaced; and the OpenBLAS core types that
-kernel-dependence tests pin in their subprocesses.  It also holds the
+kernel-dependence tests pin in their subprocesses; and ``model_text``, a
+predictor's model file as ``write_predictor`` writes it.  It also holds the
 paper's closure constructions of decomposable matrices, which no command
 runs: ``tensor_decomposition`` (W tensor a PSD factor),
 ``delete_rowcol_decomposition`` (a principal minor: one source row or
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -43,7 +45,7 @@ from sparsehalf.decompmat import PSD_TOL, Decomposition, certify_min_beta, trian
 from sparsehalf.errors import FormatError, NumericError
 from sparsehalf.formulas import ABOVE, Formula, FormulaKind, FormulaSourceConfig
 from sparsehalf.learners import LearnerConfig
-from sparsehalf.predictors import MajorityTable, MatrixPredictor, TrainedPredictor
+from sparsehalf.predictors import MajorityTable, MatrixPredictor, TrainedPredictor, write_predictor
 from sparsehalf.rng import generator
 
 
@@ -90,6 +92,15 @@ def predict(predictor: TrainedPredictor, x: SparseVector) -> int:
     """The predictor's label of one instance: its batch path on a one-row matrix."""
     row = np.array([v * i for i, v in x.entries], dtype=np.int32)
     return int(predictor.predict_many(row[None], x.n)[0])
+
+
+def model_text(node: TrainedPredictor) -> str:
+    """The text of the model file that ``write_predictor`` writes for ``node``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model")
+        write_predictor(path, node)
+        with open(path, encoding="ascii", newline="") as fh:
+            return fh.read()
 
 
 def cell_label(predictor: MatrixPredictor, row: int, col: int) -> int:

@@ -643,6 +643,11 @@ class TestTradeoff:
         assert capsys.readouterr().err == f"error: --trials must be at least 1: got {trials}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_integer_size_names_the_flag_and_its_value(self, tmp_path, capsys):
+        assert run("tradeoff", "--n", "6", "--sizes", "10,x", "--out", str(tmp_path / "t.csv")) == 2
+        assert capsys.readouterr().err == "error: --sizes takes comma-separated ints: got '10,x'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCertifyBeta:
     def test_writes_verifiable_certificate(self, tmp_path, capsys):
@@ -663,6 +668,17 @@ class TestCertifyBeta:
 
     def test_guard(self, tmp_path):
         assert run("certify-beta", "--matrix", "tn", "--n", "200", "--out", str(tmp_path / "x")) == 3
+
+    def test_guard_comes_before_the_matrix_is_built(self, tmp_path):
+        """T_n at n = 1e8 would take 8.88 PiB; under a 2 GB address-space limit, so that the test cannot
+        exhaust the machine, building it first would end in a MemoryError traceback."""
+        limit = 2 << 30
+        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "certify-beta", "--n", "100000000",
+                               "--out", str(tmp_path / "t.cert")], capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: certifier limited to n+m <= 256: got 200000000\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 MANIFEST_CASES = {

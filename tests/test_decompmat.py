@@ -29,7 +29,6 @@ from sparsehalf.decompmat import (
     SYM_TOL,
     Decomposition,
     certify_min_beta,
-    parse_decomposition,
     read_decomposition,
     serialize_decomposition,
     spectral_split,
@@ -42,6 +41,13 @@ from sparsehalf.errors import FormatError, GuardError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPECTRAL_BETA_T8 = 1.1435080342292838  # frozen from the eigendecomposition
+
+
+def read_certificate_text(tmp_path, text):
+    """``read_decomposition`` of a certificate file holding ``text`` (lone surrogates as the bytes they stand for)."""
+    path = tmp_path / "t.cert"
+    path.write_bytes(text.encode("ascii", "surrogateescape"))
+    return read_decomposition(str(path))
 
 
 def random_sign(rng, n, m):
@@ -389,10 +395,10 @@ class TestRowThreshold:
 
 
 class TestCacheFormat:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         dec = spectral_split(symmetrize(triangular_matrix(4).astype(float)))
         text = serialize_decomposition(dec)
-        back = parse_decomposition(text)
+        back = read_certificate_text(tmp_path, text)
         assert np.array_equal(back.P, dec.P)
         assert np.array_equal(back.N, dec.N)
         assert back.beta == dec.beta
@@ -406,9 +412,9 @@ class TestCacheFormat:
             "dim 1\nbeta x\nP\n0\nN\n0\n",  # bad beta
         ],
     )
-    def test_rejects_malformed(self, text):
+    def test_rejects_malformed(self, tmp_path, text):
         with pytest.raises(FormatError):
-            parse_decomposition(text)
+            read_certificate_text(tmp_path, text)
 
     @pytest.mark.parametrize(
         "text,message",
@@ -429,9 +435,9 @@ class TestCacheFormat:
             ("dim 1\n\nbeta 0.5 more\nP\n0\nN\n0\n", "^header, line 3: expected 'beta <value>', got 'beta 0.5 more'$"),
         ],
     )
-    def test_malformed_entries_name_block_and_line(self, text, message):
+    def test_malformed_entries_name_block_and_line(self, tmp_path, text, message):
         with pytest.raises(FormatError, match=message):
-            parse_decomposition(text)
+            read_certificate_text(tmp_path, text)
 
     @pytest.mark.parametrize(
         "text,message",
@@ -444,9 +450,9 @@ class TestCacheFormat:
         ],
         ids=["P-marker", "N-marker", "N-rows-long", "N-rows-short", "ends-in-P"],
     )
-    def test_layout_errors_name_their_line(self, text, message):
+    def test_layout_errors_name_their_line(self, tmp_path, text, message):
         with pytest.raises(FormatError) as excinfo:
-            parse_decomposition(text)
+            read_certificate_text(tmp_path, text)
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("text,message", [
@@ -479,14 +485,10 @@ class TestCacheFormat:
         write_decomposition(str(tmp_path / "t.cert"), dec)
         assert (tmp_path / "t.cert").read_bytes() == path.read_bytes()
 
-    def test_reads_what_parse_reads(self, tmp_path):
-        path = tmp_path / "t.cert"
-        path.write_text("\n dim 1\r\nbeta 0.5\n\nP\n 0.5 \n\x0cN\n0.5\n\n")
-        dec = read_decomposition(str(path))
+    def test_reads_blank_lines_padding_and_crlf(self, tmp_path):
+        dec = read_certificate_text(tmp_path, "\n dim 1\r\nbeta 0.5\n\nP\n 0.5 \n\x0cN\n0.5\n\n")
         assert (dec.P.tolist(), dec.N.tolist(), dec.beta) == ([[0.5]], [[0.5]], 0.5)
-        with open(path, encoding="ascii") as fh:  # the same text, newlines translated as the reader does
-            text = fh.read()
-        assert serialize_decomposition(parse_decomposition(text)) == serialize_decomposition(dec)
+        assert serialize_decomposition(dec) == "dim 1\nbeta 0.5\nP\n0.5\nN\n0.5\n"
 
 
 class TestCertificateMemory:

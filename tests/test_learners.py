@@ -17,6 +17,7 @@ from oracles import (
     eval_halfspace,
     iter_part_c2,
     iter_sparse_vectors,
+    model_text,
     predict,
     row_threshold_matrix,
     sample_of,
@@ -43,7 +44,7 @@ from sparsehalf.learners import (
     partition_learn,
     table_majority_learn,
 )
-from sparsehalf.predictors import BinaryHalfspacePredictor, serialize_predictor
+from sparsehalf.predictors import BinaryHalfspacePredictor
 from sparsehalf.rng import derive_seed, generator
 
 
@@ -419,14 +420,14 @@ class TestLearnH3:
         assert set(composite.children) == set(slices)
         for part, sub in slices.items():
             alone = learn_h2(sub, replace(cfg, seed=derive_seed(17, 3, part)))
-            assert serialize_predictor(composite.children[part]) == serialize_predictor(alone)
+            assert model_text(composite.children[part]) == model_text(alone)
 
     def test_deterministic_given_config(self):
         xs = sample_exact_sparse(7, 3, 80, 2)
         rng = np.random.default_rng(9)
         s = labeled(7, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
-        a = serialize_predictor(learn_h3(s, LearnerConfig(seed=21)))
-        b = serialize_predictor(learn_h3(s, LearnerConfig(seed=21)))
+        a = model_text(learn_h3(s, LearnerConfig(seed=21)))
+        b = model_text(learn_h3(s, LearnerConfig(seed=21)))
         assert a == b
 
     def test_rejects_four_sparse(self):

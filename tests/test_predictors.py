@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import DictTable, SparseVector, from_pairs, predict, vectors
+from oracles import DictTable, SparseVector, from_pairs, model_text, predict, vectors
 from sparsehalf import core
 from sparsehalf.core import BinaryAssignment, Sample, sample_exact_sparse
 from sparsehalf.errors import FormatError
@@ -19,14 +19,15 @@ from sparsehalf.predictors import (
     MajorityTable,
     MatrixPredictor,
     parse_predictor,
-    serialize_predictor,
+    write_predictor,
 )
+from sparsehalf.realizations import part_names
 
 
 def round_trip(node):
-    text = serialize_predictor(node)
+    text = model_text(node)
     back = parse_predictor(text)
-    assert serialize_predictor(back) == text
+    assert model_text(back) == text
     return back
 
 
@@ -80,6 +81,22 @@ class TestNodes:
         node = table_majority_learn(s)
         back = round_trip(node)
         assert np.array_equal(back.predict_many(s.items, s.n), node.predict_many(s.items, s.n))
+
+    @pytest.mark.parametrize("kind", ["c2", "c3"])
+    def test_every_listed_part_round_trips_under_its_key(self, kind):
+        names = part_names(kind, 5)
+        children = {part: BinaryHalfspacePredictor(BinaryAssignment((1,) * 5)) for part in reversed(names)}
+        text = model_text(CompositePredictor(kind, 5, children))
+        assert [line[5:] for line in text.splitlines() if line.startswith("part ")] == list(names.values())
+        assert list(round_trip(CompositePredictor(kind, 5, children)).children) == list(names)
+
+    @pytest.mark.parametrize("kind,part", [("c3", 1), ("c3", 6), ("c2", 7)])
+    def test_child_at_an_unlisted_part_is_refused_before_any_file(self, tmp_path, kind, part):
+        """Such a child would be written under a key its reader refuses: 'i=0,b=-1', 'i=3,b=+1' or 'r=5' at n = 4."""
+        child = BinaryHalfspacePredictor(BinaryAssignment((1,) * 4))
+        with pytest.raises(ValueError, match=f"^the {kind} partition has no part {part} at n=4$"):
+            write_predictor(str(tmp_path / "m"), CompositePredictor(kind, 4, {0: child, part: child}))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDimensionMismatch:
@@ -191,6 +208,7 @@ class TestMalformed:
             ("binary 2 2\n+1 -1\n", "binary node, line 1: header is 'binary <n>'"),
             ("composite c2 4 1\npart r=0\ntable 4 2\n", "table node, line 3: header is 'table <n> <k> <rows>'"),
             ("matrix r=0 2\n", "matrix node, line 1: header is 'matrix r=<r> <rows> <cols>'"),
+            ("matrix r=--1 2 2\n0 0\n0 0\n", "matrix node, line 1: header is 'matrix r=<r> <rows> <cols>'"),
             ("composite c2 4\n", "composite node, line 1: header is 'composite <router> <n> <children>'"),
             ("composite c9 4 0\n", "composite node, line 1: unknown router 'c9'"),
             ("composite c2 4 1\npart r=3\nbinary 4\n+1 +1 +1 +1\n",
@@ -208,8 +226,9 @@ class TestMalformed:
             ("composite c2 4 1\npart r=0\n", "line 3: unexpected end of predictor file"),
         ],
         ids=["payload", "unknown-tag", "part-line", "trailing", "empty-header", "binary-header", "table-header",
-             "matrix-header", "composite-header", "unknown-router", "unknown-part", "part-twice", "child-dimension",
-             "trailing-node", "table-rows", "end-empty", "end-binary", "end-table", "end-matrix", "end-composite"],
+             "matrix-header", "matrix-r-token", "composite-header", "unknown-router", "unknown-part", "part-twice",
+             "child-dimension", "trailing-node", "table-rows", "end-empty", "end-binary", "end-table", "end-matrix",
+             "end-composite"],
     )
     def test_structural_errors_name_node_and_line(self, text, message):
         with pytest.raises(FormatError) as excinfo:
@@ -254,10 +273,10 @@ class TestTableAgainstDictOracle:
     def test_labels_and_model_text(self, case):
         sample, queries = case
         oracle, table = DictTable(sample), table_majority_learn(sample)
-        text = serialize_predictor(table)
+        text = model_text(table)
         assert text == oracle.model_text()
         back = parse_predictor(text)  # only as wide as its widest row
-        assert serialize_predictor(back) == text
+        assert model_text(back) == text
         expected = oracle.predict_many(queries, sample.n)
         for node in (table, back):
             assert np.array_equal(node.predict_many(queries, sample.n), expected)
@@ -277,7 +296,7 @@ def table_outcome(text):
             node = parse(text)
         except FormatError as exc:
             return f"FormatError: {exc}"
-        return node.rows.shape, node.rows.tolist(), node.labels.tolist(), serialize_predictor(node)
+        return node.rows.shape, node.rows.tolist(), node.labels.tolist(), model_text(node)
     return read(parse_predictor), read(oracles.parse_table)
 
 

@@ -15,9 +15,9 @@ from oracles import (
 )
 from sparsehalf.realizations import (
     group_rows,
+    part_names,
     part_of_c2,
     part_of_c3,
-    part_order,
     realize_c2,
     route_rows,
 )
@@ -230,5 +230,31 @@ class TestGrouping:
         assert group_rows(np.zeros(0, dtype=np.int64)) == {}
 
     def test_residual_last_in_c3_only(self):
-        assert part_order("c3", [5, 0, 2]) == [2, 5, 0]
-        assert part_order("c2", [4, 0, 2]) == [0, 2, 4]
+        assert list(part_names("c3", 4)) == [2, 3, 4, 5, 0]
+        assert list(part_names("c2", 4)) == [0, 1, 2, 3, 4]
+
+
+class TestPartNames:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("kind", ["c2", "c3"])
+    def test_keys_are_the_parts_routing_reaches(self, kind, n):
+        """c3 over every at-most-3-sparse vector, c2 over every at-most-2-sparse one (routing takes no wider)."""
+        k = 3 if kind == "c3" else 2
+        parts, _ = route_rows(kind, rows(k, *iter_sparse_vectors(n, k)), n)
+        names = part_names(kind, n)
+        reached = set(parts.tolist())
+        if kind == "c2" and n == 1:  # no vector reaches r = +-2, but every c2 model lists the five sums
+            assert reached == {1, 2, 3} and list(names) == [0, 1, 2, 3, 4]
+        else:
+            assert reached == set(names)
+        assert list(names) == sorted(names, key=lambda part: (kind == "c3" and part == 0, part))
+        assert len(set(names.values())) == len(names)
+
+    def test_keys(self):
+        assert part_names("c2", 9) == {0: "r=-2", 1: "r=-1", 2: "r=0", 3: "r=1", 4: "r=2"}
+        assert part_names("c3", 4) == {2: "i=1,b=+1", 3: "i=1,b=-1", 4: "i=2,b=+1", 5: "i=2,b=-1", 0: "residual"}
+        assert part_names("c3", 2) == {0: "residual"}
+
+    def test_unknown_partition(self):
+        with pytest.raises(ValueError, match="unknown router 'c9'"):
+            part_names("c9", 4)
