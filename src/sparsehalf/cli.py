@@ -4,8 +4,9 @@ Every command is deterministic given its full flag set including seeds.  A
 file-producing command returns the paths it wrote, and ``main`` writes one
 JSON run manifest next to the first of them (same path plus
 ``.manifest.json``).  Exit codes: 0 success, 2 usage or bad
-input, 3 size-guard violation, 4 numerical failure.  Guards on exhaustive
-paths can be overridden with ``--force``, which prints a cost estimate first.
+input, 3 size-guard violation, 4 numerical failure.  Every size guard is
+here, in ``_check_size``, checked before anything is drawn; the library runs
+at any size.  ``--force`` lifts it, and prices an exhaustive pass first.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import time
 
 from . import __version__
 from .core import (
-    EXHAUSTIVE_N_LIMIT,
     SPLIT_BITS,
     BinaryAssignment,
     Sample,
@@ -30,7 +30,6 @@ from .core import (
 )
 from .decompmat import (
     certify_min_beta,
-    check_certify_size,
     read_decomposition,
     triangular_matrix,
     verify_decomposition,
@@ -55,6 +54,33 @@ _KIND_FLAGS = {"3cnf": FormulaKind.CNF, "3maj": FormulaKind.MAJ}
 
 TRADEOFF_ALGOS = ("table", "h3", "erm-binary")
 
+#: Largest n at which the 2^n enumerations, ERM and formula value, run unless
+#: forced.  A pass at n = 24 is 2^24 patterns x at most 4n + 2 = 98 terms, about
+#: 0.07 s at the rate ``_check_size`` prices them at; each n past it doubles that.
+EXHAUSTIVE_N_LIMIT = 24
+
+#: Bytes of score matrices an h2 or h3 model may hold unless forced.  An h2
+#: model holds three dense n x n float64 matrices (parts r = 0, +-2), an h3
+#: model one h2 model per first-nonzero part and the residual: 2n - 3 of them.
+MATRIX_BYTE_BUDGET = 1 << 28
+H2_N_LIMIT = math.isqrt(MATRIX_BYTE_BUDGET // (3 * 8))
+H3_N_LIMIT = max(n for n in range(2, H2_N_LIMIT) if (2 * n - 3) * 3 * 8 * n * n <= MATRIX_BYTE_BUDGET)
+
+#: Widest symmetrization, n + m for n x m, that the certifier eigendecomposes twice per Dykstra
+#: iteration; it admits T_n up to n = 128, the size bench/run.py certifies.  No --force lifts it.
+MAX_CERTIFY_DIM = 256
+
+_STOPS = "the guard stops n > {limit}"
+_MATRICES = f"holds dense n x n score matrices; {_STOPS} ({MATRIX_BYTE_BUDGET >> 20} MiB) unless forced"
+#: what a command runs -> (the largest n it runs at unless forced, its refusal)
+_LIMITS = {
+    "val": (EXHAUSTIVE_N_LIMIT, f"formula value enumerates 2^{{n}} assignments; {_STOPS} unless forced"),
+    "erm-binary": (EXHAUSTIVE_N_LIMIT, f"ERM enumerates 2^{{n}} patterns; {_STOPS} unless forced"),
+    "h2": (H2_N_LIMIT, f"learn_h2 {_MATRICES}"),
+    "h3": (H3_N_LIMIT, f"learn_h3 {_MATRICES}"),
+    "certify-beta": (MAX_CERTIFY_DIM, "certifier limited to n+m <= {limit}: got {n}"),
+}
+
 
 def _write(path: str, text: str) -> str:
     with open(path, "w", encoding="ascii") as fh:
@@ -75,11 +101,15 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float)
     _write(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _print_force_estimate(args: argparse.Namespace, n: int, rows: list[int], k: int = 3) -> None:
-    """Price one exhaustive pass over 2^n patterns per entry of ``rows``, each over that many k-sparse rows.
-
-    Prints nothing unless ``--force`` lifts the guard, that is n > EXHAUSTIVE_N_LIMIT."""
-    if n <= EXHAUSTIVE_N_LIMIT or not args.force:
+def _check_size(args: argparse.Namespace, what: list[str], n: int, rows: list[int], k: int = 3) -> None:
+    """GuardError for the first of ``what`` past its limit at n, or with ``--force`` the price of the exhaustive
+    passes, one per entry of ``rows``: that many k-sparse examples, where ERM over none enumerates nothing."""
+    force = getattr(args, "force", False)  # certify-beta has no --force
+    for name in what:
+        limit, refusal = _LIMITS.get(name, (math.inf, ""))  # the table learner has no guard
+        if n > limit and not force and (name != "erm-binary" or any(rows)):
+            raise GuardError(refusal.format(n=n, limit=limit))
+    if not force or n <= EXHAUSTIVE_N_LIMIT or not {"val", "erm-binary"} & set(what):
         return
     # best_pattern sums each of r rows' <= floor(k/2) + 1 terms over the 2^|a| + 2^|b| patterns of its halves, at
     # about 6e8 a second, then multiplies 2^n x R pattern-terms, R <= (floor(k/2) + 1) r, and <= 4n + 2 for k <= 3,
@@ -100,7 +130,7 @@ def _learner_config(args: argparse.Namespace, seed: int) -> LearnerConfig:
 
 def _refuter_config(args: argparse.Namespace, seed: int = 0) -> RefuterConfig:
     return RefuterConfig(fraction=args.fraction, threshold=args.threshold, learner=args.algo,
-                         learner_config=_learner_config(args, 0), seed=seed, force=args.force)
+                         learner_config=_learner_config(args, 0), seed=seed)
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
@@ -138,8 +168,8 @@ def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
 
 def cmd_val(args: argparse.Namespace) -> None:
     phi = parse_formula(read_text(args.infile))
-    _print_force_estimate(args, phi.n, [phi.m])
-    value, _ = formula_value(phi, force=args.force)
+    _check_size(args, ["val"], phi.n, [phi.m])
+    value, _ = formula_value(phi)
     print(f"val {_fmt(value)} {value.numerator}/{value.denominator}")
 
 
@@ -150,11 +180,9 @@ def cmd_to_sample(args: argparse.Namespace) -> list[str]:
 
 def cmd_learn(args: argparse.Namespace) -> list[str]:
     sample = parse_sample(read_text(args.train))
-    if args.algo == "erm-binary":
-        _print_force_estimate(args, sample.n, [len(sample)], sample.k)
     cfg = _learner_config(args, args.seed)
-    predictor = make_learner(args.algo, cfg, force=args.force)(sample)
-    write_predictor(args.model, predictor)
+    _check_size(args, [args.algo], sample.n, [len(sample)], sample.k)
+    write_predictor(args.model, make_learner(args.algo, cfg)(sample))
     return [args.model]
 
 
@@ -168,8 +196,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
 def cmd_refute(args: argparse.Namespace) -> None:
     phi = parse_formula(read_text(args.infile))
     cfg = _refuter_config(args, args.seed)
-    if args.algo == "erm-binary":
-        _print_force_estimate(args, phi.n, [math.ceil(cfg.fraction * phi.m)])  # ERM sees the subsample
+    _check_size(args, [args.algo], phi.n, [math.ceil(cfg.fraction * phi.m)])  # the learner sees the subsample
     verdict = refute(phi, cfg)
     print(f"{verdict.kind} err={_fmt(verdict.error)} "
           f"({verdict.error.numerator}/{verdict.error.denominator})")
@@ -185,9 +212,8 @@ def cmd_game(args: argparse.Namespace) -> list[str]:
         base_seed=args.seed,
     )
     refuter = _refuter_config(args)
-    if args.algo == "erm-binary":
-        rounds = len(game.modes) * game.trials  # one ERM fit on the subsample per round
-        _print_force_estimate(args, args.n, [math.ceil(refuter.fraction * game.clause_count)] * rounds)
+    rounds = [math.ceil(refuter.fraction * game.clause_count)] * len(game.modes) * game.trials  # one fit per round
+    _check_size(args, [args.algo], game.n, rounds)
     stats = refutation_game(game, refuter)
     fixed = f"{game.n},{_fmt(game.delta)},{_fmt(game.mu)},{_fmt(refuter.fraction)}"  # the same in every round
     _write(args.out, "mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n" + "".join(
@@ -216,9 +242,9 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
         raise ValueError(f"--test-size must be at least 1: got {args.test_size}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1: got {args.trials}")
-    if "erm-binary" in algos:
-        _print_force_estimate(args, args.n, sizes * args.trials)  # one ERM fit per size and trial
+    _learner_config(args, args.seed)  # --beta, --eta and --epochs are checked before any draw
     n = args.n
+    _check_size(args, algos, n, sizes * args.trials)  # one fit per size and trial
 
     lines = ["algo,n,m,trial,train_err,test_err,wall_ms"]
     for trial in range(args.trials):
@@ -232,7 +258,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
             for algo_idx, algo in enumerate(algos):
                 cfg = _learner_config(args, derive_seed(args.seed, trial, 3, algo_idx))
                 t0 = time.perf_counter()
-                predictor = make_learner(algo, cfg, force=args.force)(train)
+                predictor = make_learner(algo, cfg)(train)
                 wall_ms = (time.perf_counter() - t0) * 1000.0
                 train_err = _fmt(empirical_error(predictor, train)) if m else "nan"
                 test_err = _fmt(empirical_error(predictor, test))
@@ -241,7 +267,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_certify_beta(args: argparse.Namespace) -> list[str]:
-    check_certify_size(args.n, args.n)  # before T_n is built
+    _check_size(args, ["certify-beta"], 2 * args.n, [])  # T_n's symmetrization is 2n wide
     W = triangular_matrix(args.n)
     beta_hat, dec = certify_min_beta(W)
     write_decomposition(args.out, dec)

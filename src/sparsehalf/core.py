@@ -39,12 +39,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, GuardError
+from .errors import FormatError
 from .rng import generator
-
-#: Largest n for which the 2^n exhaustive paths (ERM, formula value) will run
-#: without an explicit override.
-EXHAUSTIVE_N_LIMIT = 24
 
 
 def distinct_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,15 +254,14 @@ def best_pattern(rows: np.ndarray, above: np.ndarray) -> tuple[int, int]:
     return sure + best_count, best_index
 
 
-def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[BinaryAssignment, Fraction]:
+def erm_binary_halfspace(sample: Sample) -> tuple[BinaryAssignment, Fraction]:
     """Exhaustive empirical risk minimization over homogeneous +-1-weight halfspaces.
 
     Enumerates all 2^n weight patterns and returns a minimizer of the
     empirical error of x -> sign(<w, x>) together with that error.  Ties are
     broken by the lexicographically smallest pattern under +1 < -1, so the
     result is reproducible (an empty sample ties everything and yields the
-    all-(+1) weights with error 0).  Guarded at n <= 24 unless ``force`` is
-    set.
+    all-(+1) weights with error 0).
 
     An example (x, y) is right iff <w, y x> > -1 for y = +1 (sign(0) = +1) and
     > 0 for y = -1, which is one :func:`best_pattern` row.
@@ -274,8 +269,6 @@ def erm_binary_halfspace(sample: Sample, *, force: bool = False) -> tuple[Binary
     m, n = len(sample), sample.n
     if m == 0:
         return BinaryAssignment((1,) * n), Fraction(0)
-    if n > EXHAUSTIVE_N_LIMIT and not force:
-        raise GuardError(f"ERM enumerates 2^{n} patterns; the guard stops n > {EXHAUSTIVE_N_LIMIT} unless forced")
 
     rows = np.zeros((m, n + 1), dtype=np.int8)  # column 0 takes the padding
     np.put_along_axis(rows, np.abs(sample.items), np.sign(sample.items) * sample.y[:, None], axis=1)

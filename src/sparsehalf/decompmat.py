@@ -23,7 +23,7 @@ The verifier and the Dykstra feasibility test read the same gaps
 one function.  Their tolerances, the certifier's iteration budget and its
 bisection resolution are module constants, not keywords.  The certified
 value is an upper bound on the true minimal beta up to those tolerances.
-Dense float64 matrices only; ``check_certify_size`` guards the certifier.
+Dense float64 matrices only.
 
 A certificate file holds ``dim <d>``, ``beta <value>``, then P and N in
 :mod:`sparsehalf.core`'s float-matrix codec: ``%.17g`` per entry, byte for
@@ -39,10 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import format_float_rows, read_float_rows
-from .errors import FormatError, GuardError, NumericError
-
-#: dimension guard for the dense eigen/projection paths
-MAX_CERTIFY_DIM = 256
+from .errors import FormatError, NumericError
 
 #: the verifier's tolerances: on max|P - N - sym(W)|, on the PSD deficit (the
 #: negated smallest eigenvalue), on the diagonal excess over beta, and on
@@ -178,12 +175,6 @@ def spectral_split(M: np.ndarray) -> Decomposition:
     return Decomposition(P, N, beta)
 
 
-def check_certify_size(n: int, m: int) -> None:
-    """GuardError if an n x m matrix is beyond the certifier: its symmetrization is n + m wide."""
-    if n + m > MAX_CERTIFY_DIM:
-        raise GuardError(f"certifier limited to n+m <= {MAX_CERTIFY_DIM}: got {n + m}")
-
-
 def triangular_matrix(n: int) -> np.ndarray:
     """The n x n sign matrix with +1 on and above the diagonal, -1 below."""
     if n < 1:
@@ -282,7 +273,6 @@ def certify_min_beta(W: np.ndarray) -> tuple[float, Decomposition]:
     ``verify_decomposition`` at the module tolerances.
     """
     W = check_sign_matrix(np.asarray(W))
-    check_certify_size(*W.shape)
     S = symmetrize(W)
     spectral = spectral_split(S)
 

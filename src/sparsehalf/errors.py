@@ -7,7 +7,7 @@ input and bad usage (``FormatError`` and any other ``ValueError``) -> 2.
 
 
 class GuardError(RuntimeError):
-    """An exhaustive or dense-linear-algebra path was asked to exceed its size guard."""
+    """A command asked an exhaustive or dense-linear-algebra path to exceed its size guard; the CLI raises it."""
 
     exit_code = 3
 

@@ -26,14 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    EXHAUSTIVE_N_LIMIT,
-    BinaryAssignment,
-    Sample,
-    assignment_from_index,
-    best_pattern,
-)
-from .errors import FormatError, GuardError
+from .core import BinaryAssignment, Sample, assignment_from_index, best_pattern
+from .errors import FormatError
 from .rng import generator
 
 
@@ -109,15 +103,13 @@ class FormulaSourceConfig:
             raise ValueError("planted assignment length must equal n")
 
 
-def formula_value(phi: Formula, *, force: bool = False) -> tuple[Fraction, BinaryAssignment]:
+def formula_value(phi: Formula) -> tuple[Fraction, BinaryAssignment]:
     """Exact best satisfied-clause fraction over all 2^n assignments, with a witness.
 
-    The witness is the first maximizer in lexicographic order (+1 < -1).
-    Guarded at n <= 24 unless ``force`` is set.  A clause's row holds its
-    literal signs on its variables and is compared against ``ABOVE[kind]``.
+    The witness is the first maximizer in lexicographic order (+1 < -1).  A
+    clause's row holds its literal signs on its variables and is compared
+    against ``ABOVE[kind]``.
     """
-    if phi.n > EXHAUSTIVE_N_LIMIT and not force:
-        raise GuardError(f"formula value enumerates 2^{phi.n} assignments; the guard stops n > {EXHAUSTIVE_N_LIMIT} unless forced")
     if phi.m == 0:
         raise ValueError("formula has no clauses")
     rows = np.zeros((phi.m, phi.n), dtype=np.int8)

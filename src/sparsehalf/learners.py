@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Sample, distinct_rows, erm_binary_halfspace
-from .errors import GuardError, NumericError
+from .errors import NumericError
 from .predictors import (
     BinaryHalfspacePredictor,
     CompositePredictor,
@@ -31,13 +31,6 @@ from .predictors import (
 )
 from .realizations import group_rows, part_names, realize_c2, route_rows
 from .rng import derive_seed, generator
-
-#: Bytes of score matrices an h2 or h3 model may hold unless forced.  An h2
-#: model holds three dense n x n float64 matrices (parts r = 0, +-2), an h3
-#: model one h2 model per first-nonzero part and the residual: 2n - 3 of them.
-MATRIX_BYTE_BUDGET = 1 << 28
-H2_N_LIMIT = math.isqrt(MATRIX_BYTE_BUDGET // (3 * 8))
-H3_N_LIMIT = max(n for n in range(2, H2_N_LIMIT) if (2 * n - 3) * 3 * 8 * n * n <= MATRIX_BYTE_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -227,23 +220,15 @@ def partition_learn(sample: Sample, kind: str, train: Callable[[int, Sample], Tr
     return CompositePredictor(kind, sample.n, trained)
 
 
-def _check_size(n: int, limit: int, what: str, force: bool) -> None:
-    if n > limit and not force:
-        raise GuardError(f"{what} holds dense n x n score matrices; the guard stops n > {limit} "
-                         f"({MATRIX_BYTE_BUDGET >> 20} MiB) unless forced")
-
-
-def learn_h2(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = False) -> CompositePredictor:
+def learn_h2(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredictor:
     """Learner for halfspaces over at-most-2-sparse instances.
 
     Partitions by coordinate sum.  The sum parts r in {0, +-2} are realized
     as matrix cells and trained with ``matrix_mw_learn`` (sum pairs also fill
     the mirrored cell); the singleton parts r = +-1 are plain per-cell
-    majority, which is exact empirical risk minimization there.  Guarded at
-    n <= ``H2_N_LIMIT`` unless ``force`` is set.
+    majority, which is exact empirical risk minimization there.
     """
     cfg = cfg or LearnerConfig()
-    _check_size(sample.n, H2_N_LIMIT, "learn_h2", force)
     n = sample.n
 
     def train(part: int, part_sample: Sample) -> TrainedPredictor:
@@ -260,7 +245,7 @@ def learn_h2(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = 
     return partition_learn(sample, "c2", train)
 
 
-def learn_h3(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = False) -> CompositePredictor:
+def learn_h3(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredictor:
     """Learner for halfspaces over at-most-3-sparse instances.
 
     Partitions by first nonzero coordinate; each such part is reduced to an
@@ -268,13 +253,12 @@ def learn_h3(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = 
     ``learn_h2``.  The residual part (first nonzero beyond n-2, or the zero
     vector) is already 2-sparse and learned directly.  The 2n-3 parts are
     fitted one after another in this process; each part's seed derives from
-    its part number.  Guarded at n <= ``H3_N_LIMIT`` unless ``force`` is set.
+    its part number.
     """
     cfg = cfg or LearnerConfig()
-    _check_size(sample.n, H3_N_LIMIT, "learn_h3", force)
 
     def train(part: int, part_sample: Sample) -> TrainedPredictor:
-        return learn_h2(part_sample, replace(cfg, seed=derive_seed(cfg.seed, 3, part)), force=force)
+        return learn_h2(part_sample, replace(cfg, seed=derive_seed(cfg.seed, 3, part)))
 
     return partition_learn(sample, "c3", train)
 
@@ -282,18 +266,14 @@ def learn_h3(sample: Sample, cfg: LearnerConfig | None = None, *, force: bool = 
 LEARNER_NAMES = ("table", "h2", "h3", "erm-binary")
 
 
-def make_learner(name: str, cfg: LearnerConfig, *, force: bool = False) -> Callable[[Sample], TrainedPredictor]:
+def make_learner(name: str, cfg: LearnerConfig) -> Callable[[Sample], TrainedPredictor]:
     """Named training procedure as a Sample -> TrainedPredictor callable."""
     if name == "table":
         return table_majority_learn
     if name == "h2":
-        return lambda sample: learn_h2(sample, cfg, force=force)
+        return lambda sample: learn_h2(sample, cfg)
     if name == "h3":
-        return lambda sample: learn_h3(sample, cfg, force=force)
+        return lambda sample: learn_h3(sample, cfg)
     if name == "erm-binary":
-        def train(sample: Sample) -> TrainedPredictor:
-            psi, _ = erm_binary_halfspace(sample, force=force)
-            return BinaryHalfspacePredictor(psi)
-
-        return train
+        return lambda sample: BinaryHalfspacePredictor(erm_binary_halfspace(sample)[0])
     raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_NAMES}")

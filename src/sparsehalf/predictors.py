@@ -27,7 +27,7 @@ import numpy as np
 from .core import (BinaryAssignment, Sample, distinct_rows, format_float_rows, format_instance, read_float_rows,
                    read_rows, read_text)
 from .errors import FormatError
-from .realizations import group_rows, part_names, part_of_c2, realize_c2, route_rows
+from .realizations import group_rows, part_name, part_names, part_of_c2, part_of_name, realize_c2, route_rows
 
 #: The label of an unseen instance and of a part with no examples.
 DEFAULT_LABEL = 1
@@ -136,7 +136,7 @@ class CompositePredictor(TrainedPredictor):
     """Routes each instance to the child trained on its part; empty parts say +1.
 
     ``router_name`` names the partition, ``"c2"`` or ``"c3"``; children are
-    keyed by part number, and only by those ``realizations.part_names`` lists.
+    keyed by part number, and only by parts that ``realizations.part_name`` keys.
     """
 
     router_name: str
@@ -144,7 +144,8 @@ class CompositePredictor(TrainedPredictor):
     children: dict[int, TrainedPredictor] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if unknown := sorted(self.children.keys() - part_names(self.router_name, self.n).keys()):
+        part_name(self.router_name, self.n, 0)  # ValueError for an unknown router
+        if unknown := sorted(part for part in self.children if part_name(self.router_name, self.n, part) is None):
             raise ValueError(f"the {self.router_name} partition has no part {unknown[0]} at n={self.n}")
 
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
@@ -271,7 +272,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
             raise FormatError(f"{tag} node, line {line}: header is 'composite <router> <n> <children>'")
         router_name, (n, count) = header[1], _numbers(header[2:], tag, line)
         try:
-            keys = {name: part for part, name in part_names(router_name, n).items()}
+            part_name(router_name, n, 0)
         except ValueError as exc:  # unknown router
             raise FormatError(f"{tag} node, line {line}: {exc}") from None
         if count < 0:
@@ -281,7 +282,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
             where, part_line = f"{tag} node, line {reader.pos + 1}", reader.next().split()
             if len(part_line) != 2 or part_line[0] != "part":
                 raise FormatError(f"{where}: expected 'part <key>' line, got {' '.join(part_line)!r}")
-            part = keys.get(part_line[1])
+            part = part_of_name(router_name, n, part_line[1])
             if part is None:
                 raise FormatError(f"{where}: part key {part_line[1]!r} names no {router_name} part at n={n}")
             if part in children:

@@ -14,7 +14,7 @@ Routing answers for a whole instance matrix, in the signed-index form of
 :class:`sparsehalf.core.Sample`, at once.  A part is numbered by one small
 integer, which also derives its seed: r + 2 for coordinate-sum part r,
 2i + (0 if b > 0 else 1) for first-nonzero part (i, b), and 0 for the
-residual.  ``part_names`` alone lists, orders and keys a partition's parts.
+residual.  ``part_name`` and ``part_of_name`` key one part, ``part_names`` all.
 """
 
 from __future__ import annotations
@@ -86,12 +86,29 @@ def group_rows(parts: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(present.tolist(), np.split(order, starts[1:])))
 
 
-def part_names(kind: str, n: int) -> dict[int, str]:
-    """Every part of the ``"c2"`` or ``"c3"`` partition at n, in training and model-file order, to its key.
-
-    Keys read ``r=-2`` .. ``r=2`` under c2; under c3, ``i=<i>,b=<+-1>`` in ascending part order, then ``residual``."""
+def part_name(kind: str, n: int, part: int) -> str | None:
+    """The key of one part of the ``"c2"`` or ``"c3"`` partition at n, or None if the partition has no such part:
+    ``r=-2`` .. ``r=2`` under c2, ``i=<i>,b=<+-1>`` or ``residual`` under c3."""
     if kind == "c2":
-        return {r + 2: f"r={r}" for r in range(-2, 3)}
+        return f"r={part - 2}" if 0 <= part <= 4 else None
     if kind == "c3":
-        return {**{2 * i + (b < 0): f"i={i},b={b:+d}" for i in range(1, n - 1) for b in (1, -1)}, 0: "residual"}
+        if part == 0:
+            return "residual"
+        i, negative = divmod(part, 2)
+        return f"i={i},b={-1 if negative else 1:+d}" if 1 <= i <= n - 2 else None
     raise ValueError(f"unknown router {kind!r}")
+
+
+def part_of_name(kind: str, n: int, name: str) -> int | None:
+    """The part whose key is ``name``, or None: the key is parsed, and must write back as the same text."""
+    number, _, sign = name[2:].partition(",b=")  # past 'r=' or 'i='
+    try:
+        part = 0 if name == "residual" else int(number) + 2 if kind == "c2" else 2 * int(number) + (sign[:1] == "-")
+    except ValueError:
+        return None
+    return part if part_name(kind, n, part) == name else None
+
+
+def part_names(kind: str, n: int) -> dict[int, str]:
+    """Every part of the partition at n, to its key, in training and model-file order: c3's residual last."""
+    return {part: part_name(kind, n, part) for part in (range(5) if kind == "c2" else [*range(2, 2 * n - 2), 0])}

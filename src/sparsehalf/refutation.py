@@ -37,7 +37,6 @@ class RefuterConfig:
     learner: str = "erm-binary"
     learner_config: LearnerConfig = field(default_factory=LearnerConfig)
     seed: int = 0
-    force: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.fraction <= 1:
@@ -146,7 +145,7 @@ def refute(phi: Formula, cfg: RefuterConfig) -> Verdict:
     picks = generator(cfg.seed, 1).integers(0, len(full), size=take)
     subsample = Sample(full.k, full.n, full.items[picks], full.y[picks])
     learner_cfg = replace(cfg.learner_config, seed=derive_seed(cfg.seed, 2))
-    hypothesis = make_learner(cfg.learner, learner_cfg, force=cfg.force)(subsample)
+    hypothesis = make_learner(cfg.learner, learner_cfg)(subsample)
     error = empirical_error(hypothesis, full)
     kind = EXCEPTIONAL if error <= Fraction(cfg.threshold) else TYPICAL
     return Verdict(kind, error)

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,11 +15,11 @@ import pytest
 
 from oracles import core_env, eval_clause, frozen_core_env, runnable_openblas_cores, sample_formula_stepwise
 from sparsehalf import cli, core
-from sparsehalf.cli import build_parser, main
+from sparsehalf.cli import H2_N_LIMIT, H3_N_LIMIT, MATRIX_BYTE_BUDGET, build_parser, main
 from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
 from sparsehalf.formulas import FormulaKind, FormulaSourceConfig, parse_formula, serialize_formula
-from sparsehalf.learners import H3_N_LIMIT, LearnerConfig, learn_h3
+from sparsehalf.learners import LearnerConfig, learn_h3
 from sparsehalf.predictors import BinaryHalfspacePredictor
 from sparsehalf.rng import derive_seed
 
@@ -283,6 +284,21 @@ class TestReadersAllocateWhatTheFileHolds:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: header k=2000000000 pads 1 rows")
 
+    def test_composite_header_n_lists_no_parts(self, tmp_path):
+        """A c3 composite at n = 2e9 has 4e9 - 3 parts: the reader and the constructor check the one part key
+        the file holds, and list none.  Under a 2 GB address-space limit, so that the test cannot exhaust the
+        machine; listing the parts would end in a MemoryError traceback after about 10 s."""
+        model, data = tmp_path / "m", tmp_path / "d"
+        model.write_text("composite c3 2000000000 1\npart i=1999999998,b=-1\ntable 2000000000 2 0\n")
+        data.write_text("# sparse-sample n=2000000000 k=3\n+1 1:+1 2:-1 7:+1\n")
+        limit = 2 << 30
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "eval", "--model", str(model), "--data", str(data)],
+                              capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "err 0 0/1\n", "")
+        assert time.perf_counter() - start < 1.0
+
 
 class TestMatrixGuard:
     def test_h3_above_the_limit_exits_3(self, tmp_path, capsys):
@@ -292,6 +308,66 @@ class TestMatrixGuard:
         assert run("learn", "--algo", "h3", "--train", str(data), "--model", str(tmp_path / "m")) == 3
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
+
+
+ERM_25 = "error: ERM enumerates 2^25 patterns; the guard stops n > 24 unless forced"
+H3_179 = "error: learn_h3 holds dense n x n score matrices; the guard stops n > 178 (256 MiB) unless forced"
+#: case -> (argv, exit code, stderr, files written); inputs are read from {in}/, outputs go to {out}/
+GATE_CASES = {
+    "val": (["val", "--in", "{in}/f25.maj3"], 3,
+            "error: formula value enumerates 2^25 assignments; the guard stops n > 24 unless forced", []),
+    "val-force": (["val", "--in", "{in}/f25.maj3", "--force"], 0,
+                  "force: exhaustive pass over 2^25 patterns x 2 rows, ~1.34e+08 pattern-terms (~0.0 s)", []),
+    "learn-erm-binary": (["learn", "--algo", "erm-binary", "--train", "{in}/s25.sample", "--model", "{out}/m"], 3,
+                         ERM_25, []),
+    "learn-h3": (["learn", "--algo", "h3", "--train", "{in}/s179.sample", "--model", "{out}/m"], 3, H3_179, []),
+    "learn-h2": (["learn", "--algo", "h2", "--train", "{in}/s3345.sample", "--model", "{out}/m"], 3,
+                 "error: learn_h2 holds dense n x n score matrices; the guard stops n > 3344 (256 MiB) unless forced",
+                 []),
+    "learn-table": (["learn", "--algo", "table", "--train", "{in}/s3345.sample", "--model", "{out}/m"], 0, "",
+                    ["m", "m.manifest.json"]),
+    "refute-erm-binary": (["refute", "--in", "{in}/f25.maj3"], 3, ERM_25, []),
+    "refute-h3": (["refute", "--in", "{in}/f179.maj3", "--algo", "h3"], 3, H3_179, []),
+    "game": (["game", "--n", "25", "--delta", "1", "--trials", "1", "--out", "{out}/g.csv"], 3, ERM_25, []),
+    "game-h3": (["game", "--n", "179", "--delta", "1", "--trials", "1", "--algo", "h3", "--out", "{out}/g.csv"], 3,
+                H3_179, []),
+    "tradeoff-erm-binary": (["tradeoff", "--n", "25", "--algos", "erm-binary", "--sizes", "4", "--test-size", "8",
+                             "--out", "{out}/t.csv"], 3, ERM_25, []),
+    "tradeoff-erm-binary-force": (["tradeoff", "--n", "25", "--algos", "erm-binary", "--sizes", "4", "--test-size", "8",
+                                   "--force", "--out", "{out}/t.csv"], 0,
+                                  "force: exhaustive pass over 2^25 patterns x 4 rows, "
+                                  "~2.68e+08 pattern-terms (~0.0 s)", ["t.csv", "t.csv.manifest.json"]),
+    "tradeoff-h3": (["tradeoff", "--n", "179", "--algos", "table,h3", "--sizes", "10", "--test-size", "4",
+                     "--out", "{out}/t.csv"], 3, H3_179, []),
+    "certify-beta": (["certify-beta", "--n", "129", "--out", "{out}/t.cert"], 3,
+                     "error: certifier limited to n+m <= 256: got 258", []),
+}
+
+
+class TestSizeGate:
+    """Every size guard is the CLI's: one line, exit 3, no traceback and no file; --force lifts it."""
+
+    def test_limits_follow_the_byte_budget(self):
+        assert 3 * 8 * H2_N_LIMIT**2 <= MATRIX_BYTE_BUDGET < 3 * 8 * (H2_N_LIMIT + 1) ** 2
+        h3_bytes = lambda n: (2 * n - 3) * 3 * 8 * n * n  # noqa: E731
+        assert h3_bytes(H3_N_LIMIT) <= MATRIX_BYTE_BUDGET < h3_bytes(H3_N_LIMIT + 1)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        (d / "f25.maj3").write_text("p maj3 25 2\n1 -2 3 0\n-4 5 25 0\n")
+        (d / "f179.maj3").write_text("p maj3 179 2\n1 -2 3 0\n-4 5 179 0\n")
+        (d / "s25.sample").write_text("# sparse-sample n=25 k=3\n+1 1:+1 2:-1 25:+1\n")
+        (d / "s179.sample").write_text("# sparse-sample n=179 k=3\n+1 1:+1 2:-1 179:+1\n")
+        (d / "s3345.sample").write_text("# sparse-sample n=3345 k=2\n+1 1:+1 2:-1\n-1 3345:+1\n")
+        return d
+
+    @pytest.mark.parametrize("case", GATE_CASES)
+    def test_each_command_meets_the_gate_once(self, tmp_path, inputs, case):
+        argv, code, line, written = GATE_CASES[case]
+        proc = cli_process(*(a.format(**{"in": inputs, "out": tmp_path}) for a in argv))
+        assert (proc.returncode, proc.stderr) == (code, line + "\n" if line else "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 class TestSampleBytes:
@@ -641,6 +717,17 @@ class TestTradeoff:
         assert run("tradeoff", "--n", "6", "--algos", "table", "--sizes", "8", "--trials", trials,
                    "--out", str(tmp_path / "t.csv")) == 2
         assert capsys.readouterr().err == f"error: --trials must be at least 1: got {trials}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_h3_refusal_comes_before_the_draw(self, tmp_path):
+        """4e8 training rows would take 4.47 GiB; under a 2 GB address-space limit, so that the test cannot
+        exhaust the machine, drawing them before the h3 guard would end in a MemoryError traceback."""
+        limit = 2 << 30
+        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "tradeoff", "--n", "179", "--algos", "table,h3",
+                               "--sizes", "400000000", "--test-size", "4", "--out", str(tmp_path / "t.csv")],
+                              capture_output=True, text=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", H3_179 + "\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_non_integer_size_names_the_flag_and_its_value(self, tmp_path, capsys):

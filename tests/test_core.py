@@ -37,7 +37,7 @@ from sparsehalf.core import (
     sample_exact_sparse,
     serialize_sample,
 )
-from sparsehalf.errors import FormatError, GuardError
+from sparsehalf.errors import FormatError
 from sparsehalf.formulas import FormulaKind, FormulaSourceConfig, formula_to_sample, formula_value, sample_formula
 
 
@@ -181,11 +181,6 @@ class TestErmBinaryHalfspace:
         psi, err = erm_binary_halfspace(Sample(3, 4, (), ()))
         assert psi.bits == (1, 1, 1, 1)
         assert err == 0
-
-    def test_guard(self):
-        s = sample_of(3, 25, [sv(25, (1, 1))], [1])
-        with pytest.raises(GuardError):
-            erm_binary_halfspace(s)
 
     def test_optimal_against_exhaustive_recount(self):
         # independent oracle: empirical error of every +-1 pattern via the scalar path

@@ -37,7 +37,7 @@ from sparsehalf.decompmat import (
     verify_decomposition,
     write_decomposition,
 )
-from sparsehalf.errors import FormatError, GuardError
+from sparsehalf.errors import FormatError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPECTRAL_BETA_T8 = 1.1435080342292838  # frozen from the eigendecomposition
@@ -298,10 +298,6 @@ class TestCertifier:
         assert calls == []
         assert beta == pytest.approx(spectral_split(symmetrize(W)).beta)
         assert verify_decomposition(W, dec).ok
-
-    def test_dimension_guard(self):
-        with pytest.raises(GuardError):
-            certify_min_beta(np.ones((200, 200)))
 
     def test_dykstra_certificate_bytes(self):
         # the 17-digit entries depend on the BLAS kernel: run with the recording's, BLAS on one thread

@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 
 from oracles import clause_to_example, eval_clause, iter_all_clauses, predict, sample_formula_stepwise, to_dense, vectors
 from sparsehalf.core import BinaryAssignment, assignment_from_index, empirical_error
-from sparsehalf.errors import FormatError, GuardError
+from sparsehalf.errors import FormatError
 from sparsehalf.formulas import (
     Formula,
     FormulaKind,
@@ -136,11 +136,6 @@ class TestFormulaValue:
             for i in range(2**7)
         )
         assert formula_value(phi)[0] == Fraction(best, phi.m)
-
-    def test_guard(self):
-        phi = Formula(25, MAJ, [[1, 2, 3]])
-        with pytest.raises(GuardError):
-            formula_value(phi)
 
 
 class TestSampleFormula:

@@ -31,11 +31,8 @@ from sparsehalf.core import (
     erm_binary_halfspace,
     sample_exact_sparse,
 )
-from sparsehalf.errors import GuardError, NumericError
+from sparsehalf.errors import NumericError
 from sparsehalf.learners import (
-    H2_N_LIMIT,
-    H3_N_LIMIT,
-    MATRIX_BYTE_BUDGET,
     LearnerConfig,
     learn_h2,
     learn_h3,
@@ -460,18 +457,3 @@ class TestMakeLearner:
             assert predict(pred, vectors(s.items[:1], s.n)[0]) in (-1, 1)
         with pytest.raises(ValueError):
             make_learner("nope", cfg)
-
-
-class TestMatrixSizeGuard:
-    def test_limits_follow_the_byte_budget(self):
-        assert 3 * 8 * H2_N_LIMIT**2 <= MATRIX_BYTE_BUDGET < 3 * 8 * (H2_N_LIMIT + 1) ** 2
-        h3_bytes = lambda n: (2 * n - 3) * 3 * 8 * n * n  # noqa: E731
-        assert h3_bytes(H3_N_LIMIT) <= MATRIX_BYTE_BUDGET < h3_bytes(H3_N_LIMIT + 1)
-
-    @pytest.mark.parametrize("learn,limit", [(learn_h2, H2_N_LIMIT), (learn_h3, H3_N_LIMIT)])
-    def test_guard_stops_above_the_limit_only(self, learn, limit):
-        with pytest.raises(GuardError):
-            learn(sample_of(2, limit + 1, [sv(limit + 1, (1, 1))], [1]))
-        with pytest.raises(GuardError):
-            make_learner("h2" if learn is learn_h2 else "h3", LearnerConfig())(Sample(2, limit + 1, (), ()))
-        assert learn(Sample(2, limit, (), ())).children == {}

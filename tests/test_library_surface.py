@@ -70,3 +70,21 @@ def test_the_search_follows_chains_of_unused_names():
                               "LIMIT = 3\n"
                               "used()\n")}
     assert unused_names(trees) == {"lib.helper", "lib.entry", "lib.LIMIT"}
+
+
+def test_size_guards_live_in_the_cli_alone():
+    """Only cli.py raises GuardError, and no library function or config takes a ``force`` that lifts a guard."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    raisers = {module for module, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.Raise)
+               and any(isinstance(n, ast.Name) and n.id == "GuardError" for n in ast.walk(node))}
+    assert raisers == {"cli"}
+    forced = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree) if module != "cli" else ():
+            if isinstance(node, ast.FunctionDef):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                forced.update(f"{module}.{node.name}" for a in params if a.arg == "force")
+            elif isinstance(node, ast.ClassDef):
+                forced.update(f"{module}.{node.name}" for field in node.body
+                              if isinstance(field, ast.AnnAssign) and getattr(field.target, "id", None) == "force")
+    assert sorted(forced) == []

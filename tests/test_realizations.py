@@ -15,7 +15,9 @@ from oracles import (
 )
 from sparsehalf.realizations import (
     group_rows,
+    part_name,
     part_names,
+    part_of_name,
     part_of_c2,
     part_of_c3,
     realize_c2,
@@ -258,3 +260,24 @@ class TestPartNames:
     def test_unknown_partition(self):
         with pytest.raises(ValueError, match="unknown router 'c9'"):
             part_names("c9", 4)
+        with pytest.raises(ValueError, match="unknown router 'c9'"):
+            part_name("c9", 4, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("kind", ["c2", "c3"])
+    def test_one_key_reads_back_to_its_part(self, kind, n):
+        names = part_names(kind, n)
+        assert {part: part_of_name(kind, n, name) for part, name in names.items()} == {p: p for p in names}
+        assert all(part_name(kind, n, part) is None for part in range(-3, 2 * n + 3) if part not in names)
+
+    @pytest.mark.parametrize("kind,name", [
+        ("c2", "r=3"), ("c2", "r=--1"), ("c2", "r=+1"), ("c2", "r=01"), ("c2", "r= 1"), ("c2", "residual"),
+        ("c2", "i=1,b=+1"), ("c3", "i=3,b=+1"), ("c3", "i=0,b=+1"), ("c3", "i=1,b=-7"), ("c3", "i=1,b=1"),
+        ("c3", "i=1"), ("c3", "i=01,b=+1"), ("c3", "i=\u0661,b=+1"), ("c3", "r=0"), ("c3", ""), ("c3", "residual "),
+    ])
+    def test_a_key_that_writes_back_otherwise_names_no_part(self, kind, name):
+        assert part_of_name(kind, 4, name) is None
+
+    def test_one_key_at_any_n(self):
+        assert part_of_name("c3", 2 * 10**9, "i=1999999998,b=-1") == 4 * 10**9 - 3
+        assert part_name("c3", 2 * 10**9, 4 * 10**9 - 3) == "i=1999999998,b=-1"

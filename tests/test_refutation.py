@@ -60,7 +60,7 @@ class TestRefute:
 
         seen = {}
 
-        def spy(name, cfg, force=False):
+        def spy(name, cfg):
             def train(sample):
                 seen["size"] = len(sample)
                 from sparsehalf.learners import table_majority_learn
