@@ -101,13 +101,13 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float)
     _write(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _check_size(args: argparse.Namespace, what: list[str], n: int, rows: list[int], k: int = 3) -> None:
+def _check_size(args: argparse.Namespace, what: list[str], n: int, fits: dict[int, int], k: int = 3) -> None:
     """GuardError for the first of ``what`` past its limit at n, or with ``--force`` the price of the exhaustive
-    passes, one per entry of ``rows``: that many k-sparse examples, where ERM over none enumerates nothing."""
+    passes, ``fits[r]`` of them over r k-sparse examples each, where ERM over none enumerates nothing."""
     force = getattr(args, "force", False)  # certify-beta has no --force
     for name in what:
         limit, refusal = _LIMITS.get(name, (math.inf, ""))  # the table learner has no guard
-        if n > limit and not force and (name != "erm-binary" or any(rows)):
+        if n > limit and not force and (name != "erm-binary" or any(fits)):
             raise GuardError(refusal.format(n=n, limit=limit))
     if not force or n <= EXHAUSTIVE_N_LIMIT or not {"val", "erm-binary"} & set(what):
         return
@@ -115,11 +115,12 @@ def _check_size(args: argparse.Namespace, what: list[str], n: int, rows: list[in
     # about 6e8 a second, then multiplies 2^n x R pattern-terms, R <= (floor(k/2) + 1) r, and <= 4n + 2 for k <= 3,
     # at about 2.4e10 a second (both measured at n = 20-24 on one core of a 2-CPU Intel Xeon at 2.0 GHz)
     per_row = k // 2 + 1
-    terms = (1 << n) * sum(min(per_row * r, 4 * n + 2) if k <= 3 else per_row * r for r in rows)
+    terms = (1 << n) * sum(c * (min(per_row * r, 4 * n + 2) if k <= 3 else per_row * r) for r, c in fits.items())
+    rows, count = sum(r * c for r, c in fits.items()), sum(fits.values())
     halves = (1 << (n - SPLIT_BITS)) + (1 << SPLIT_BITS)  # n > SPLIT_BITS
-    seconds = terms / 2.4e10 + per_row * sum(rows) * halves / 6e8
-    passes = "exhaustive pass" if len(rows) == 1 else f"{len(rows)} exhaustive passes"
-    print(f"force: {passes} over 2^{n} patterns x {sum(rows)} rows, "
+    seconds = terms / 2.4e10 + per_row * rows * halves / 6e8
+    passes = "exhaustive pass" if count == 1 else f"{count} exhaustive passes"
+    print(f"force: {passes} over 2^{n} patterns x {rows} rows, "
           f"~{terms:.3g} pattern-terms (~{seconds:.1f} s)", file=sys.stderr)
 
 
@@ -168,7 +169,7 @@ def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
 
 def cmd_val(args: argparse.Namespace) -> None:
     phi = parse_formula(read_text(args.infile))
-    _check_size(args, ["val"], phi.n, [phi.m])
+    _check_size(args, ["val"], phi.n, {phi.m: 1})
     value, _ = formula_value(phi)
     print(f"val {_fmt(value)} {value.numerator}/{value.denominator}")
 
@@ -181,7 +182,7 @@ def cmd_to_sample(args: argparse.Namespace) -> list[str]:
 def cmd_learn(args: argparse.Namespace) -> list[str]:
     sample = parse_sample(read_text(args.train))
     cfg = _learner_config(args, args.seed)
-    _check_size(args, [args.algo], sample.n, [len(sample)], sample.k)
+    _check_size(args, [args.algo], sample.n, {len(sample): 1}, sample.k)
     write_predictor(args.model, make_learner(args.algo, cfg)(sample))
     return [args.model]
 
@@ -196,7 +197,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
 def cmd_refute(args: argparse.Namespace) -> None:
     phi = parse_formula(read_text(args.infile))
     cfg = _refuter_config(args, args.seed)
-    _check_size(args, [args.algo], phi.n, [math.ceil(cfg.fraction * phi.m)])  # the learner sees the subsample
+    _check_size(args, [args.algo], phi.n, {math.ceil(cfg.fraction * phi.m): 1})  # the learner sees the subsample
     verdict = refute(phi, cfg)
     print(f"{verdict.kind} err={_fmt(verdict.error)} "
           f"({verdict.error.numerator}/{verdict.error.denominator})")
@@ -212,8 +213,8 @@ def cmd_game(args: argparse.Namespace) -> list[str]:
         base_seed=args.seed,
     )
     refuter = _refuter_config(args)
-    rounds = [math.ceil(refuter.fraction * game.clause_count)] * len(game.modes) * game.trials  # one fit per round
-    _check_size(args, [args.algo], game.n, rounds)
+    fits = {math.ceil(refuter.fraction * game.clause_count): len(game.modes) * game.trials}  # one fit per round
+    _check_size(args, [args.algo], game.n, fits)
     stats = refutation_game(game, refuter)
     fixed = f"{game.n},{_fmt(game.delta)},{_fmt(game.mu)},{_fmt(refuter.fraction)}"  # the same in every round
     _write(args.out, "mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n" + "".join(
@@ -244,7 +245,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
         raise ValueError(f"--trials must be at least 1: got {args.trials}")
     _learner_config(args, args.seed)  # --beta, --eta and --epochs are checked before any draw
     n = args.n
-    _check_size(args, algos, n, sizes * args.trials)  # one fit per size and trial
+    _check_size(args, algos, n, {m: sizes.count(m) * args.trials for m in sizes})  # one fit per size and trial
 
     lines = ["algo,n,m,trial,train_err,test_err,wall_ms"]
     for trial in range(args.trials):
@@ -267,7 +268,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_certify_beta(args: argparse.Namespace) -> list[str]:
-    _check_size(args, ["certify-beta"], 2 * args.n, [])  # T_n's symmetrization is 2n wide
+    _check_size(args, ["certify-beta"], 2 * args.n, {})  # T_n's symmetrization is 2n wide
     W = triangular_matrix(args.n)
     beta_hat, dec = certify_min_beta(W)
     write_decomposition(args.out, dec)

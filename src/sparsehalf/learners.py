@@ -1,11 +1,11 @@
 """Training procedures: majority table, score-matrix learner, partition glue.
 
 ``table_majority_learn`` is the sample-hungry baseline: per-instance majority
-with unseen instances defaulting to +1.  ``matrix_mw_learn`` learns +-1 cell
-labels of an n x m matrix through a trace-capped positive semidefinite pair,
-updated by matrix exponentiated gradient on the hinge loss and converted
-online-to-batch by averaging the per-iterate margins; the iterate changes
-once per block of ``LearnerConfig.batch`` steps.  ``partition_learn``
+with unseen instances defaulting to +1.  ``matrix_mw_learn`` scores the +-1
+cell labels of an n x m matrix through a trace-capped positive semidefinite
+pair, updated by matrix exponentiated gradient on the hinge loss and
+converted online-to-batch by averaging the per-iterate margins; the iterate
+changes once per block of ``LearnerConfig.batch`` steps.  ``partition_learn``
 splits a sample along the parts of a named partition, trains one sub-learner
 per part, and routes predictions.  ``learn_h2``/``learn_h3`` compose these
 into the efficient learners for at-most-2-sparse and at-most-3-sparse
@@ -118,18 +118,15 @@ def matrix_mw_learn(
     cells: np.ndarray | Sequence[tuple[int, int, int]],
     dims: tuple[int, int],
     cfg: LearnerConfig,
-    realization: int,
-) -> MatrixPredictor:
-    """Learn +-1 labels of matrix cells by matrix exponentiated gradient.
+) -> np.ndarray:
+    """The rows x cols score matrix whose signs learn +-1 labels of matrix cells, by matrix exponentiated gradient.
 
-    ``cells`` holds one (row, col, label) triple per example, 1-based, and
-    ``realization`` tags the predictor with the coordinate-sum part r whose
-    cell map produced them.
+    ``cells`` holds one (row, col, label) triple per example, 1-based.
     Maintains a PSD pair (P, N) of size rows+cols with trace(P) + trace(N)
     capped at tau; each example incurs the hinge loss on the (P - N) margin
     at its cell, the accumulated negative gradient is exponentiated
-    spectrally and rescaled to the cap when exceeded.  The returned predictor
-    is the sign of the margins averaged over all iterates (0 -> +1).  Cells
+    spectrally and rescaled to the cap when exceeded.  The scores are the
+    margins averaged over all iterates, their sign (0 -> +1) the label.  Cells
     whose row and column no chain of training cells connects score exactly 0.
     The example order is reshuffled every epoch from the config seed, so the
     procedure is deterministic given (cells, cfg).
@@ -203,7 +200,7 @@ def matrix_mw_learn(
     steps = cfg.epochs * m
     scores = margin_sum / steps if steps else margin_sum
     scores[_cross_component(flat, dims)] = 0.0
-    return MatrixPredictor(n_rows, n_cols, scores, realization)
+    return scores
 
 
 def partition_learn(sample: Sample, kind: str, train: Callable[[int, Sample], TrainedPredictor]) -> CompositePredictor:
@@ -224,9 +221,9 @@ def learn_h2(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredi
     """Learner for halfspaces over at-most-2-sparse instances.
 
     Partitions by coordinate sum.  The sum parts r in {0, +-2} are realized
-    as matrix cells and trained with ``matrix_mw_learn`` (sum pairs also fill
-    the mirrored cell); the singleton parts r = +-1 are plain per-cell
-    majority, which is exact empirical risk minimization there.
+    as n x n matrix cells, scored by ``matrix_mw_learn`` (sum pairs also fill
+    the mirrored cell) and tagged with r; the singleton parts r = +-1 are
+    plain per-cell majority, which is exact empirical risk minimization there.
     """
     cfg = cfg or LearnerConfig()
     n = sample.n
@@ -240,7 +237,7 @@ def learn_h2(sample: Sample, cfg: LearnerConfig | None = None) -> CompositePredi
         if abs(r) == 2:  # each sum-pair cell is followed by its mirror
             cells = np.stack((cells, cells[:, [1, 0, 2]]), axis=1).reshape(-1, 3)
         child_cfg = replace(cfg, seed=derive_seed(cfg.seed, 2, part))
-        return matrix_mw_learn(cells, (n, n), child_cfg, realization=r)
+        return MatrixPredictor(n, matrix_mw_learn(cells, (n, n), child_cfg), r)
 
     return partition_learn(sample, "c2", train)
 

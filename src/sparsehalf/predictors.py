@@ -3,24 +3,26 @@
 Four node kinds, composed into trees by the composite router node:
 
 * ``table``     -- per-instance majority lookup with a +1 default;
-* ``matrix``    -- real score matrix read through a two-sparse cell map;
+* ``matrix``    -- real n x n score matrix read through a two-sparse cell map;
 * ``binary``    -- homogeneous halfspace with +-1 weights;
 * ``composite`` -- routes an instance to a per-part child predictor.
 
-Every node labels a whole instance matrix at once (``predict_many``, rows in
-the signed-index form of ``core.Sample``).
+Every node labels n-dimensional instances, a whole instance matrix at once
+(``predict_many``, rows in the signed-index form of ``core.Sample``).  Each
+constructor checks its node's rules, so every tree built reads back.
 
 Serialization is line-based text: a tagged header per node followed by its
 payload (table rows in the sparse-sample instance syntax, matrices row
 major in the float-matrix codec of :mod:`sparsehalf.core`: ``%.17g`` per
 entry, the same bytes as formatting each entry alone).  It round-trips
-byte-for-byte, and the writer streams the lines.
+byte-for-byte, and the writer streams the lines.  The reader only parses,
+and names the node and line of a constructor's ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -86,26 +88,26 @@ class MajorityTable(TrainedPredictor):
 
 @dataclass
 class MatrixPredictor(TrainedPredictor):
-    """sign of a real score matrix read at an instance's cell (0 -> +1).
+    """sign of a real n x n score matrix read at an instance's cell (0 -> +1).
 
-    ``realization`` names the coordinate-sum part r whose cell map the matrix
-    was trained under.
+    ``realization`` names the coordinate-sum part r, in -2..2, whose cell map
+    the matrix was trained under.
     """
 
-    n_rows: int
-    n_cols: int
+    n: int
     scores: np.ndarray
     realization: int
 
     def __post_init__(self) -> None:
         scores = np.array(self.scores, dtype=float)
-        if scores.shape != (self.n_rows, self.n_cols):
-            raise ValueError("score matrix shape mismatch")
+        if scores.shape != (self.n, self.n):
+            raise ValueError(f"score matrix is {'x'.join(map(str, scores.shape))}, not {self.n}x{self.n}")
+        if not -2 <= self.realization <= 2:
+            raise ValueError(f"r={self.realization} names no coordinate-sum part -2..2")
         self.scores = scores
 
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
-        if (n, n) != (self.n_rows, self.n_cols):
-            raise ValueError(f"dimension mismatch: instances have n={n}, matrix is {self.n_rows}x{self.n_cols}")
+        _check_n(self.n, n)
         parts = part_of_c2(rows)
         if (parts != self.realization).any():
             other = parts[parts != self.realization][0]
@@ -131,12 +133,20 @@ class BinaryHalfspacePredictor(TrainedPredictor):
         return np.where(margins >= 0, 1, -1).astype(np.int8)
 
 
+def _check_nesting(router_name: str, child_router: str) -> None:
+    """ValueError unless a ``router_name`` part may hold a ``child_router`` composite: c3 holds c2, c2 holds none."""
+    if router_name == "c2" or child_router != "c2":
+        allowed = "leaves" if router_name == "c2" else "c2 composites and leaves"
+        raise ValueError(f"a {router_name} part holds only {allowed}, got {f'composite {child_router}'!r}")
+
+
 @dataclass
 class CompositePredictor(TrainedPredictor):
     """Routes each instance to the child trained on its part; empty parts say +1.
 
     ``router_name`` names the partition, ``"c2"`` or ``"c3"``; children are
     keyed by part number, and only by parts that ``realizations.part_name`` keys.
+    Each child has the composite's n and nests by ``_check_nesting``; a c2 matrix child sits at its own part r.
     """
 
     router_name: str
@@ -147,6 +157,14 @@ class CompositePredictor(TrainedPredictor):
         part_name(self.router_name, self.n, 0)  # ValueError for an unknown router
         if unknown := sorted(part for part in self.children if part_name(self.router_name, self.n, part) is None):
             raise ValueError(f"the {self.router_name} partition has no part {unknown[0]} at n={self.n}")
+        for part, child in self.children.items():
+            key = part_name(self.router_name, self.n, part)
+            if isinstance(child, CompositePredictor):
+                _check_nesting(self.router_name, child.router_name)
+            if child.n != self.n:
+                raise ValueError(f"part {key} holds an n={child.n} child under n={self.n}")
+            if self.router_name == "c2" and isinstance(child, MatrixPredictor) and part != child.realization + 2:
+                raise ValueError(f"part {key} holds a matrix for r={child.realization}")
 
     def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
         _check_n(self.n, n)
@@ -172,7 +190,7 @@ def _node_lines(node: TrainedPredictor) -> Iterator[str]:
         for row, label in zip(node.rows.tolist(), node.labels.tolist()):
             yield f"{format_instance(row)} -> {label:+d}\n".lstrip()
     elif isinstance(node, MatrixPredictor):
-        yield f"matrix r={node.realization} {node.n_rows} {node.n_cols}\n"
+        yield f"matrix r={node.realization} {node.n} {node.n}\n"
         yield from format_float_rows(node.scores)
     elif isinstance(node, CompositePredictor):
         yield f"composite {node.router_name} {node.n} {len(node.children)}\n"
@@ -205,7 +223,16 @@ def _numbers(tokens: list[str], tag: str, line: int) -> list[int]:
         raise FormatError(f"{tag} node, line {line}: expected ints, got {' '.join(tokens)!r}") from None
 
 
-def _read_node(reader: _Reader) -> TrainedPredictor:
+def _built(tag: str, line: int, make: Callable[[], Any]) -> Any:
+    """``make()``, its ValueError a FormatError naming the node and the file line."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise FormatError(f"{tag} node, line {line}: {exc}") from None
+
+
+def _read_node(reader: _Reader, holder: str | None = None) -> TrainedPredictor:
+    """The node at the reader's line; ``holder`` is the router of the composite whose part it fills, if any."""
     line, header = reader.pos + 1, reader.next().split()
     if not header:
         raise FormatError(f"line {line}: empty node header")
@@ -218,10 +245,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         bits = tuple(_numbers(reader.next().split(), tag, reader.pos))
         if len(bits) != n:
             raise FormatError(f"{tag} node, line {reader.pos}: payload has {len(bits)} weights, expected {n}")
-        try:
-            return BinaryHalfspacePredictor(BinaryAssignment(bits))
-        except ValueError as exc:
-            raise FormatError(f"{tag} node, line {reader.pos}: {exc}") from None
+        return _built(tag, reader.pos, lambda: BinaryHalfspacePredictor(BinaryAssignment(bits)))
 
     if tag == "table":
         if len(header) != 4:
@@ -245,10 +269,7 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
                               f"expected '<idx>:<val> ... -> <label>', got {lines[len(rows)]!r}")
         if len(lines) < count:
             reader.next()  # unexpected end of predictor file
-        try:
-            return MajorityTable(n, k, items, labels)  # as wide as the widest row in the file, not the header's k
-        except ValueError as exc:
-            raise FormatError(f"{tag} node, line {line}: {exc}") from exc
+        return _built(tag, line, lambda: MajorityTable(n, k, items, labels))  # as wide as its widest row
 
     if tag == "matrix":
         if len(header) != 4 or not header[1].startswith("r=") or not header[1][2:].removeprefix("-").isdigit():
@@ -256,25 +277,20 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
         n_rows, n_cols = _numbers(header[2:], tag, line)
         if min(n_rows, n_cols) < 0:
             raise FormatError(f"{tag} node, line {line}: negative dimension in {n_rows}x{n_cols}")
-        realization = int(header[1][2:])
-        if not -2 <= realization <= 2:
-            raise FormatError(f"{tag} node, line {line}: r={realization} names no coordinate-sum part -2..2")
         first = reader.pos
         lines = reader.lines[first:first + n_rows]
         reader.pos += len(lines)
         scores = read_float_rows(lines, n_cols, lambda i: f"{tag} node, line {first + i + 1}", "scores")
         if len(lines) < n_rows:
             reader.next()  # unexpected end of predictor file
-        return MatrixPredictor(n_rows, n_cols, scores, realization)
+        return _built(tag, line, lambda: MatrixPredictor(n_rows, scores, int(header[1][2:])))
 
     if tag == "composite":
         if len(header) != 4:
             raise FormatError(f"{tag} node, line {line}: header is 'composite <router> <n> <children>'")
         router_name, (n, count) = header[1], _numbers(header[2:], tag, line)
-        try:
-            part_name(router_name, n, 0)
-        except ValueError as exc:  # unknown router
-            raise FormatError(f"{tag} node, line {line}: {exc}") from None
+        if holder is not None:  # before its children, so a deep file fails at its second composite
+            _built(tag, line, lambda: _check_nesting(holder, router_name))
         if count < 0:
             raise FormatError(f"{tag} node, line {line}: negative child count {count}")
         children: dict[int, TrainedPredictor] = {}
@@ -287,19 +303,8 @@ def _read_node(reader: _Reader) -> TrainedPredictor:
                 raise FormatError(f"{where}: part key {part_line[1]!r} names no {router_name} part at n={n}")
             if part in children:
                 raise FormatError(f"{where}: part {part_line[1]} appears twice")
-            child_line, nested = reader.pos + 1, " ".join(reader.lines[reader.pos:reader.pos + 1]).split()[:2]
-            if nested[:1] == ["composite"] and (router_name == "c2" or nested[1:] != ["c2"]):  # c3 > c2 > leaf
-                allowed = "leaves" if router_name == "c2" else "c2 composites and leaves"
-                raise FormatError(f"{tag} node, line {child_line}: a {router_name} part holds only {allowed}, "
-                                  f"got {' '.join(nested)!r}")
-            child = _read_node(reader)
-            if router_name == "c2" and isinstance(child, MatrixPredictor) and part_line[1] != f"r={child.realization}":
-                raise FormatError(f"matrix node, line {child_line}: r={child.realization} under part {part_line[1]}")
-            dims = (child.n_rows, child.n_cols) if isinstance(child, MatrixPredictor) else (child.n, child.n)
-            if dims != (n, n):
-                raise FormatError(f"{where}: part {part_line[1]} holds a {dims[0]}x{dims[1]} child under n={n}")
-            children[part] = child
-        return CompositePredictor(router_name, n, children)
+            children[part] = _read_node(reader, router_name)
+        return _built(tag, line, lambda: CompositePredictor(router_name, n, children))
 
     raise FormatError(f"line {line}: unknown predictor node tag {tag!r}")
 

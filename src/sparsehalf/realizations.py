@@ -100,13 +100,13 @@ def part_name(kind: str, n: int, part: int) -> str | None:
 
 
 def part_of_name(kind: str, n: int, name: str) -> int | None:
-    """The part whose key is ``name``, or None: the key is parsed, and must write back as the same text."""
+    """The part whose key is ``name``, or None (also under an unknown router): the key must write back unchanged."""
     number, _, sign = name[2:].partition(",b=")  # past 'r=' or 'i='
     try:
         part = 0 if name == "residual" else int(number) + 2 if kind == "c2" else 2 * int(number) + (sign[:1] == "-")
-    except ValueError:
+        return part if part_name(kind, n, part) == name else None
+    except ValueError:  # not a number, or no such router
         return None
-    return part if part_name(kind, n, part) == name else None
 
 
 def part_names(kind: str, n: int) -> dict[int, str]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .core import BinaryAssignment, Sample, empirical_error
 from .formulas import Formula, FormulaKind, FormulaSourceConfig, formula_to_sample, sample_formula
 from .learners import LearnerConfig, make_learner
-from .rng import derive_seed, generator
+from .rng import MAX_SEED, derive_seed, generator
 
 TYPICAL = "typical"
 EXCEPTIONAL = "exceptional"
@@ -72,6 +72,9 @@ class GameConfig:
                 raise ValueError(f"unknown mode {mode!r}")
         if len(set(self.modes)) < len(self.modes):
             raise ValueError(f"a mode is played once per game: got {','.join(self.modes)}")
+        rounds = len(self.modes) * self.trials  # seeded base_seed + 0 .. base_seed + rounds - 1
+        if not 0 <= self.base_seed <= MAX_SEED + 1 - rounds:
+            raise ValueError(f"seed must be in [0, 2^64 - {rounds}] to seed {rounds} rounds: got {self.base_seed}")
 
     @property
     def clause_count(self) -> int:

@@ -45,7 +45,7 @@ from sparsehalf.decompmat import PSD_TOL, Decomposition, certify_min_beta, trian
 from sparsehalf.errors import FormatError, NumericError
 from sparsehalf.formulas import ABOVE, Formula, FormulaKind, FormulaSourceConfig
 from sparsehalf.learners import LearnerConfig
-from sparsehalf.predictors import MajorityTable, MatrixPredictor, TrainedPredictor, write_predictor
+from sparsehalf.predictors import MajorityTable, TrainedPredictor, write_predictor
 from sparsehalf.rng import generator
 
 
@@ -103,9 +103,9 @@ def model_text(node: TrainedPredictor) -> str:
             return fh.read()
 
 
-def cell_label(predictor: MatrixPredictor, row: int, col: int) -> int:
+def cell_label(scores: np.ndarray, row: int, col: int) -> int:
     """The sign of the score at 1-based cell (row, col), with sign(0) = +1."""
-    return sign_pm(predictor.scores[row - 1, col - 1])
+    return sign_pm(scores[row - 1, col - 1])
 
 
 def sample_of(k: int, n: int, xs: Iterable[SparseVector], ys: Iterable[int]) -> Sample:
@@ -545,8 +545,7 @@ def matrix_mw_learn_stepwise(
     cells: Sequence[tuple[tuple[int, int], int]],
     dims: tuple[int, int],
     cfg: LearnerConfig,
-    realization: int = 0,
-) -> MatrixPredictor:
+) -> np.ndarray:
     """``matrix_mw_learn`` on ((row, col), label) pairs, adding the margins at every step.
 
     Margins stay fixed within each block of ``cfg.batch`` steps of an epoch;
@@ -607,7 +606,7 @@ def matrix_mw_learn_stepwise(
         for j in range(n_cols):
             if root(("r", i)) != root(("c", j)):
                 scores[i, j] = 0.0
-    return MatrixPredictor(n_rows, n_cols, scores, realization)
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ import pytest
 from oracles import core_env, eval_clause, frozen_core_env, runnable_openblas_cores, sample_formula_stepwise
 from sparsehalf import cli, core
 from sparsehalf.cli import H2_N_LIMIT, H3_N_LIMIT, MATRIX_BYTE_BUDGET, build_parser, main
-from sparsehalf.core import BinaryAssignment, Sample, parse_sample, sample_exact_sparse, serialize_sample
+from sparsehalf.core import BinaryAssignment, Sample, distinct_rows, parse_sample, sample_exact_sparse, serialize_sample
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
 from sparsehalf.formulas import FormulaKind, FormulaSourceConfig, parse_formula, serialize_formula
 from sparsehalf.learners import LearnerConfig, learn_h3
-from sparsehalf.predictors import BinaryHalfspacePredictor
+from sparsehalf.predictors import BinaryHalfspacePredictor, read_predictor, write_predictor
 from sparsehalf.rng import derive_seed
 
 FROZEN = Path(__file__).parent / "fixtures" / "frozen"
@@ -184,9 +184,12 @@ class TestToSampleLearnEval:
         assert run("eval", "--model", str(model), "--data", str(bad)) == 2
 
 
-def cli_process(*argv, env=None):
-    """The CLI run as its own process, as a user runs it; ``env`` replaces the environment."""
-    return subprocess.run([sys.executable, "-m", "sparsehalf.cli", *argv], capture_output=True, text=True, env=env)
+def cli_process(*argv, env=None, limit=None):
+    """The CLI run as its own process, as a user runs it; ``env`` replaces the environment, and ``limit`` caps its
+    address space, in bytes."""
+    cap = None if limit is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run([sys.executable, "-m", "sparsehalf.cli", *argv], capture_output=True, text=True, env=env,
+                          preexec_fn=cap)
 
 
 def write_sample(path, n, count, seed):
@@ -277,10 +280,7 @@ class TestReadersAllocateWhatTheFileHolds:
         model, data = tmp_path / "m", tmp_path / "d"
         model.write_text("binary 2\n+1 +1\n")
         data.write_text("# sparse-sample n=2000000000 k=2000000000\n+1 1:+1\n")
-        limit = 2 << 30
-        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "eval", "--model", str(model), "--data", str(data)],
-                              capture_output=True, text=True,
-                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        proc = cli_process("eval", "--model", str(model), "--data", str(data), limit=2 << 30)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: header k=2000000000 pads 1 rows")
 
@@ -291,11 +291,8 @@ class TestReadersAllocateWhatTheFileHolds:
         model, data = tmp_path / "m", tmp_path / "d"
         model.write_text("composite c3 2000000000 1\npart i=1999999998,b=-1\ntable 2000000000 2 0\n")
         data.write_text("# sparse-sample n=2000000000 k=3\n+1 1:+1 2:-1 7:+1\n")
-        limit = 2 << 30
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "eval", "--model", str(model), "--data", str(data)],
-                              capture_output=True, text=True,
-                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        proc = cli_process("eval", "--model", str(model), "--data", str(data), limit=2 << 30)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "err 0 0/1\n", "")
         assert time.perf_counter() - start < 1.0
 
@@ -339,13 +336,19 @@ GATE_CASES = {
                                   "~2.68e+08 pattern-terms (~0.0 s)", ["t.csv", "t.csv.manifest.json"]),
     "tradeoff-h3": (["tradeoff", "--n", "179", "--algos", "table,h3", "--sizes", "10", "--test-size", "4",
                      "--out", "{out}/t.csv"], 3, H3_179, []),
+    # a billion rounds or trials are counted, not listed, on the way to the gate
+    "game-trials": (["game", "--n", "25", "--delta", "1", "--trials", "1000000000", "--out", "{out}/g.csv"], 3,
+                    ERM_25, []),
+    "tradeoff-trials": (["tradeoff", "--n", "25", "--algos", "erm-binary", "--sizes", "4", "--trials", "1000000000",
+                         "--test-size", "8", "--out", "{out}/t.csv"], 3, ERM_25, []),
     "certify-beta": (["certify-beta", "--n", "129", "--out", "{out}/t.cert"], 3,
                      "error: certifier limited to n+m <= 256: got 258", []),
 }
 
 
 class TestSizeGate:
-    """Every size guard is the CLI's: one line, exit 3, no traceback and no file; --force lifts it."""
+    """Every size guard is the CLI's: one line, exit 3, no traceback and no file; --force lifts it.  Each command
+    runs under a 2 GB address-space limit, so that a gate met too late cannot exhaust the machine."""
 
     def test_limits_follow_the_byte_budget(self):
         assert 3 * 8 * H2_N_LIMIT**2 <= MATRIX_BYTE_BUDGET < 3 * 8 * (H2_N_LIMIT + 1) ** 2
@@ -365,7 +368,7 @@ class TestSizeGate:
     @pytest.mark.parametrize("case", GATE_CASES)
     def test_each_command_meets_the_gate_once(self, tmp_path, inputs, case):
         argv, code, line, written = GATE_CASES[case]
-        proc = cli_process(*(a.format(**{"in": inputs, "out": tmp_path}) for a in argv))
+        proc = cli_process(*(a.format(**{"in": inputs, "out": tmp_path}) for a in argv), limit=2 << 30)
         assert (proc.returncode, proc.stderr) == (code, line + "\n" if line else "")
         assert sorted(p.name for p in tmp_path.iterdir()) == written
 
@@ -512,6 +515,19 @@ class TestFrozenOutputs:
         assert run("learn", "--algo", algo, "--train", str(sample), "--model", str(model)) == 0
         assert model.read_bytes() == (FROZEN / f"{algo}.model").read_bytes()
 
+    def test_composite_model(self, tmp_path, capsys):
+        """A hand-built c3 tree at n = 5, recorded when a matrix node still had a row and a column count: c2 parts
+        holding matrix (r = 0, +-2) and table (r = +-1) leaves, a binary leaf, and the residual, with scores -0.0,
+        1e-300, 0.1 and -2.5e10.  Its sample holds every at-most-3-sparse vector at n = 5 under the label the
+        tree gave it then, so eval errs on none."""
+        model, out = FROZEN / "composite.model", tmp_path / "composite.model"
+        write_predictor(str(out), read_predictor(str(model)))
+        assert out.read_bytes() == model.read_bytes()
+        sample = parse_sample(read(FROZEN / "composite.sample"))
+        assert len(distinct_rows(sample.items)[0]) == len(sample) == 1 + 2 * 5 + 4 * 10 + 8 * 10
+        assert run("eval", "--model", str(model), "--data", str(FROZEN / "composite.sample")) == 0
+        assert capsys.readouterr().out == "err 0 0/1\n"
+
     def test_certificate_bytes(self, tmp_path):
         # like h3's scores, the 17-digit entries depend on the BLAS kernel: run with the recording's
         out = tmp_path / "tn16.cert"
@@ -640,6 +656,14 @@ class TestRefuteAndGame:
         assert "error: clause density must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_seed_too_large_for_every_round_is_refused_before_the_first(self, tmp_path, capsys):
+        # two modes x two trials seed rounds base_seed + 0 .. 3, so the last 64-bit seed runs out at the second
+        argv = ["game", "--n", "8", "--delta", "2", "--trials", "2", "--out", str(tmp_path / "g.csv"), "--seed"]
+        assert run(*argv, str(2**64 - 1)) == 2
+        assert capsys.readouterr() == ("", f"error: seed must be in [0, 2^64 - 4] to seed 4 rounds: got {2**64 - 1}\n")
+        assert list(tmp_path.iterdir()) == []
+        assert run(*argv, str(2**64 - 4)) == 0
+
     def test_repeated_mode_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert run("game", "--n", "8", "--delta", "4", "--trials", "1", "--modes", "planted,planted",
@@ -722,11 +746,8 @@ class TestTradeoff:
     def test_h3_refusal_comes_before_the_draw(self, tmp_path):
         """4e8 training rows would take 4.47 GiB; under a 2 GB address-space limit, so that the test cannot
         exhaust the machine, drawing them before the h3 guard would end in a MemoryError traceback."""
-        limit = 2 << 30
-        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "tradeoff", "--n", "179", "--algos", "table,h3",
-                               "--sizes", "400000000", "--test-size", "4", "--out", str(tmp_path / "t.csv")],
-                              capture_output=True, text=True,
-                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        proc = cli_process("tradeoff", "--n", "179", "--algos", "table,h3", "--sizes", "400000000", "--test-size", "4",
+                           "--out", str(tmp_path / "t.csv"), limit=2 << 30)
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", H3_179 + "\n")
         assert list(tmp_path.iterdir()) == []
 
@@ -759,10 +780,7 @@ class TestCertifyBeta:
     def test_guard_comes_before_the_matrix_is_built(self, tmp_path):
         """T_n at n = 1e8 would take 8.88 PiB; under a 2 GB address-space limit, so that the test cannot
         exhaust the machine, building it first would end in a MemoryError traceback."""
-        limit = 2 << 30
-        proc = subprocess.run([sys.executable, "-m", "sparsehalf.cli", "certify-beta", "--n", "100000000",
-                               "--out", str(tmp_path / "t.cert")], capture_output=True, text=True,
-                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        proc = cli_process("certify-beta", "--n", "100000000", "--out", str(tmp_path / "t.cert"), limit=2 << 30)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == "error: certifier limited to n+m <= 256: got 200000000\n"
         assert list(tmp_path.iterdir()) == []

@@ -136,12 +136,12 @@ class TestMatrixMwLearn:
         t = [int(v) for v in rng.integers(0, 9, size=8)]
         W = row_threshold_matrix(t)
         cells = grid_cells(W.ravel(), 8)
-        pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(seed=1), 0)
-        assert all(cell_label(pred, r, c) == label for r, c, label in cells)
+        scores = matrix_mw_learn(cells, (8, 8), LearnerConfig(seed=1))
+        assert all(cell_label(scores, r, c) == label for r, c, label in cells)
 
     def test_single_cell_repeated(self):
-        pred = matrix_mw_learn([(2, 3, -1)] * 5, (4, 4), LearnerConfig(seed=0), 0)
-        assert cell_label(pred, 2, 3) == -1
+        scores = matrix_mw_learn([(2, 3, -1)] * 5, (4, 4), LearnerConfig(seed=0))
+        assert cell_label(scores, 2, 3) == -1
 
     def test_adversarial_band_one_epoch(self):
         worst = 0.0
@@ -149,8 +149,8 @@ class TestMatrixMwLearn:
             rng = np.random.default_rng(seed + 100)
             labels = rng.integers(0, 2, 64) * 2 - 1
             cells = grid_cells(labels, 8)
-            pred = matrix_mw_learn(cells, (8, 8), LearnerConfig(epochs=1, seed=seed), 0)
-            err = sum(cell_label(pred, r, c) != label for r, c, label in cells) / 64
+            scores = matrix_mw_learn(cells, (8, 8), LearnerConfig(epochs=1, seed=seed))
+            err = sum(cell_label(scores, r, c) != label for r, c, label in cells) / 64
             worst = max(worst, err)
         assert worst <= 0.5 + 0.15
 
@@ -167,7 +167,7 @@ class TestMatrixMwLearn:
         labels = rng.integers(0, 2, 64) * 2 - 1
         cells = grid_cells(labels, 8)
         cfg = LearnerConfig(seed=3, epochs=5, beta=0.5)  # small cap rescales often
-        matrix_mw_learn(cells, (8, 8), cfg, 0)
+        matrix_mw_learn(cells, (8, 8), cfg)
         assert len(seen) > 1 and {tau for _, tau, _ in seen} == {2 * 0.5 * 16}
         for C, tau, margins in seen[::8]:  # each iterate is the dense one rescaled to the cap; expm is slow
             want, capped_trace, _ = dense_eg_margins(C, tau)
@@ -176,9 +176,9 @@ class TestMatrixMwLearn:
 
     def test_deterministic_given_config(self):
         cells = [(1, 2, 1), (2, 1, -1), (1, 1, 1)]
-        a = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5), 0)
-        b = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5), 0)
-        assert np.array_equal(a.scores, b.scores)
+        a = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5))
+        b = matrix_mw_learn(cells, (3, 3), LearnerConfig(seed=5))
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("cells,dims,cfg", [
         (eg_case(0, (6, 6), 40), (6, 6), LearnerConfig(seed=1, epochs=1)),
@@ -202,25 +202,25 @@ class TestMatrixMwLearn:
             cfg = replace(cfg, batch=batch)
             ref = oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], dims, cfg)
             ref_iterates, iterates[:] = iterates[:], []
-            got = matrix_mw_learn(np.array(cells), dims, cfg, 0)
+            got = matrix_mw_learn(np.array(cells), dims, cfg)
             got_iterates, iterates[:] = iterates[:], []
             # the same iterates, bit for bit; the averages differ in summation order only
             assert len(got_iterates) == len(ref_iterates) > 0, batch
             assert all(np.array_equal(a, b) for a, b in zip(got_iterates, ref_iterates)), batch
-            assert np.allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12), batch
-            sure = np.abs(ref.scores) > 1e-9
-            assert np.array_equal(np.sign(got.scores[sure]), np.sign(ref.scores[sure])), batch
-            assert (got.scores[ref.scores == 0] == 0).all(), batch
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-12), batch
+            sure = np.abs(ref) > 1e-9
+            assert np.array_equal(np.sign(got[sure]), np.sign(ref[sure])), batch
+            assert (got[ref == 0] == 0).all(), batch
 
     def test_a_block_applies_every_violation_from_its_start_margins(self):
         # one block holds the whole epoch, so all three steps see the zero iterate and all update
         cfg = LearnerConfig(seed=0, eta=4.0, epochs=1, batch=8)
         cells = [(1, 1, 1), (1, 1, 1), (2, 2, -1)]
-        assert (matrix_mw_learn(cells, (2, 2), cfg, 0).scores == 0).all()  # its one iterate is the zero one
-        pred = matrix_mw_learn(cells, (2, 2), replace(cfg, epochs=2), 0)
+        assert (matrix_mw_learn(cells, (2, 2), cfg) == 0).all()  # its one iterate is the zero one
+        scores = matrix_mw_learn(cells, (2, 2), replace(cfg, epochs=2))
         C = np.array([[2 * 0.5 * cfg.eta, 0.0], [0.0, -0.5 * cfg.eta]])  # the repeated cell counts twice
-        assert pred.scores[0, 0] == pytest.approx(learners._eg_margins(C, 2 * 4.0 * 4, 4)[0, 0] / 2, rel=1e-12)
-        assert pred.scores[0, 1] == pred.scores[1, 0] == 0.0  # no chain of training cells links them
+        assert scores[0, 0] == pytest.approx(learners._eg_margins(C, 2 * 4.0 * 4, 4)[0, 0] / 2, rel=1e-12)
+        assert scores[0, 1] == scores[1, 0] == 0.0  # no chain of training cells links them
 
     def test_a_clean_epoch_ends_the_fit(self, monkeypatch):
         # after epoch 1 both margins are +-2 sinh(1) > 1, so epoch 2 violates nothing and nothing can change again
@@ -236,10 +236,10 @@ class TestMatrixMwLearn:
 
         monkeypatch.setattr(learners, "generator", Counting)
         cells, cfg = [(1, 1, 1), (2, 2, -1)], LearnerConfig(seed=0, eta=2.0, epochs=10)
-        got = matrix_mw_learn(cells, (2, 2), cfg, 0)
+        got = matrix_mw_learn(cells, (2, 2), cfg)
         assert permutations == [2, 2]
         ref = oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], (2, 2), cfg)
-        assert np.allclose(got.scores, ref.scores, rtol=1e-12, atol=0)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_non_finite_step_reports_epoch(self):
         stepwise = oracles.matrix_mw_learn_stepwise
@@ -250,7 +250,7 @@ class TestMatrixMwLearn:
             with pytest.raises(NumericError) as ref:
                 stepwise([((r, c), l) for r, c, l in cells], (2, 2), cfg)
             with pytest.raises(NumericError) as got:
-                matrix_mw_learn(cells, (2, 2), cfg, 0)
+                matrix_mw_learn(cells, (2, 2), cfg)
             assert "epoch" in str(got.value)
             assert str(got.value) == str(ref.value), (n_cells, epochs, batch)
 
@@ -263,8 +263,8 @@ class TestMatrixMwLearn:
         inside = np.zeros((7, 6), dtype=bool)
         for rows, cols in blocks:
             inside[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])] = True
-        pred = matrix_mw_learn(cells, (7, 6), LearnerConfig(seed=0, epochs=3, batch=batch), 0)
-        assert (pred.scores[~inside] == 0).all() and (pred.scores[inside] != 0).all()
+        scores = matrix_mw_learn(cells, (7, 6), LearnerConfig(seed=0, epochs=3, batch=batch))
+        assert (scores[~inside] == 0).all() and (scores[inside] != 0).all()
 
     def test_batch_must_be_positive(self):
         with pytest.raises(ValueError, match="batch must be >= 1"):
@@ -280,7 +280,7 @@ class TestMatrixMwLearn:
             with pytest.raises(ValueError) as ref:
                 oracles.matrix_mw_learn_stepwise([((r, c), l) for r, c, l in cells], (2, 2), LearnerConfig())
             with pytest.raises(ValueError) as got:
-                matrix_mw_learn(cells, (2, 2), LearnerConfig(), 0)
+                matrix_mw_learn(cells, (2, 2), LearnerConfig())
             assert str(got.value) == str(ref.value) == message
 
 

@@ -19,6 +19,7 @@ from sparsehalf.predictors import (
     MajorityTable,
     MatrixPredictor,
     parse_predictor,
+    read_predictor,
     write_predictor,
 )
 from sparsehalf.realizations import part_names
@@ -51,13 +52,13 @@ class TestNodes:
 
     def test_matrix_round_trip_exact_floats(self):
         rng = np.random.default_rng(0)
-        node = MatrixPredictor(3, 4, rng.standard_normal((3, 4)), realization=0)
+        node = MatrixPredictor(3, rng.standard_normal((3, 3)), realization=0)
         back = round_trip(node)
         assert np.array_equal(back.scores, node.scores)
         assert back.realization == 0
 
     def test_matrix_part_mismatch_raises(self):
-        node = MatrixPredictor(3, 3, np.zeros((3, 3)), realization=0)
+        node = MatrixPredictor(3, np.zeros((3, 3)), realization=0)
         with pytest.raises(ValueError):
             predict(node, from_pairs(3, [(1, 1), (2, 1)]))  # r=2 instance
 
@@ -99,11 +100,80 @@ class TestNodes:
         assert list(tmp_path.iterdir()) == []
 
 
+def leaves(n):
+    """A leaf of each kind at n, with a matrix at every coordinate-sum part r."""
+    return [MajorityTable(n, 2, np.array([[1, 0], [-2, n]]), [-1, 1]),
+            BinaryHalfspacePredictor(BinaryAssignment(tuple((-1) ** i for i in range(n)))),
+            *(MatrixPredictor(n, np.arange(n * n).reshape(n, n) / 3 - r, r) for r in range(-2, 3))]
+
+
+def file_round_trip(tmp_path, node):
+    """The node written, read back and written again: both files hold the same bytes."""
+    first, second = tmp_path / "first.model", tmp_path / "second.model"
+    write_predictor(str(first), node)
+    write_predictor(str(second), read_predictor(str(first)))
+    assert second.read_bytes() == first.read_bytes()
+
+
+class TestTreeRules:
+    """The constructors own the model rules: what they build reads back, and what they refuse the reader refuses."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["c2", "c3"])
+    def test_a_child_is_built_exactly_when_its_text_reads(self, tmp_path, kind, n):
+        # leaves at n and at n + 1 at every r, and composites of each router, at every part of the partition
+        pool = [*leaves(n), *leaves(n + 1), CompositePredictor("c2", n, {1: leaves(n)[0]}),
+                CompositePredictor("c2", n + 1), CompositePredictor("c3", n, {0: leaves(n)[1]})]
+        built = 0
+        for part, key in part_names(kind, n).items():
+            for child in pool:
+                try:
+                    node = CompositePredictor(kind, n, {part: child})
+                except ValueError:
+                    with pytest.raises(FormatError):
+                        parse_predictor(f"composite {kind} {n} 1\npart {key}\n" + model_text(child))
+                    continue
+                built += 1
+                file_round_trip(tmp_path, node)
+        # c2 parts hold the table, the binary leaf and the matrix at their own r; c3 parts every leaf and the c2
+        assert built == (3 * 5 if kind == "c2" else 8 * (2 * n - 3))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_full_trees_round_trip(self, tmp_path, n):
+        table, binary, *matrices = leaves(n)
+        c2 = CompositePredictor("c2", n, {part: table if part % 2 else matrices[part] for part in range(5)})
+        for node in [*leaves(n), c2, CompositePredictor("c2", n, {part: binary for part in range(5)}),
+                     CompositePredictor("c3", n, {part: c2 if part % 2 else binary for part in part_names("c3", n)})]:
+            file_round_trip(tmp_path, node)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: CompositePredictor("c2", 4, {2: MatrixPredictor(4, np.zeros((4, 4)), 1)}),
+         "part r=0 holds a matrix for r=1"),
+        (lambda: CompositePredictor("c2", 4, {3: BinaryHalfspacePredictor(BinaryAssignment((1,) * 3))}),
+         "part r=1 holds an n=3 child under n=4"),
+        (lambda: CompositePredictor("c3", 4, {0: BinaryHalfspacePredictor(BinaryAssignment((1,) * 5))}),
+         "part residual holds an n=5 child under n=4"),
+        (lambda: CompositePredictor("c2", 4, {2: CompositePredictor("c2", 4)}),
+         "a c2 part holds only leaves, got 'composite c2'"),
+        (lambda: CompositePredictor("c3", 4, {0: CompositePredictor("c3", 4)}),
+         "a c3 part holds only c2 composites and leaves, got 'composite c3'"),
+        (lambda: MatrixPredictor(4, np.zeros((4, 4)), 9), "r=9 names no coordinate-sum part -2..2"),
+        (lambda: MatrixPredictor(3, np.zeros((3, 4)), 0), "score matrix is 3x4, not 3x3"),
+    ], ids=["c2-matrix-at-other-r", "c2-child-other-n", "c3-binary-other-n", "c2-under-c2", "c3-under-c3",
+            "matrix-r9", "matrix-3x4"])
+    def test_refused_before_any_file(self, tmp_path, make, message):
+        """Each of these trees was once written, and then refused by the reader."""
+        with pytest.raises(ValueError) as excinfo:
+            write_predictor(str(tmp_path / "m"), make())
+        assert str(excinfo.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDimensionMismatch:
     @pytest.mark.parametrize("node", [
         BinaryHalfspacePredictor(BinaryAssignment((1, -1, 1, 1))),
         MajorityTable(4, 3, np.array([[1]]), [-1]),
-        MatrixPredictor(4, 4, np.zeros((4, 4)), realization=0),
+        MatrixPredictor(4, np.zeros((4, 4)), realization=0),
         CompositePredictor("c3", 4, {}),
         CompositePredictor("c2", 4, {}),
     ])
@@ -188,7 +258,8 @@ class TestMalformed:
         [
             ("matrix r=9 1 1\n0\n", "^matrix node, line 1: r=9 names no coordinate-sum part"),
             ("composite c2 2 1\npart r=1\nmatrix r=-3 2 2\n0 0\n0 0\n", "^matrix node, line 3: r=-3 names no"),
-            ("composite c2 2 1\npart r=0\nmatrix r=2 2 2\n0 0\n0 0\n", "^matrix node, line 3: r=2 under part r=0$"),
+            ("composite c2 2 1\npart r=0\nmatrix r=2 2 2\n0 0\n0 0\n",
+             "^composite node, line 1: part r=0 holds a matrix for r=2$"),
             ("composite c2 3 -1\n", "^composite node, line 1: negative child count -1$"),
         ],
     )
@@ -216,7 +287,7 @@ class TestMalformed:
             ("composite c2 4 2\npart r=1\nbinary 4\n+1 +1 +1 +1\npart r=1\nbinary 4\n+1 +1 +1 +1\n",
              "composite node, line 5: part r=1 appears twice"),
             ("composite c3 4 1\npart residual\nbinary 3\n+1 +1 +1\n",
-             "composite node, line 2: part residual holds a 3x3 child under n=4"),
+             "composite node, line 1: part residual holds an n=3 child under n=4"),
             ("binary 1\n+1\ntable 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n", "line 3: trailing content after predictor"),
             ("table 4 2 2\n1:+1 -> +1\n1:+1 -> -1\n", "table node, line 1: table repeats a row"),
             ("", "line 1: unexpected end of predictor file"),

@@ -274,6 +274,7 @@ class TestPartNames:
         ("c2", "r=3"), ("c2", "r=--1"), ("c2", "r=+1"), ("c2", "r=01"), ("c2", "r= 1"), ("c2", "residual"),
         ("c2", "i=1,b=+1"), ("c3", "i=3,b=+1"), ("c3", "i=0,b=+1"), ("c3", "i=1,b=-7"), ("c3", "i=1,b=1"),
         ("c3", "i=1"), ("c3", "i=01,b=+1"), ("c3", "i=\u0661,b=+1"), ("c3", "r=0"), ("c3", ""), ("c3", "residual "),
+        ("c9", "r=0"), ("c9", "residual"),  # no router names them
     ])
     def test_a_key_that_writes_back_otherwise_names_no_part(self, kind, name):
         assert part_of_name(kind, 4, name) is None

@@ -59,7 +59,7 @@ def test_eg_steps_and_svds_counters(monkeypatch):
     svds = count_calls(monkeypatch, np.linalg, "svd")
     margins = count_calls(monkeypatch, learners, "_eg_margins")
     cells, cfg = [(1, 1, 1)] * 3, LearnerConfig(seed=0, eta=4.0, epochs=5, batch=1)  # one step per block
-    pred = matrix_mw_learn(cells, (2, 2), cfg, 0)
+    pred = matrix_mw_learn(cells, (2, 2), cfg)
     assert svds[0] == margins[0] > 0
     # one update at the first step; every later step adds the same margins, so the
     # average over all steps reads the step count
@@ -68,4 +68,4 @@ def test_eg_steps_and_svds_counters(monkeypatch):
     after = learners._eg_margins(C, 2 * 4.0 * 4, 4)  # the default cap 2 * beta * (rows + cols), beta = 4 log2(2)
     steps = steps_of({"cells": cells, "cfg": cfg}, pred)
     assert steps == 15
-    assert pred.scores[0, 0] == pytest.approx(after[0, 0] * (steps - 1) / steps, rel=1e-12)
+    assert pred[0, 0] == pytest.approx(after[0, 0] * (steps - 1) / steps, rel=1e-12)
