@@ -32,7 +32,6 @@ import numpy as np
 from sparsehalf import learners
 from sparsehalf.core import BinaryAssignment, Sample, empirical_error, sample_exact_sparse
 from sparsehalf.learners import LearnerConfig, learn_h3
-from sparsehalf.predictors import BinaryHalfspacePredictor
 from sparsehalf.rng import derive_seed, generator
 
 COLUMNS = "n,m,p,batch,trial,train_err,test_err,svds,wall_ms"
@@ -50,8 +49,7 @@ def run_cell(n: int, ratios: list[int], batch: int, trials: int, seed: int, test
     learners._eg_margins = counted
     lines = [COLUMNS]
     for trial in range(trials):
-        target_bits = generator(seed, trial, 0).integers(0, 2, size=n) * 2 - 1
-        target = BinaryHalfspacePredictor(BinaryAssignment(tuple(int(b) for b in target_bits)))
+        target = BinaryAssignment(generator(seed, trial, 0).integers(0, 2, size=n) * 2 - 1)
         test_xs = sample_exact_sparse(n, 3, test_size, derive_seed(seed, trial, 1))
         test = Sample(3, n, test_xs, target.predict_many(test_xs, n))
         for size_idx, m in enumerate(ratio * n * n for ratio in ratios):

@@ -46,7 +46,7 @@ from .formulas import (
     serialize_formula,
 )
 from .learners import LEARNER_NAMES, LearnerConfig, make_learner
-from .predictors import BinaryHalfspacePredictor, read_predictor, write_predictor
+from .predictors import read_predictor, write_predictor
 from .refutation import GameConfig, RefuterConfig, refutation_game, refute
 from .rng import derive_seed, generator
 
@@ -59,9 +59,10 @@ TRADEOFF_ALGOS = ("table", "h3", "erm-binary")
 #: 0.07 s at the rate ``_check_size`` prices them at; each n past it doubles that.
 EXHAUSTIVE_N_LIMIT = 24
 
-#: Bytes of score matrices an h2 or h3 model may hold unless forced.  An h2
-#: model holds three dense n x n float64 matrices (parts r = 0, +-2), an h3
-#: model one h2 model per first-nonzero part and the residual: 2n - 3 of them.
+#: Bytes of score matrices an h2 or h3 model, or of the m x 3 int32 clause
+#: matrix a formula, may hold unless forced.  An h2 model holds three dense
+#: n x n float64 matrices (parts r = 0, +-2), an h3 model one h2 model per
+#: first-nonzero part and the residual: 2n - 3 of them.
 MATRIX_BYTE_BUDGET = 1 << 28
 H2_N_LIMIT = math.isqrt(MATRIX_BYTE_BUDGET // (3 * 8))
 H3_N_LIMIT = max(n for n in range(2, H2_N_LIMIT) if (2 * n - 3) * 3 * 8 * n * n <= MATRIX_BYTE_BUDGET)
@@ -101,14 +102,19 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], wall_s: float)
     _write(outputs[0] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _check_size(args: argparse.Namespace, what: list[str], n: int, fits: dict[int, int], k: int = 3) -> None:
-    """GuardError for the first of ``what`` past its limit at n, or with ``--force`` the price of the exhaustive
-    passes, ``fits[r]`` of them over r k-sparse examples each, where ERM over none enumerates nothing."""
-    force = getattr(args, "force", False)  # certify-beta has no --force
+def _check_size(args: argparse.Namespace, what: list[str], n: int, fits: dict[int, int], k: int = 3,
+                clauses: int = 0, flag: str = "") -> None:
+    """GuardError for the first of ``what`` past its limit at n, or for the ``clauses`` that ``flag`` asks for past
+    the byte budget; or with ``--force`` the price of the exhaustive passes, ``fits[r]`` of them over r k-sparse
+    examples each, where ERM over none enumerates nothing."""
+    force = getattr(args, "force", False)  # gen-formula and certify-beta have no --force
     for name in what:
         limit, refusal = _LIMITS.get(name, (math.inf, ""))  # the table learner has no guard
         if n > limit and not force and (name != "erm-binary" or any(fits)):
             raise GuardError(refusal.format(n=n, limit=limit))
+    if 12 * clauses > MATRIX_BYTE_BUDGET and not force:  # an m x 3 int32 clause matrix
+        raise GuardError(f"{flag} asks for {clauses} clauses, {12 * clauses} bytes; the guard stops past "
+                         f"{MATRIX_BYTE_BUDGET} bytes" + " unless forced" * ("force" in args))
     if not force or n <= EXHAUSTIVE_N_LIMIT or not {"val", "erm-binary"} & set(what):
         return
     # best_pattern sums each of r rows' <= floor(k/2) + 1 terms over the 2^|a| + 2^|b| patterns of its halves, at
@@ -156,6 +162,7 @@ def _fmt(x: float) -> str:
 # Commands
 
 def cmd_gen_formula(args: argparse.Namespace) -> list[str]:
+    _check_size(args, [], args.n, {}, clauses=args.clauses, flag="--clauses")
     psi = None
     if args.mode == "planted":
         psi = BinaryAssignment(generator(args.seed, 0).integers(0, 2, size=args.n) * 2 - 1)
@@ -214,7 +221,7 @@ def cmd_game(args: argparse.Namespace) -> list[str]:
     )
     refuter = _refuter_config(args)
     fits = {math.ceil(refuter.fraction * game.clause_count): len(game.modes) * game.trials}  # one fit per round
-    _check_size(args, [args.algo], game.n, fits)
+    _check_size(args, [args.algo], game.n, fits, clauses=game.clause_count, flag=f"--delta {_fmt(game.delta)}")
     stats = refutation_game(game, refuter)
     fixed = f"{game.n},{_fmt(game.delta)},{_fmt(game.mu)},{_fmt(refuter.fraction)}"  # the same in every round
     _write(args.out, "mode,trial,n,delta,mu,fraction,err,verdict,wall_ms\n" + "".join(
@@ -249,8 +256,7 @@ def cmd_tradeoff(args: argparse.Namespace) -> list[str]:
 
     lines = ["algo,n,m,trial,train_err,test_err,wall_ms"]
     for trial in range(args.trials):
-        target_bits = generator(args.seed, trial, 0).integers(0, 2, size=n) * 2 - 1
-        target = BinaryHalfspacePredictor(BinaryAssignment(target_bits))
+        target = BinaryAssignment(generator(args.seed, trial, 0).integers(0, 2, size=n) * 2 - 1)
         test_xs = sample_exact_sparse(n, 3, args.test_size, derive_seed(args.seed, trial, 1))
         test = Sample(3, n, test_xs, target.predict_many(test_xs, n))
         for size_idx, m in enumerate(sizes):

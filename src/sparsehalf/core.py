@@ -1,4 +1,4 @@
-"""Sparse sign instances, binary halfspace weights, labeled samples, exact error.
+"""Sparse sign instances, the binary halfspace, labeled samples, exact error.
 
 Instances are vectors in {-1, 0, +1}^n with at most k nonzero coordinates.
 Every instance in the package is one signed-index row: each nonzero is
@@ -6,7 +6,8 @@ written as its signed index value * index (indices 1-based), in ascending
 index order, and the row ends in zero padding.  A :class:`Sample` keeps its
 instances as one integer matrix with a row per instance.  Empirical error is
 exact rational arithmetic (``fractions.Fraction``).  The sign convention is
-fixed package-wide: sign(0) = +1.
+fixed package-wide: sign(0) = +1.  :class:`BinaryAssignment` is the binary
+halfspace, a :class:`TrainedPredictor` like every node of the predictor tree.
 
 Text format for labeled samples (shared with the CLI)::
 
@@ -65,9 +66,22 @@ def distinct_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return items[first], inverse.reshape(-1)
 
 
+def _check_n(node_n: int, n: int) -> None:
+    if n != node_n:
+        raise ValueError(f"dimension mismatch: instances have n={n}, predictor has n={node_n}")
+
+
+class TrainedPredictor:
+    """Base for anything that labels sparse instances."""
+
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """int8 +-1 labels of n-dimensional signed-index instance rows (see ``Sample``)."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class BinaryAssignment:
-    """A +-1 vector; doubles as a boolean assignment and as binary halfspace weights."""
+class BinaryAssignment(TrainedPredictor):
+    """A +-1 vector: a boolean assignment, and the binary halfspace x -> sign(<bits, x>) (0 -> +1)."""
 
     bits: tuple[int, ...]
 
@@ -82,6 +96,12 @@ class BinaryAssignment:
     @property
     def n(self) -> int:
         return len(self.bits)
+
+    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
+        _check_n(self.n, n)
+        weights = np.concatenate(([0], self.bits))  # index 0 reads the padding
+        margins = (weights[np.abs(rows)] * np.sign(rows)).sum(axis=1)
+        return np.where(margins >= 0, 1, -1).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)

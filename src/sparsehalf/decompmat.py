@@ -71,8 +71,10 @@ class Decomposition:
         N = np.array(self.N, dtype=float)
         if P.shape != N.shape or P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P and N must be square matrices of equal size")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not (np.isfinite(P).all() and np.isfinite(N).all()):
+            raise ValueError("P and N entries must be finite")
         P.setflags(write=False)
         N.setflags(write=False)
         object.__setattr__(self, "P", P)

@@ -20,15 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Sample, distinct_rows, erm_binary_halfspace
+from .core import Sample, TrainedPredictor, distinct_rows, erm_binary_halfspace
 from .errors import NumericError
-from .predictors import (
-    BinaryHalfspacePredictor,
-    CompositePredictor,
-    MajorityTable,
-    MatrixPredictor,
-    TrainedPredictor,
-)
+from .predictors import CompositePredictor, MajorityTable, MatrixPredictor
 from .realizations import group_rows, part_names, realize_c2, route_rows
 from .rng import derive_seed, generator
 
@@ -272,5 +266,5 @@ def make_learner(name: str, cfg: LearnerConfig) -> Callable[[Sample], TrainedPre
     if name == "h3":
         return lambda sample: learn_h3(sample, cfg)
     if name == "erm-binary":
-        return lambda sample: BinaryHalfspacePredictor(erm_binary_halfspace(sample)[0])
+        return lambda sample: erm_binary_halfspace(sample)[0]
     raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_NAMES}")

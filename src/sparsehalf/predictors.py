@@ -1,10 +1,10 @@
-"""Trained predictors: total functions from sparse instances to +-1 labels.
+"""Trained predictors: trees of nodes that label sparse instances +-1.
 
 Four node kinds, composed into trees by the composite router node:
 
 * ``table``     -- per-instance majority lookup with a +1 default;
-* ``matrix``    -- real n x n score matrix read through a two-sparse cell map;
-* ``binary``    -- homogeneous halfspace with +-1 weights;
+* ``matrix``    -- real n x n score matrix read through a two-sparse cell map, for its own part's rows;
+* ``binary``    -- the homogeneous +-1-weight halfspace, :class:`sparsehalf.core.BinaryAssignment`;
 * ``composite`` -- routes an instance to a per-part child predictor.
 
 Every node labels n-dimensional instances, a whole instance matrix at once
@@ -26,26 +26,13 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .core import (BinaryAssignment, Sample, distinct_rows, format_float_rows, format_instance, read_float_rows,
-                   read_rows, read_text)
+from .core import (BinaryAssignment, Sample, TrainedPredictor, _check_n, distinct_rows, format_float_rows,
+                   format_instance, read_float_rows, read_rows, read_text)
 from .errors import FormatError
 from .realizations import group_rows, part_name, part_names, part_of_c2, part_of_name, realize_c2, route_rows
 
 #: The label of an unseen instance and of a part with no examples.
 DEFAULT_LABEL = 1
-
-
-def _check_n(node_n: int, n: int) -> None:
-    if n != node_n:
-        raise ValueError(f"dimension mismatch: instances have n={n}, predictor has n={node_n}")
-
-
-class TrainedPredictor:
-    """Base for anything that labels sparse instances."""
-
-    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """int8 +-1 labels of n-dimensional signed-index instance rows (see ``core.Sample``)."""
-        raise NotImplementedError
 
 
 @dataclass
@@ -88,7 +75,7 @@ class MajorityTable(TrainedPredictor):
 
 @dataclass
 class MatrixPredictor(TrainedPredictor):
-    """sign of a real n x n score matrix read at an instance's cell (0 -> +1).
+    """sign of a finite n x n score matrix read at an instance's cell (0 -> +1).
 
     ``realization`` names the coordinate-sum part r, in -2..2, whose cell map
     the matrix was trained under.
@@ -102,6 +89,8 @@ class MatrixPredictor(TrainedPredictor):
         scores = np.array(self.scores, dtype=float)
         if scores.shape != (self.n, self.n):
             raise ValueError(f"score matrix is {'x'.join(map(str, scores.shape))}, not {self.n}x{self.n}")
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite")
         if not -2 <= self.realization <= 2:
             raise ValueError(f"r={self.realization} names no coordinate-sum part -2..2")
         self.scores = scores
@@ -114,23 +103,6 @@ class MatrixPredictor(TrainedPredictor):
             raise ValueError(f"instance belongs to part r={other}, predictor is for r={self.realization}")
         cell_rows, cell_cols = realize_c2(rows)
         return np.where(self.scores[cell_rows - 1, cell_cols - 1] >= 0, 1, -1).astype(np.int8)
-
-
-@dataclass
-class BinaryHalfspacePredictor(TrainedPredictor):
-    """x -> sign(<psi, x>) for +-1 weights psi."""
-
-    psi: BinaryAssignment
-
-    @property
-    def n(self) -> int:
-        return self.psi.n
-
-    def predict_many(self, rows: np.ndarray, n: int) -> np.ndarray:
-        _check_n(self.n, n)
-        weights = np.concatenate(([0], self.psi.bits))  # index 0 reads the padding
-        margins = (weights[np.abs(rows)] * np.sign(rows)).sum(axis=1)
-        return np.where(margins >= 0, 1, -1).astype(np.int8)
 
 
 def _check_nesting(router_name: str, child_router: str) -> None:
@@ -182,9 +154,9 @@ class CompositePredictor(TrainedPredictor):
 
 def _node_lines(node: TrainedPredictor) -> Iterator[str]:
     """The node's model-file lines, each ending in a newline."""
-    if isinstance(node, BinaryHalfspacePredictor):
-        yield f"binary {node.psi.n}\n"
-        yield " ".join(f"{b:+d}" for b in node.psi.bits) + "\n"
+    if isinstance(node, BinaryAssignment):
+        yield f"binary {node.n}\n"
+        yield " ".join(f"{b:+d}" for b in node.bits) + "\n"
     elif isinstance(node, MajorityTable):
         yield f"table {node.n} {node.k} {len(node.rows)}\n"
         for row, label in zip(node.rows.tolist(), node.labels.tolist()):
@@ -245,7 +217,7 @@ def _read_node(reader: _Reader, holder: str | None = None) -> TrainedPredictor:
         bits = tuple(_numbers(reader.next().split(), tag, reader.pos))
         if len(bits) != n:
             raise FormatError(f"{tag} node, line {reader.pos}: payload has {len(bits)} weights, expected {n}")
-        return _built(tag, reader.pos, lambda: BinaryHalfspacePredictor(BinaryAssignment(bits)))
+        return _built(tag, reader.pos, lambda: BinaryAssignment(bits))
 
     if tag == "table":
         if len(header) != 4:

@@ -40,12 +40,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from sparsehalf import learners
-from sparsehalf.core import BinaryAssignment, Sample
+from sparsehalf.core import BinaryAssignment, Sample, TrainedPredictor
 from sparsehalf.decompmat import PSD_TOL, Decomposition, certify_min_beta, triangular_matrix
 from sparsehalf.errors import FormatError, NumericError
 from sparsehalf.formulas import ABOVE, Formula, FormulaKind, FormulaSourceConfig
 from sparsehalf.learners import LearnerConfig
-from sparsehalf.predictors import MajorityTable, TrainedPredictor, write_predictor
+from sparsehalf.predictors import MajorityTable, write_predictor
 from sparsehalf.rng import generator
 
 

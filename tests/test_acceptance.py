@@ -50,7 +50,6 @@ from sparsehalf.formulas import (
     sample_formula,
 )
 from sparsehalf.learners import LearnerConfig, learn_h2, partition_learn, table_majority_learn
-from sparsehalf.predictors import BinaryHalfspacePredictor
 from sparsehalf.realizations import realize_c2
 from sparsehalf.refutation import GameConfig, RefuterConfig, refutation_game
 
@@ -71,10 +70,9 @@ def test_criterion_01_correspondence():
                              for x, clause in zip(vectors(plus_rows, n), clauses))
         for index in range(2**n):
             psi = BinaryAssignment(assignment_from_index(index, n))
-            hypothesis = BinaryHalfspacePredictor(psi)
             satisfied = np.array([oracles.eval_clause(FormulaKind.MAJ, clause, psi) for clause in clauses])
             for b in (1, -1):  # the coin-b example is b x the coin-(+1) example, labeled b
-                right = hypothesis.predict_many(b * plus_rows, n) == b
+                right = psi.predict_many(b * plus_rows, n) == b
                 checks += len(clauses)
                 failures += int(np.count_nonzero(right != satisfied))
     elapsed = time.perf_counter() - start

@@ -20,7 +20,7 @@ from sparsehalf.core import BinaryAssignment, Sample, distinct_rows, parse_sampl
 from sparsehalf.decompmat import read_decomposition, triangular_matrix, verify_decomposition
 from sparsehalf.formulas import FormulaKind, FormulaSourceConfig, parse_formula, serialize_formula
 from sparsehalf.learners import LearnerConfig, learn_h3
-from sparsehalf.predictors import BinaryHalfspacePredictor, read_predictor, write_predictor
+from sparsehalf.predictors import read_predictor, write_predictor
 from sparsehalf.rng import derive_seed
 
 FROZEN = Path(__file__).parent / "fixtures" / "frozen"
@@ -343,6 +343,14 @@ GATE_CASES = {
                          "--test-size", "8", "--out", "{out}/t.csv"], 3, ERM_25, []),
     "certify-beta": (["certify-beta", "--n", "129", "--out", "{out}/t.cert"], 3,
                      "error: certifier limited to n+m <= 256: got 258", []),
+    # an m x 3 int32 clause matrix of 112 GiB and of 109 TiB
+    "gen-formula-clauses": (["gen-formula", "--kind", "3maj", "--n", "10", "--clauses", "10000000000",
+                             "--out", "{out}/f.maj3"], 3,
+                            "error: --clauses asks for 10000000000 clauses, 120000000000 bytes; "
+                            "the guard stops past 268435456 bytes", []),
+    "game-delta": (["game", "--n", "10", "--delta", "1e12", "--trials", "1", "--out", "{out}/g.csv"], 3,
+                   "error: --delta 1e+12 asks for 10000000000000 clauses, 120000000000000 bytes; "
+                   "the guard stops past 268435456 bytes unless forced", []),
 }
 
 
@@ -539,7 +547,7 @@ class TestFrozenOutputs:
         # labels, not scores: the 17-digit scores depend on the LAPACK build
         n = 10
         bits = np.random.default_rng(31).integers(0, 2, n) * 2 - 1
-        target = BinaryHalfspacePredictor(BinaryAssignment(tuple(int(b) for b in bits)))
+        target = BinaryAssignment(tuple(int(b) for b in bits))
         xs = sample_exact_sparse(n, 3, 1500, 32)
         flips = np.random.default_rng(33).random(len(xs)) < 0.1
         train = Sample(3, n, xs, np.where(flips, -1, 1) * target.predict_many(xs, n))

@@ -200,6 +200,19 @@ class TestErmBinaryHalfspace:
         # tie-break: first pattern in lexicographic (+1 < -1) order wins
         assert best_psi == first_minimizer
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_result_predicts_the_error_it_reports(self, seed):
+        """ERM's thresholds and ``predict_many`` each write sign(0) = +1; on rows with zero margins they agree."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        one = np.pad(sample_exact_sparse(n, 1, 10, seed + 100), ((0, 0), (0, 1)))
+        xs = np.concatenate([sample_exact_sparse(n, 2, 30, seed), one, np.zeros((6, 2), dtype=np.int32)])
+        sample = Sample(2, n, xs, coin_labels(rng, len(xs)))
+        psi, err = erm_binary_halfspace(sample)
+        assert empirical_error(psi, sample) == err
+        margins = (np.array((0, *psi.bits))[np.abs(xs)] * np.sign(xs)).sum(axis=1)
+        assert np.count_nonzero(margins[:30] == 0) > 0  # 2-sparse rows whose weights disagree, not only the zeros
+
     def test_error_equals_one_minus_value_on_per_clause_samples(self):
         for seed in range(10):
             phi = sample_formula(FormulaSourceConfig(10, 60, seed=seed), FormulaKind.MAJ)

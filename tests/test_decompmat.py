@@ -435,6 +435,19 @@ class TestCacheFormat:
         with pytest.raises(FormatError, match=message):
             read_certificate_text(tmp_path, text)
 
+    @pytest.mark.parametrize("P,N,beta,message", [
+        (np.eye(2), np.zeros((2, 2)), np.inf, "beta must be finite and nonnegative, got inf"),
+        (np.eye(2), np.zeros((2, 2)), np.nan, "beta must be finite and nonnegative, got nan"),
+        (np.eye(2), np.zeros((2, 2)), -1.0, "beta must be finite and nonnegative, got -1.0"),
+        ([[np.nan, 0], [0, 1]], np.zeros((2, 2)), 1.0, "P and N entries must be finite"),
+        (np.eye(2), [[0, 0], [-np.inf, 0]], 1.0, "P and N entries must be finite"),
+    ], ids=["beta-inf", "beta-nan", "beta-negative", "P-nan", "N-inf"])
+    def test_what_the_reader_refuses_is_never_built(self, tmp_path, P, N, beta, message):
+        with pytest.raises(ValueError) as excinfo:
+            write_decomposition(str(tmp_path / "t.cert"), Decomposition(P, N, beta))
+        assert str(excinfo.value) == message
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "text,message",
         [

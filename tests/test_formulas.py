@@ -23,7 +23,6 @@ from sparsehalf.formulas import (
     sample_formula,
     serialize_formula,
 )
-from sparsehalf.predictors import BinaryHalfspacePredictor
 
 MAJ = FormulaKind.MAJ
 CNF = FormulaKind.CNF
@@ -283,10 +282,9 @@ class TestFormulaToSample:
         rng = np.random.default_rng(1)
         for _ in range(5):
             psi = BinaryAssignment(tuple(int(v) for v in rng.integers(0, 2, 9) * 2 - 1))
-            h = BinaryHalfspacePredictor(psi)
             unsat = Fraction(sum(not eval_clause(MAJ, c, psi) for c in phi.lits.tolist()), phi.m)
             for seed in (0, 1, 99):
-                err = empirical_error(h, formula_to_sample(phi, seed))
+                err = empirical_error(psi, formula_to_sample(phi, seed))
                 assert err == unsat
 
     def test_per_position_label_means(self):
@@ -306,11 +304,10 @@ class TestCorrespondence:
             for c, row in zip(clauses, rows):
                 for i in range(2**n):
                     psi = BinaryAssignment(assignment_from_index(i, n))
-                    h = BinaryHalfspacePredictor(psi)
                     sat = eval_clause(MAJ, c, psi)
                     for b in (1, -1):
                         (x,) = vectors(b * row[None], n)
-                        assert (predict(h, x) == b) == sat
+                        assert (predict(psi, x) == b) == sat
 
 
 class TestDimacs:

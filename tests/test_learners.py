@@ -41,7 +41,6 @@ from sparsehalf.learners import (
     partition_learn,
     table_majority_learn,
 )
-from sparsehalf.predictors import BinaryHalfspacePredictor
 from sparsehalf.rng import derive_seed, generator
 
 
@@ -399,9 +398,7 @@ class TestLearnH3:
     def test_realizable_monte_carlo(self):
         n = 10
         rng = np.random.default_rng(8)
-        target = BinaryHalfspacePredictor(
-            BinaryAssignment(tuple(int(b) for b in rng.integers(0, 2, n) * 2 - 1))
-        )
+        target = BinaryAssignment(tuple(int(b) for b in rng.integers(0, 2, n) * 2 - 1))
         train = labeled(n, 3, sample_exact_sparse(n, 3, 40 * n * n, 11), lambda x: predict(target, x))
         test = labeled(n, 3, sample_exact_sparse(n, 3, 2000, 12), lambda x: predict(target, x))
         pred = learn_h3(train, LearnerConfig(seed=13))
@@ -457,3 +454,9 @@ class TestMakeLearner:
             assert predict(pred, vectors(s.items[:1], s.n)[0]) in (-1, 1)
         with pytest.raises(ValueError):
             make_learner("nope", cfg)
+
+    def test_erm_binary_is_the_erm_assignment(self):
+        xs = sample_exact_sparse(6, 3, 30, 4)
+        rng = np.random.default_rng(10)
+        s = labeled(6, 3, xs, lambda x: int(rng.integers(0, 2)) * 2 - 1)
+        assert make_learner("erm-binary", LearnerConfig())(s) == erm_binary_halfspace(s)[0]

@@ -14,7 +14,6 @@ from sparsehalf.core import BinaryAssignment, Sample, sample_exact_sparse
 from sparsehalf.errors import FormatError
 from sparsehalf.learners import LearnerConfig, learn_h2, learn_h3, table_majority_learn
 from sparsehalf.predictors import (
-    BinaryHalfspacePredictor,
     CompositePredictor,
     MajorityTable,
     MatrixPredictor,
@@ -34,12 +33,12 @@ def round_trip(node):
 
 class TestNodes:
     def test_binary_round_trip(self):
-        node = BinaryHalfspacePredictor(BinaryAssignment((1, -1, 1)))
+        node = BinaryAssignment((1, -1, 1))
         back = round_trip(node)
-        assert back.psi == node.psi
+        assert back == node
 
     def test_binary_prediction(self):
-        node = BinaryHalfspacePredictor(BinaryAssignment((1, 1, 1, 1, 1, 1)))
+        node = BinaryAssignment((1, 1, 1, 1, 1, 1))
         inst = from_pairs(6, [(2, 1), (3, -1), (6, -1)])
         assert predict(node, inst) == -1
 
@@ -86,7 +85,7 @@ class TestNodes:
     @pytest.mark.parametrize("kind", ["c2", "c3"])
     def test_every_listed_part_round_trips_under_its_key(self, kind):
         names = part_names(kind, 5)
-        children = {part: BinaryHalfspacePredictor(BinaryAssignment((1,) * 5)) for part in reversed(names)}
+        children = {part: BinaryAssignment((1,) * 5) for part in reversed(names)}
         text = model_text(CompositePredictor(kind, 5, children))
         assert [line[5:] for line in text.splitlines() if line.startswith("part ")] == list(names.values())
         assert list(round_trip(CompositePredictor(kind, 5, children)).children) == list(names)
@@ -94,7 +93,7 @@ class TestNodes:
     @pytest.mark.parametrize("kind,part", [("c3", 1), ("c3", 6), ("c2", 7)])
     def test_child_at_an_unlisted_part_is_refused_before_any_file(self, tmp_path, kind, part):
         """Such a child would be written under a key its reader refuses: 'i=0,b=-1', 'i=3,b=+1' or 'r=5' at n = 4."""
-        child = BinaryHalfspacePredictor(BinaryAssignment((1,) * 4))
+        child = BinaryAssignment((1,) * 4)
         with pytest.raises(ValueError, match=f"^the {kind} partition has no part {part} at n=4$"):
             write_predictor(str(tmp_path / "m"), CompositePredictor(kind, 4, {0: child, part: child}))
         assert list(tmp_path.iterdir()) == []
@@ -103,7 +102,7 @@ class TestNodes:
 def leaves(n):
     """A leaf of each kind at n, with a matrix at every coordinate-sum part r."""
     return [MajorityTable(n, 2, np.array([[1, 0], [-2, n]]), [-1, 1]),
-            BinaryHalfspacePredictor(BinaryAssignment(tuple((-1) ** i for i in range(n)))),
+            BinaryAssignment(tuple((-1) ** i for i in range(n))),
             *(MatrixPredictor(n, np.arange(n * n).reshape(n, n) / 3 - r, r) for r in range(-2, 3))]
 
 
@@ -149,9 +148,9 @@ class TestTreeRules:
     @pytest.mark.parametrize("make,message", [
         (lambda: CompositePredictor("c2", 4, {2: MatrixPredictor(4, np.zeros((4, 4)), 1)}),
          "part r=0 holds a matrix for r=1"),
-        (lambda: CompositePredictor("c2", 4, {3: BinaryHalfspacePredictor(BinaryAssignment((1,) * 3))}),
+        (lambda: CompositePredictor("c2", 4, {3: BinaryAssignment((1,) * 3)}),
          "part r=1 holds an n=3 child under n=4"),
-        (lambda: CompositePredictor("c3", 4, {0: BinaryHalfspacePredictor(BinaryAssignment((1,) * 5))}),
+        (lambda: CompositePredictor("c3", 4, {0: BinaryAssignment((1,) * 5)}),
          "part residual holds an n=5 child under n=4"),
         (lambda: CompositePredictor("c2", 4, {2: CompositePredictor("c2", 4)}),
          "a c2 part holds only leaves, got 'composite c2'"),
@@ -159,8 +158,9 @@ class TestTreeRules:
          "a c3 part holds only c2 composites and leaves, got 'composite c3'"),
         (lambda: MatrixPredictor(4, np.zeros((4, 4)), 9), "r=9 names no coordinate-sum part -2..2"),
         (lambda: MatrixPredictor(3, np.zeros((3, 4)), 0), "score matrix is 3x4, not 3x3"),
+        (lambda: MatrixPredictor(2, [[np.nan, 1], [np.inf, 0]], 0), "scores must be finite"),
     ], ids=["c2-matrix-at-other-r", "c2-child-other-n", "c3-binary-other-n", "c2-under-c2", "c3-under-c3",
-            "matrix-r9", "matrix-3x4"])
+            "matrix-r9", "matrix-3x4", "matrix-nonfinite"])
     def test_refused_before_any_file(self, tmp_path, make, message):
         """Each of these trees was once written, and then refused by the reader."""
         with pytest.raises(ValueError) as excinfo:
@@ -171,7 +171,7 @@ class TestTreeRules:
 
 class TestDimensionMismatch:
     @pytest.mark.parametrize("node", [
-        BinaryHalfspacePredictor(BinaryAssignment((1, -1, 1, 1))),
+        BinaryAssignment((1, -1, 1, 1)),
         MajorityTable(4, 3, np.array([[1]]), [-1]),
         MatrixPredictor(4, np.zeros((4, 4)), realization=0),
         CompositePredictor("c3", 4, {}),
@@ -184,7 +184,7 @@ class TestDimensionMismatch:
             node.predict_many(rows, 8)
 
     def test_empty_matrix_predicts_nothing(self):
-        for node in (table_majority_learn(Sample(3, 5, (), ())), BinaryHalfspacePredictor(BinaryAssignment((1,) * 5))):
+        for node in (table_majority_learn(Sample(3, 5, (), ())), BinaryAssignment((1,) * 5)):
             assert node.predict_many(np.zeros((0, 3), dtype=np.int32), 5).shape == (0,)
 
 
